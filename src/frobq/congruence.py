@@ -12,12 +12,13 @@ finite residue computations that turn such observations into proofs for the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .exactring import ModRing
 from .qseries import TruncSeries
 
 
-@dataclass
+@dataclass(frozen=True)
 class CongruenceClaim:
     """One claim: coefficient(step*n + offset) = 0 (mod modulus) for all checked n."""
 
@@ -45,11 +46,17 @@ class CongruenceClaim:
 
 
 def verify_congruence(series: TruncSeries, step: int, offset: int, modulus: int) -> CongruenceClaim:
-    """Check coefficient(step*n + offset) = 0 (mod modulus) on every available index."""
+    """Check coefficient(step*n + offset) = 0 (mod modulus) on every available index.
+
+    A series over ModRing(m) only knows its coefficients mod m, so the check
+    refuses a modulus that does not divide m.
+    """
     if step < 1 or not 0 <= offset < step:
         raise ValueError("need step >= 1 and 0 <= offset < step")
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
+    if isinstance(series.ring, ModRing) and series.ring.modulus % modulus:
+        raise ValueError(f"a {series.ring!r} series cannot decide residues mod {modulus}")
     indices = range(offset, series.order + 1, step)
     last = -1  # stays -1 when the truncation offers no indices at all
     count = 0
@@ -108,12 +115,14 @@ def scan_congruences(series: TruncSeries, max_step: int, max_modulus: int,
                 if claim.status == "verified":
                     claims.append(claim)
     reported = {(c.modulus, c.step, c.offset) for c in claims}
-    for c in claims:
-        c.subsumed = any(
+    claims = [
+        replace(c, subsumed=any(
             (c.modulus, a, c.offset % a) in reported
             for a in range(1, c.step)
             if c.step % a == 0
-        )
+        ))
+        for c in claims
+    ]
     claims.sort(key=lambda c: (c.modulus, c.step, c.offset))
     return claims
 

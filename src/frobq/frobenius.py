@@ -152,15 +152,15 @@ def count_cphi(k: int, alpha: int, n: int) -> int:
     return len(enumerate_arrays("colored", k, alpha, n))
 
 
-def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int,
-                             *, window_pad: int = 0) -> TruncSeries:
+def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> TruncSeries:
     """Coefficient of z^alpha in the variant's two-variable product, as a q-series.
 
-    The z window is [alpha - k*order - k, alpha + k*order + k]: a z-raising
-    term always costs at least q^1 and only the lam=0 bottom factor lowers z
-    for free (at most k times), so any term outside the window can never flow
-    back into z^alpha within q-degree `order`.  `window_pad` widens the window
-    symmetrically; results must not depend on it.
+    Every term of every partial product that survives the q truncation is an
+    array of weight <= order whose row difference is its z-exponent, so the
+    exact z window is [-M2, M1]: M1 is the longest top row that fits in
+    weight `order` (each entry costs its value plus 1) and M2 the longest
+    bottom row (each entry costs its value).  Nothing is ever clipped, and an
+    alpha outside the window gives the zero series.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -168,10 +168,12 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int,
         raise ValueError("k must be >= 1")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    if window_pad < 0:
-        raise ValueError("window_pad must be >= 0")
-    zmin = alpha - k * order - k - window_pad
-    zmax = alpha + k * order + k + window_pad
+    m1 = m2 = 0
+    while m1 + 1 + _min_row_sum(m1 + 1, k) <= order:
+        m1 += 1
+    while _min_row_sum(m2 + 1, k) <= order:
+        m2 += 1
+    zmin, zmax = -m2, m1
     weight = (lambda j: 1) if variant == "repetition" else (lambda j: comb(k, j))
     acc = BivarSeries.one(ZZ, order, zmin, zmax)
     for lam in range(order + 1):

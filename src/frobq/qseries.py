@@ -231,19 +231,23 @@ def extract_progression(series: TruncSeries, step: int, offset: int) -> TruncSer
 # ---------------------------------------------------------------------------
 
 
-def _mul_binomial_inplace(coeffs: list, sign: int, exponent: int, ring) -> None:
-    # coeffs *= (1 + sign*q^exponent); descending index so sources stay fresh
-    if exponent == 0:
+def _apply_binomial(coeffs: list, sign: int, e: int, ring, divide: bool = False) -> None:
+    # coeffs *= (1 + sign*q^e), or coeffs /= it when `divide`; sign is +1 or -1.
+    # Multiplying walks down so every source is still an old coefficient;
+    # dividing walks up so every source is already a quotient coefficient.
+    if e == 0:
         scale = ring.from_int(1 + sign)
+        if divide:
+            scale = ring.invert(scale)
         for i in range(len(coeffs)):
             coeffs[i] = ring.mul(coeffs[i], scale)
         return
-    s = ring.from_int(sign)
-    add, mul, zero = ring.add, ring.mul, ring.zero
-    for i in range(len(coeffs) - 1, exponent - 1, -1):
-        src = coeffs[i - exponent]
+    step = ring.add if (sign > 0) != divide else ring.sub
+    zero = ring.zero
+    for i in range(e, len(coeffs)) if divide else range(len(coeffs) - 1, e - 1, -1):
+        src = coeffs[i - e]
         if src != zero:
-            coeffs[i] = add(coeffs[i], mul(s, src))
+            coeffs[i] = step(coeffs[i], src)
 
 
 def euler_product(order: int, ring=ZZ) -> TruncSeries:
@@ -252,7 +256,7 @@ def euler_product(order: int, ring=ZZ) -> TruncSeries:
         raise ValueError("truncation order must be >= 0")
     coeffs = [ring.one] + [ring.zero] * order
     for n in range(1, order + 1):
-        _mul_binomial_inplace(coeffs, -1, n, ring)
+        _apply_binomial(coeffs, -1, n, ring)
     return TruncSeries(ring, coeffs, order)
 
 
@@ -357,31 +361,21 @@ def parse_product_spec(text: str) -> ProductSpec:
 def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     """Expand the spec's product truncated at `order`.
 
-    Positive-exponent factors multiply in directly; the negative-exponent
-    factors are accumulated as one positive product and inverted once.
+    Every binomial (1 + sign*q^e) with e <= order is applied in place to one
+    coefficient list, |exponent| times: multiplied in for a positive exponent,
+    divided out for a negative one.  Dividing by a constant factor (1 + q^0)
+    raises NotUnitError when 2 is not a unit of the ring.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     for f in spec.factors:
         f.validate()
-    pos = [ring.one] + [ring.zero] * order
-    neg = [ring.one] + [ring.zero] * order
+    coeffs = [ring.one] + [ring.zero] * order
     for f in spec.factors:
-        target = pos if f.exponent > 0 else neg
-        times = abs(f.exponent)
-        n = 1
-        while True:
-            e = f.period * n - f.residue
-            if e > order:
-                break
-            for _ in range(times):
-                _mul_binomial_inplace(target, f.sign, e, ring)
-            n += 1
-    result = TruncSeries(ring, pos, order)
-    neg_series = TruncSeries(ring, neg, order)
-    if neg_series != TruncSeries.one(ring, order):
-        result = result * neg_series.inverse()
-    return result
+        for e in range(f.period - f.residue, order + 1, f.period):
+            for _ in range(abs(f.exponent)):
+                _apply_binomial(coeffs, f.sign, e, ring, divide=f.exponent < 0)
+    return TruncSeries(ring, coeffs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +387,11 @@ class BivarSeries:
     """A series in z and q, truncated at q^order, z-exponents clipped to a window.
 
     Rows are stored sparsely: `rows[z]` is the dense q-coefficient list for
-    z-exponent z; missing rows are zero.  Multiplication drops any product
-    term whose z-exponent leaves [zmin, zmax], so callers must pick windows
-    wide enough that clipped terms could never have flowed back into the
-    z-exponents they intend to read (see window notes at the call sites).
+    z-exponent z; missing rows are zero, and multiplication creates a row only
+    when a nonzero term lands in it.  Multiplication drops any product term
+    whose z-exponent leaves [zmin, zmax]; the callers in this package compute
+    a window that every term of every partial product lies in, so nothing is
+    ever dropped.  Unlike TruncSeries this is a mutable working object.
     """
 
     __slots__ = ("ring", "order", "zmin", "zmax", "rows")
@@ -461,12 +456,11 @@ class BivarSeries:
                 if z < zmin or z > zmax:
                     continue
                 target = out.rows.get(z)
-                if target is None:
-                    target = [zero] * (order + 1)
-                    out.rows[z] = target
                 for e1 in range(order - e2 + 1):
                     c1 = row1[e1]
                     if c1 != zero:
+                        if target is None:
+                            target = out.rows[z] = [zero] * (order + 1)
                         target[e1 + e2] = add(target[e1 + e2], mul(c1, c2))
         return out
 
@@ -497,27 +491,24 @@ class BivarSeries:
                 f"window=[{self.zmin},{self.zmax}], z-support={support})")
 
 
-def jacobi_triple(order: int, zwin: tuple[int, int] | None = None, ring=ZZ):
+def jacobi_triple(order: int, ring=ZZ):
     """Both sides of the triple product identity, for equality testing.
 
     Product side: prod_{n>=1} (1 - q^n)(1 + z q^n)(1 + z^{-1} q^{n-1});
-    sum side: sum_m z^m q^(m(m+1)/2).  With zwin=None the window is chosen to
-    cover every z-exponent reachable within q-degree `order`, so no clipping
-    occurs and the two sides agree exactly.  A narrower explicit window is
-    honored, and stays sound as long as it still covers that reachable range
-    (z^m costs q^(m(m+1)/2) upward and q^(m(m-1)/2) downward).
+    sum side: sum_m z^m q^(m(m+1)/2).  The z window [-down, up] is exact:
+    z^m costs at least q^(m(m+1)/2) for m >= 0 and q^(m(m-1)/2) for m < 0,
+    on both sides, so up and down are the largest |m| that fit in q-degree
+    `order` and no term is ever clipped.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    if zwin is None:
-        up = 0
-        while (up + 1) * (up + 2) // 2 <= order:
-            up += 1
-        down = 0
-        while (down + 1) * down // 2 <= order:
-            down += 1
-        zwin = (-down - 1, up + 1)
-    zmin, zmax = zwin
+    up = 0
+    while (up + 1) * (up + 2) // 2 <= order:
+        up += 1
+    down = 0
+    while (down + 1) * down // 2 <= order:
+        down += 1
+    zmin, zmax = -down, up
     product = BivarSeries.one(ring, order, zmin, zmax)
     for n in range(1, order + 2):
         product = product * BivarSeries.from_terms(

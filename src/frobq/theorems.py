@@ -32,10 +32,16 @@ from math import isqrt
 from .exactring import ZZ, CycRing, zeta_pow
 from .qseries import (
     TruncSeries,
+    _apply_binomial,
     euler_product,
     parse_product_spec,
     product_from_spec,
 )
+
+
+# The theta route walks a (2*isqrt(2N+|alpha|)+1)^(k-1) box of lattice points;
+# refuse boxes that would take minutes instead of walking them.
+MAX_LATTICE_BOX = 5_000_000
 
 
 class NonIntegralCoefficientError(ArithmeticError):
@@ -79,6 +85,10 @@ def _lattice_points(k: int, alpha: int, order: int):
     # Complete: Q <= order forces sum m_i^2 + alpha <= 2*order, so every
     # coordinate satisfies m_i^2 <= 2*order + |alpha|.
     bound = isqrt(2 * order + abs(alpha))
+    box = (2 * bound + 1) ** (k - 1)
+    if box > MAX_LATTICE_BOX:
+        raise ValueError(f"lattice guard: box of {box} points exceeds "
+                         f"MAX_LATTICE_BOX={MAX_LATTICE_BOX}")
     coords = range(-bound, bound + 1)
     for m in itertools.product(coords, repeat=k - 1):
         q = quad_exponent(k, alpha, m)
@@ -161,14 +171,17 @@ def psi2_product(order: int, *, mutated: bool = False) -> TruncSeries:
     the comparison has teeth.
     """
     quartic_sign = -1 if mutated else 1
-    acc = TruncSeries.one(ZZ, order)
+    coeffs = [1] + [0] * order
     for i in range(1, order // 2 + 1):
-        trinomial = (TruncSeries.one(ZZ, order)
-                     - TruncSeries.monomial(ZZ, order, 2 * i)
-                     + TruncSeries.monomial(ZZ, order, 4 * i) * quartic_sign)
-        binomial = TruncSeries.one(ZZ, order) - TruncSeries.monomial(ZZ, order, 2 * i)
-        acc = acc * binomial * trinomial
-    return acc * (euler_product(order) ** 2).inverse()
+        _apply_binomial(coeffs, -1, 2 * i, ZZ)
+        for j in range(order, 2 * i - 1, -1):
+            coeffs[j] -= coeffs[j - 2 * i]
+            if j >= 4 * i:
+                coeffs[j] += quartic_sign * coeffs[j - 4 * i]
+    for n in range(1, order + 1):
+        _apply_binomial(coeffs, -1, n, ZZ, divide=True)
+        _apply_binomial(coeffs, -1, n, ZZ, divide=True)
+    return TruncSeries(ZZ, coeffs, order)
 
 
 def psi2_identity_check(order: int, *, mutated: bool = False) -> bool:

@@ -1,6 +1,10 @@
 """CLI surface: flags, output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,20 @@ def test_theorem_one_reports_integrality(capsys):
     payload = json_lines(out)[0]
     assert payload["integral"] is True
     assert payload["coefficients"] == ["1", "2", "3", "6", "10", "16", "26"]
+
+
+def test_theorem_lattice_guard_exits_two_quickly():
+    # k=9, N=60 would walk 21^8 lattice points; the guard refuses before walking
+    src = str(Path(theorems.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobq.cli", "theorem", "--which", "1",
+         "--k", "9", "--alpha", "0", "--N", "60"],
+        capture_output=True, text=True, env=env, timeout=1)
+    assert proc.returncode == 2
+    assert "lattice guard" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_theorem_two(capsys):

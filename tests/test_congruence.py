@@ -1,5 +1,7 @@
 """Congruence verification, scanning, and the finite residue arguments."""
 
+import dataclasses
+
 import pytest
 
 from frobq.congruence import (
@@ -8,7 +10,7 @@ from frobq.congruence import (
     scan_congruences,
     verify_congruence,
 )
-from frobq.exactring import ZZ
+from frobq.exactring import ZZ, ModRing
 from frobq.frobenius import bivar_coefficient_series
 from frobq.qseries import TruncSeries
 from frobq.theorems import cphi2m1_product, phi2m1_product, phi_theta_series
@@ -41,6 +43,26 @@ def test_verify_validates_inputs():
         verify_congruence(s, 5, 5, 5)
     with pytest.raises(ValueError):
         verify_congruence(s, 5, 4, 1)
+
+
+def test_verify_honours_the_series_ring():
+    sevens = [7] * 30
+    with pytest.raises(ValueError, match="cannot decide residues mod 7"):
+        verify_congruence(TruncSeries.from_ints(ModRing(5), sevens), 1, 0, 7)
+    # mod 35 determines the residues mod 5 and mod 7, so the claims match ZZ
+    reduced = TruncSeries.from_ints(ModRing(35), sevens)
+    exact = TruncSeries.from_ints(ZZ, sevens)
+    for modulus, status in ((5, "violated"), (7, "verified")):
+        claim = verify_congruence(reduced, 1, 0, modulus)
+        assert claim.status == status
+        assert claim == verify_congruence(exact, 1, 0, modulus)
+
+
+def test_claims_are_immutable():
+    claim = scan_congruences(TruncSeries.zero(ZZ, 40), 2, 2, min_witnesses=10)[1]
+    assert claim.subsumed
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        claim.subsumed = False
 
 
 def test_verified_means_every_witness_divisible():

@@ -122,11 +122,18 @@ def test_bivar_examples():
     assert bivar_coefficient_series("repetition", 1, 0, 4).coeffs == (1, 1, 2, 3, 5)
 
 
-def test_bivar_window_padding_changes_nothing():
-    for variant in ("repetition", "colored"):
-        base = bivar_coefficient_series(variant, 2, -1, 20)
-        padded = bivar_coefficient_series(variant, 2, -1, 20, window_pad=4)
-        assert base == padded
+def test_bivar_window_edges():
+    # k=2, weight 12: the longest top row is 0,0,1,1,2,2 (6 entries, cost
+    # 6 + 6), the longest bottom row 0,0,1,1,2,2,3,3 (8 entries, cost 12),
+    # so the exact z window is [-8, 6]
+    m1, m2, order = 6, 8, 12
+    for variant, count in (("repetition", count_phi), ("colored", count_cphi)):
+        for alpha in (m1, -m2):
+            series = bivar_coefficient_series(variant, 2, alpha, order)
+            assert list(series.coeffs) == [count(2, alpha, n) for n in range(order + 1)]
+            assert series.coeffs[order] > 0
+        for alpha in (m1 + 1, -m2 - 1):
+            assert not any(bivar_coefficient_series(variant, 2, alpha, order).coeffs)
 
 
 @pytest.mark.parametrize("variant", ["repetition", "colored"])

@@ -1,0 +1,53 @@
+"""The benchmark's traced mode (perfbench/tracing.py) still finds every frobq name it wraps."""
+
+import importlib.util
+from pathlib import Path
+
+import frobq.frobenius as frobenius
+import frobq.qseries as qseries
+import frobq.theorems as theorems
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _wrapped_names():
+    return (qseries.product_from_spec, qseries.TruncSeries.inverse, qseries.TruncSeries.__mul__,
+            qseries.BivarSeries.__mul__, theorems.psi2_product, theorems.quad_exponent,
+            theorems.cphi_theta_series, frobenius.bivar_coefficient_series)
+
+
+def test_hooks_trace_product_psi2_and_bivar_then_uninstall():
+    tracing = _load_tracing()
+    originals = _wrapped_names()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        assert _wrapped_names() != originals
+        series = qseries.product_from_spec(qseries.parse_product_spec("-,1,0,-1; +,2,1,1"), 20)
+        series * series.inverse()
+        theorems.psi2_product(20)
+        frobenius.bivar_coefficient_series("colored", 2, -1, 8)
+        theorems.cphi_theta_series(2, -1, 10)
+    finally:
+        uninstall()
+    assert _wrapped_names() == originals
+
+    names = {span[0] for span in tracer.spans}
+    assert {"qseries.product_from_spec", "qseries.inverse", "qseries.mul", "theorems.psi2",
+            "frobenius.bivar", "qseries.bivar_mul", "theorems.theta"} <= names
+    metrics = tracing.pass_metrics(tracer.spans, 0, tracer.counts)
+    assert metrics["qseries.factors_applied"] == 20 + 10
+    # the explicit call and the theta route's; products and psi2 divide in place
+    assert metrics["qseries.inverse.calls"] == 2
+    assert metrics["qseries.bivar_mul.calls"] > 0
+    # colored k=2, N=8: the z window is [-6, 4]
+    assert metrics["frobenius.bivar.zwindow"] == 11
+    # theta k=2, N=10: coordinates in -4..4
+    assert metrics["theorems.lattice.visited"] == 9

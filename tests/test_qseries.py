@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frobq.exactring import ZZ, ModRing, NotUnitError
@@ -13,6 +13,7 @@ from frobq.qseries import (
     ProductSpecError,
     RingMismatchError,
     TruncSeries,
+    _apply_binomial,
     decimal_coefficients,
     euler_cube,
     euler_product,
@@ -136,6 +137,63 @@ def test_inverse_over_mod_ring():
 def test_pow_negative_inverts():
     a = TruncSeries.from_ints(ZZ, [1, -1], 5)
     assert a ** -2 == (a ** 2).inverse()
+
+
+# ---------------------------------------------------------------------------
+# the in-place binomial kernel against dense multiply and inverse
+# ---------------------------------------------------------------------------
+
+def _or_not_unit(fn):
+    try:
+        return fn()
+    except NotUnitError:
+        return NotUnitError
+
+
+def _kernel_vs_reference(values, sign, e, ring, divide, kernel_sign):
+    """(kernel result, reference result), each a coefficient tuple or NotUnitError."""
+    series = TruncSeries.from_ints(ring, values)
+    binomial = TruncSeries.from_ints(
+        ring, [1 + sign] if e == 0 else [1] + [0] * (e - 1) + [sign], series.order)
+
+    def kernel():
+        coeffs = list(series.coeffs)
+        _apply_binomial(coeffs, kernel_sign, e, ring, divide)
+        return tuple(coeffs)
+
+    def reference():
+        return (series * (binomial.inverse() if divide else binomial)).coeffs
+
+    return _or_not_unit(kernel), _or_not_unit(reference)
+
+
+_KERNEL_CASES = dict(
+    values=st.lists(st.integers(-30, 30), min_size=1, max_size=12),
+    sign=st.sampled_from([1, -1]),
+    e=st.integers(0, 13),
+    ring=st.sampled_from([ZZ, ModRing(7)]),
+    divide=st.booleans(),
+)
+
+
+@settings(max_examples=200)
+@given(**_KERNEL_CASES)
+@example(values=[3, 1], sign=1, e=0, ring=ZZ, divide=True)  # 1/2 is not in ZZ
+@example(values=[3, 1], sign=1, e=0, ring=ModRing(7), divide=True)
+@example(values=[3, 1], sign=-1, e=0, ring=ZZ, divide=False)
+def test_apply_binomial_matches_dense_reference(values, sign, e, ring, divide):
+    kernel, reference = _kernel_vs_reference(values, sign, e, ring, divide, sign)
+    assert kernel == reference
+
+
+@settings(max_examples=100)
+@given(**_KERNEL_CASES)
+def test_apply_binomial_property_rejects_flipped_sign(values, sign, e, ring, divide):
+    # a kernel applying the opposite sign must fail the property whenever the
+    # factor can act: nonzero constant term and q^e inside the truncation
+    assume(values[0] % 7 != 0 and 1 <= e < len(values))
+    kernel, reference = _kernel_vs_reference(values, sign, e, ring, divide, -sign)
+    assert kernel != reference
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +338,10 @@ def test_jacobi_triple_basics():
     assert product.z_slice(0).coeffs[0] == 1
     assert theta.z_slice(0).coeffs[0] == 1
     assert theta.z_slice(1) == TruncSeries.monomial(ZZ, 12, 1)
-
-
-def test_jacobi_triple_fixed_window():
-    product, theta = jacobi_triple(30, (-8, 8))
-    assert product == theta
+    # the window is exact: z^4 and z^-5 are the extreme terms, both at q^10
+    assert (product.zmin, product.zmax) == (-5, 4)
+    for z in (-5, 4):
+        assert product.z_slice(z) == theta.z_slice(z) == TruncSeries.monomial(ZZ, 12, 10)
 
 
 def test_jacobi_triple_agrees_to_50():

@@ -6,6 +6,7 @@ import pytest
 
 from frobq.frobenius import count_cphi, count_phi
 from frobq.theorems import (
+    MAX_LATTICE_BOX,
     NonIntegralCoefficientError,
     cphi2m1_product,
     cphi_theta_series,
@@ -85,6 +86,18 @@ def test_theta_series_match_oracle_on_grid(k):
 def test_phi_theta_integrality_detector_fires_on_mutation():
     with pytest.raises(NonIntegralCoefficientError):
         phi_theta_series(2, -1, 10, zeta_exponent_shift=1)
+
+
+def test_lattice_guard_refuses_oversized_box():
+    # k=9, N=60: (2*isqrt(120) + 1)^8 = 21^8 box points
+    assert 21 ** 8 > MAX_LATTICE_BOX
+    for fn in (phi_theta_series, cphi_theta_series):
+        with pytest.raises(ValueError, match="lattice guard"):
+            fn(9, 0, 60)
+    # the largest box the benchmark walks, k=6 at N=14, is 11^5 points
+    assert 11 ** 5 <= MAX_LATTICE_BOX
+    series = cphi_theta_series(6, -2, 14)
+    assert series.coeffs[:4] == tuple(count_cphi(6, -2, n) for n in range(4))
 
 
 def test_phi_theta_integrality_holds_on_grid():
