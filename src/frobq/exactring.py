@@ -210,14 +210,6 @@ class CycInt:
             return None
         return self.coeffs[0]
 
-    def galois_map(self, t: int) -> "CycInt":
-        """Apply the automorphism zeta -> zeta^t (t coprime to the order)."""
-        out = CycInt(self.order, ())
-        for e, c in enumerate(self.coeffs):
-            if c:
-                out = out + zeta_pow(self.order, e * t) * c
-        return out
-
 
 def zeta_pow(order: int, e: int) -> CycInt:
     """zeta^e reduced into the power basis; e may be negative.

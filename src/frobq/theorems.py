@@ -26,21 +26,20 @@ identities used on the way to the mod-5 divisibility pattern of their
 
 from __future__ import annotations
 
-import itertools
 from math import isqrt
 
-from .exactring import ZZ, CycRing, zeta_pow
+from .exactring import ZZ, CycInt, _power_basis_rows
 from .qseries import (
     TruncSeries,
     _apply_binomial,
-    euler_product,
     parse_product_spec,
     product_from_spec,
 )
 
 
-# The theta route walks a (2*isqrt(2N+|alpha|)+1)^(k-1) box of lattice points;
-# refuse boxes that would take minutes instead of walking them.
+# Refuse lattices too large to walk in seconds.  The estimate is the box
+# (2*isqrt(2N+|alpha|)+1)^(k-1) that contains every kept point; the walk
+# itself visits only kept points, but at k=9, N=60 even those are too many.
 MAX_LATTICE_BOX = 5_000_000
 
 
@@ -72,75 +71,137 @@ def quad_exponent(k: int, alpha: int, m) -> int:
     return sum(_choose2(mi + 1) for mi in m) + _choose2(alpha - s + 1)
 
 
-def quad_exponent_closed(k: int, alpha: int, m) -> int:
-    """Equivalent closed form [sum m_i^2 + (S - alpha)^2 + alpha] / 2."""
-    m = tuple(m)
-    if len(m) != k - 1:
-        raise ValueError(f"need exactly {k - 1} lattice coordinates, got {len(m)}")
-    s = sum(m)
-    return (sum(mi * mi for mi in m) + (s - alpha) ** 2 + alpha) // 2
+def _interval(free: int, budget: int, c: int) -> tuple[int, int]:
+    # The integers m with free*(budget - m*m) >= (c + m)^2, as (lo, hi); empty
+    # when lo > hi.  With `free` coordinates left, this one included, the rest
+    # add at least (c + m)^2 / free to the squares, so this is the exact
+    # Fincke-Pohst interval.  Its test is concave in m with the peak at
+    # -c/(free+1), so walk outward from there.
+    top = -c // (free + 1)
+    hi = top
+    while free * (budget - (hi + 1) ** 2) >= (c + hi + 1) ** 2:
+        hi += 1
+    lo = top + 1
+    while free * (budget - (lo - 1) ** 2) >= (c + lo - 1) ** 2:
+        lo -= 1
+    return lo, hi
 
 
-def _lattice_points(k: int, alpha: int, order: int):
-    # Complete: Q <= order forces sum m_i^2 + alpha <= 2*order, so every
-    # coordinate satisfies m_i^2 <= 2*order + |alpha|.
+def _lattice_table(k: int, alpha: int, order: int, shift: int = 0) -> list[int]:
+    # Counts of the lattice points with Q <= order, flat by (Q, zeta exponent
+    # mod k+1): entry Q*(k+1) + e.  Q <= order is
+    # sum m_i^2 + (S - alpha)^2 <= 2*order - alpha, and the walk keeps the
+    # running square sum P, c = S - alpha and the exponent, in which
+    # coordinate i carries weight i+1-k, i.e. minus its count of free ones.
     bound = isqrt(2 * order + abs(alpha))
     box = (2 * bound + 1) ** (k - 1)
     if box > MAX_LATTICE_BOX:
         raise ValueError(f"lattice guard: box of {box} points exceeds "
                          f"MAX_LATTICE_BOX={MAX_LATTICE_BOX}")
-    coords = range(-bound, bound + 1)
-    for m in itertools.product(coords, repeat=k - 1):
-        q = quad_exponent(k, alpha, m)
-        if q <= order:
-            yield m, q
+    width = k + 1
+    table = [0] * ((order + 1) * width)
+    limit = 2 * order - alpha
+
+    def walk(free, p, c, e):
+        lo, hi = _interval(free, limit - p, c)
+        if free > 1:
+            for m in range(lo, hi + 1):
+                walk(free - 1, p + m * m, c + m, e - free * m)
+            return
+        for m in range(lo, hi + 1):
+            q = (p + m * m + (c + m) ** 2 + alpha) // 2
+            table[q * width + (e - m) % width] += 1
+
+    e = k * alpha + shift
+    if k > 1:
+        walk(k - 1, 0, -alpha, e)
+    elif alpha * alpha <= limit:
+        table[(alpha * alpha + alpha) // 2 * width + e % width] += 1
+    return table
 
 
-def cphi_theta_series(k: int, alpha: int, order: int) -> TruncSeries:
-    """Colored-count generating function: (sum over the lattice of q^Q) / (q;q)^k."""
+def _pentagonal_exponents(order: int) -> tuple[list[int], list[int]]:
+    # The generalized pentagonal numbers g = j(3j-1)/2, j(3j+1)/2 in 1..order,
+    # split by sign: (q;q) = 1 - sum_(j odd) q^g + sum_(j even) q^g.
+    odd, even = [], []
+    j = 1
+    while j * (3 * j - 1) // 2 <= order:
+        side = odd if j % 2 else even
+        side.extend(g for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= order)
+        j += 1
+    return odd, even
+
+
+def _divide_by_euler(coeffs: list[int], times: int) -> None:
+    # coeffs /= (q;q)^times in place over ZZ.  Each division walks up, so
+    # c[n] += sum_odd c[n-g] - sum_even c[n-g] reads only quotient
+    # coefficients; about sqrt(N) terms each, O(N^1.5) a division.
+    odd, even = _pentagonal_exponents(len(coeffs) - 1)
+    for _ in range(times):
+        for n in range(1, len(coeffs)):
+            acc = coeffs[n]
+            for g in odd:
+                if g > n:
+                    break
+                acc += coeffs[n - g]
+            for g in even:
+                if g > n:
+                    break
+                acc -= coeffs[n - g]
+            coeffs[n] = acc
+
+
+def _check_args(k: int, order: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    num = [0] * (order + 1)
-    for _, q in _lattice_points(k, alpha, order):
-        num[q] += 1
-    numerator = TruncSeries(ZZ, num, order)
-    return numerator * (euler_product(order) ** k).inverse()
+
+
+def cphi_theta_series(k: int, alpha: int, order: int) -> TruncSeries:
+    """Colored-count generating function: (sum over the lattice of q^Q) / (q;q)^k."""
+    _check_args(k, order)
+    table = _lattice_table(k, alpha, order)
+    width = k + 1
+    coeffs = [sum(table[q * width:(q + 1) * width]) for q in range(order + 1)]
+    _divide_by_euler(coeffs, k)
+    return TruncSeries(ZZ, coeffs, order)
 
 
 def phi_theta_series(k: int, alpha: int, order: int, *,
                      zeta_exponent_shift: int = 0) -> TruncSeries:
     """Repetition-count generating function via the root-of-unity lattice sum.
 
-    Accumulates exactly in Z[zeta_(k+1)] and converts at the end; any
-    surviving non-rational coefficient raises NonIntegralCoefficientError.
-    `zeta_exponent_shift` perturbs every root-of-unity exponent and exists so
-    tests can prove the detector actually fires; leave it at 0.
+    The lattice sum is counted by (Q, zeta exponent) and each Q row is
+    reduced to the power basis of Z[zeta_(k+1)]; only the constant coordinate
+    is then divided by (q;q)^k.  That series is 1 + O(q) over ZZ, so every
+    other coordinate of the quotient first turns nonzero where the
+    numerator's does, with the same value: the first such index raises
+    NonIntegralCoefficientError.  `zeta_exponent_shift` perturbs every
+    root-of-unity exponent and exists so tests can prove the detector
+    actually fires; leave it at 0.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    ring = CycRing(k + 1)
+    _check_args(k, order)
+    table = _lattice_table(k, alpha, order, zeta_exponent_shift)
+    width = k + 1
+    basis = _power_basis_rows(width)
     sign = -1 if alpha % 2 else 1
-    num = [ring.zero] * (order + 1)
-    for m, q in _lattice_points(k, alpha, order):
-        e = k * alpha + zeta_exponent_shift
-        for i, mi in enumerate(m):
-            e += (i + 1 - k) * mi
-        num[q] = num[q] + zeta_pow(k + 1, e) * sign
-    numerator = TruncSeries(ring, num, order)
-    inv = (euler_product(order) ** k).inverse()
-    lifted = TruncSeries.from_ints(ring, inv.coeffs, order)
-    cyclotomic = numerator * lifted
-    values = []
-    for idx, c in enumerate(cyclotomic.coeffs):
-        v = c.as_int()
-        if v is None:
-            raise NonIntegralCoefficientError(idx, c)
-        values.append(v)
-    return TruncSeries(ZZ, values, order)
+    numerator = []
+    for q in range(order + 1):
+        coords = [0] * len(basis[0])
+        for e, count in enumerate(table[q * width:(q + 1) * width]):
+            if count:
+                for i, b in enumerate(basis[e]):
+                    coords[i] += sign * count * b
+        numerator.append(coords)
+    constant = [coords[0] for coords in numerator]
+    for idx, coords in enumerate(numerator):
+        if any(coords[1:]):
+            del constant[idx + 1:]
+            _divide_by_euler(constant, k)
+            raise NonIntegralCoefficientError(idx, CycInt(width, [constant[idx], *coords[1:]]))
+    _divide_by_euler(constant, k)
+    return TruncSeries(ZZ, constant, order)
 
 
 # ---------------------------------------------------------------------------

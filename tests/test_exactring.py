@@ -144,15 +144,6 @@ def test_order_two_behaves_like_integers():
     assert zeta(2).as_int() == -1
 
 
-def test_norm_is_nonnegative_integer():
-    # a * conj(a) with conj: zeta -> zeta^2 in order 3
-    rng = random.Random(13)
-    for _ in range(200):
-        a = CycInt(3, (rng.randrange(-20, 21), rng.randrange(-20, 21)))
-        norm = (a * a.galois_map(2)).as_int()
-        assert norm is not None and norm >= 0
-
-
 # ---------------------------------------------------------------------------
 # ring descriptors
 # ---------------------------------------------------------------------------

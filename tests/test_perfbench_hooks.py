@@ -44,10 +44,10 @@ def test_hooks_trace_product_psi2_and_bivar_then_uninstall():
             "frobenius.bivar", "qseries.bivar_mul", "theorems.theta"} <= names
     metrics = tracing.pass_metrics(tracer.spans, 0, tracer.counts)
     assert metrics["qseries.factors_applied"] == 20 + 10
-    # the explicit call and the theta route's; products and psi2 divide in place
-    assert metrics["qseries.inverse.calls"] == 2
+    # only the explicit call: products, psi2 and the theta route divide in place
+    assert metrics["qseries.inverse.calls"] == 1
     assert metrics["qseries.bivar_mul.calls"] > 0
     # colored k=2, N=8: the z window is [-6, 4]
     assert metrics["frobenius.bivar.zwindow"] == 11
-    # theta k=2, N=10: coordinates in -4..4
-    assert metrics["theorems.lattice.visited"] == 9
+    # the theta route walks the lattice without calling quad_exponent per point
+    assert metrics["theorems.lattice.visited"] == 0

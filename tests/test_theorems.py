@@ -1,13 +1,22 @@
 """Closed-form series against the oracle, and the proof-identity battery."""
 
 import itertools
+from collections import Counter
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import frobq.theorems as theorems
+from frobq.exactring import ZZ, CycInt, CycRing, zeta_pow
 from frobq.frobenius import count_cphi, count_phi
+from frobq.qseries import TruncSeries, euler_product
 from frobq.theorems import (
     MAX_LATTICE_BOX,
     NonIntegralCoefficientError,
+    _divide_by_euler,
+    _lattice_table,
     cphi2m1_product,
     cphi_theta_series,
     mod5_numerator_identity,
@@ -18,7 +27,6 @@ from frobq.theorems import (
     phi_theta_series,
     psi2_identity_check,
     quad_exponent,
-    quad_exponent_closed,
 )
 
 
@@ -33,9 +41,8 @@ def test_quad_exponent_k2_examples():
 
 
 def test_quad_exponent_k3_example():
-    # binomial: C(2,2) + C(2,2) + C(-1,2) = 1 + 1 + 1; closed: (2 + 4 + 0)/2
+    # binomial: C(2,2) + C(2,2) + C(-1,2) = 1 + 1 + 1
     assert quad_exponent(3, 0, (1, 1)) == 3
-    assert quad_exponent_closed(3, 0, (1, 1)) == 3
 
 
 def test_quad_exponent_length_check():
@@ -43,11 +50,57 @@ def test_quad_exponent_length_check():
         quad_exponent(3, 0, (1,))
 
 
-def test_quad_exponent_closed_form_matches_binomial_form():
-    for k in (1, 2, 3, 4):
-        for alpha in range(-4, 5):
-            for m in itertools.product(range(-6, 7), repeat=k - 1):
-                assert quad_exponent(k, alpha, m) == quad_exponent_closed(k, alpha, m)
+# ---------------------------------------------------------------------------
+# the lattice walk and the pentagonal division
+# ---------------------------------------------------------------------------
+
+def _box_histogram(k, alpha, order):
+    # reference: every point of the box that bounds the lattice, kept by the
+    # binomial form of Q; counts by (Q, zeta exponent mod k+1)
+    bound = isqrt(2 * order + abs(alpha))
+    hist = Counter()
+    for m in itertools.product(range(-bound, bound + 1), repeat=k - 1):
+        q = quad_exponent(k, alpha, m)
+        if q <= order:
+            e = k * alpha + sum((i + 1 - k) * mi for i, mi in enumerate(m))
+            hist[q, e % (k + 1)] += 1
+    return hist
+
+
+def _walk_histogram(k, alpha, order):
+    table = _lattice_table(k, alpha, order)
+    return Counter({divmod(i, k + 1): c for i, c in enumerate(table) if c})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_lattice_walk_matches_box(k):
+    # the walk computes Q in closed form, [sum m_i^2 + (S - alpha)^2 + alpha] / 2
+    for alpha in range(-6, 7):
+        for order in (0, 1, 7, 20):
+            assert _walk_histogram(k, alpha, order) == _box_histogram(k, alpha, order), \
+                (k, alpha, order)
+
+
+def test_lattice_walk_comparison_rejects_a_short_interval(monkeypatch):
+    exact = theorems._interval
+
+    def short(*args):
+        lo, hi = exact(*args)
+        return lo, hi - 1
+
+    monkeypatch.setattr(theorems, "_interval", short)
+    for k, alpha, order in ((2, -1, 7), (3, 0, 7), (4, 2, 20)):
+        assert _walk_histogram(k, alpha, order) != _box_histogram(k, alpha, order)
+
+
+@settings(max_examples=100)
+@given(values=st.lists(st.integers(-50, 50), min_size=1, max_size=45), times=st.integers(0, 4))
+def test_pentagonal_division_matches_dense_inverse(values, times):
+    order = len(values) - 1
+    coeffs = list(values)
+    _divide_by_euler(coeffs, times)
+    expected = TruncSeries(ZZ, values) * (euler_product(order) ** times).inverse()
+    assert tuple(coeffs) == expected.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +139,49 @@ def test_theta_series_match_oracle_on_grid(k):
 def test_phi_theta_integrality_detector_fires_on_mutation():
     with pytest.raises(NonIntegralCoefficientError):
         phi_theta_series(2, -1, 10, zeta_exponent_shift=1)
+
+
+@pytest.mark.parametrize("k, alpha, index, value", [
+    (2, 5, 9, CycInt(3, [0, 1])),
+    (4, 5, 6, CycInt(5, [0, 1, 0, 0])),
+    (3, -6, 3, CycInt(4, [0, 1])),
+])
+def test_phi_theta_detector_reports_first_bad_coefficient(k, alpha, index, value):
+    with pytest.raises(NonIntegralCoefficientError) as info:
+        phi_theta_series(k, alpha, 20, zeta_exponent_shift=1)
+    assert (info.value.index, info.value.value) == (index, value)
+
+
+def _first_non_integer_of_dense_quotient(k, alpha, order, table):
+    # the detector's answer computed over CycRing: the numerator times the
+    # dense inverse of (q;q)^k, scanned for the first non-integer coefficient
+    ring, width = CycRing(k + 1), k + 1
+    sign = -1 if alpha % 2 else 1
+    numerator = []
+    for q in range(order + 1):
+        c = ring.zero
+        for e in range(width):
+            c = c + zeta_pow(width, e) * (sign * table[q * width + e])
+        numerator.append(c)
+    inverse = (euler_product(order) ** k).inverse()
+    quotient = TruncSeries(ring, numerator) * TruncSeries.from_ints(ring, inverse.coeffs)
+    return next((i, c) for i, c in enumerate(quotient.coeffs) if c.as_int() is None)
+
+
+@pytest.mark.parametrize("k, alpha, bump", [(2, -1, 5), (3, 0, 4), (4, 1, 3)])
+def test_phi_theta_detector_matches_dense_quotient(monkeypatch, k, alpha, bump):
+    # one extra point at zeta^1, later than the first Q: the constant
+    # coordinate of the reported value must come from the quotient, not the
+    # numerator, and the non-constant ones from the numerator
+    order = 12
+    table = _lattice_table(k, alpha, order)
+    table[bump * (k + 1) + 1] += 1
+    monkeypatch.setattr(theorems, "_lattice_table", lambda *args: table)
+    with pytest.raises(NonIntegralCoefficientError) as info:
+        phi_theta_series(k, alpha, order)
+    index, value = _first_non_integer_of_dense_quotient(k, alpha, order, table)
+    assert (info.value.index, info.value.value) == (index, value)
+    assert index == bump
 
 
 def test_lattice_guard_refuses_oversized_box():
