@@ -66,17 +66,20 @@ def cmd_expand(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n)
     out = {
         "command": "enumerate",
         "variant": args.variant,
         "k": args.k,
         "alpha": args.alpha,
         "n": args.n,
-        "count": str(len(arrays)),
     }
     if args.list:
+        arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n)
+        out["count"] = str(len(arrays))
         out["arrays"] = [a.to_json_dict() for a in arrays]
+    else:
+        count = frobenius.count_phi if args.variant == "repetition" else frobenius.count_cphi
+        out["count"] = str(count(args.k, args.alpha, args.n))
     _emit(out)
     return 0
 

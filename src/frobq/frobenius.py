@@ -26,6 +26,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
 from .exactring import ZZ
 from .qseries import BivarSeries, TruncSeries
@@ -36,7 +37,7 @@ VARIANTS = ("repetition", "colored")
 MAX_ENUM_WEIGHT = 30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrobeniusArray:
     """One two-row array; entries are ints (repetition) or (value, color) pairs."""
 
@@ -107,12 +108,9 @@ def _colored_rows(total: int, length: int, max_part: int, k: int) -> tuple:
     return tuple(rows)
 
 
-def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[FrobeniusArray]:
-    """Every array of the given variant, weight n, row difference alpha.
-
-    Exhaustive and deterministic (sorted canonical forms).  Guarded: refuses
-    weights above MAX_ENUM_WEIGHT.
-    """
+def _row_fn(variant: str, k: int, n: int):
+    """The exhaustive row generator for `variant`, after the argument checks
+    shared by `enumerate_arrays` and the counts."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if k < 1:
@@ -121,8 +119,15 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[Frobenius
         raise ValueError("weight must be >= 0")
     if n > MAX_ENUM_WEIGHT:
         raise ValueError(f"enumeration guard: weight {n} exceeds MAX_ENUM_WEIGHT={MAX_ENUM_WEIGHT}")
-    rows_fn = _bounded_rows if variant == "repetition" else _colored_rows
-    arrays = []
+    return _bounded_rows if variant == "repetition" else _colored_rows
+
+
+def _row_pairs(rows_fn, k: int, alpha: int, n: int):
+    """Yield (tops, bottoms) for every split of weight n into a top row of
+    length m1 and entry sum n1 and a bottom row of length m1 - alpha and
+    entry sum n - m1 - n1 with both row lists nonempty.  Every top pairs with
+    every bottom of its split, and a top row belongs to exactly one split,
+    since its length and sum fix m1 and n1."""
     for m1 in range(n + 1):
         m2 = m1 - alpha
         if m2 < 0:
@@ -131,25 +136,56 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[Frobenius
         if _min_row_sum(m1, k) + _min_row_sum(m2, k) > budget:
             continue
         for n1 in range(budget + 1):
-            n2 = budget - n1
             tops = rows_fn(n1, m1, n1, k)
             if not tops:
                 continue
-            for bottom in rows_fn(n2, m2, n2, k):
-                for top in tops:
-                    arrays.append(FrobeniusArray(top, bottom))
-    arrays.sort(key=lambda a: (a.top, a.bottom))
-    return arrays
+            n2 = budget - n1
+            bottoms = rows_fn(n2, m2, n2, k)
+            if bottoms:
+                yield tops, bottoms
+
+
+def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[FrobeniusArray]:
+    """Every array of the given variant, weight n, row difference alpha.
+
+    Exhaustive and deterministic: the arrays come out sorted by (top,
+    bottom).  No list of arrays is sorted; each split's bottom rows are
+    sorted once and the distinct top rows once, and since a top row pairs
+    with exactly the bottoms of its own split, concatenating gives the
+    canonical order.  Guarded: refuses weights above MAX_ENUM_WEIGHT.
+    """
+    rows_fn = _row_fn(variant, k, n)
+    by_top = []
+    for tops, bottoms in _row_pairs(rows_fn, k, alpha, n):
+        bottoms = sorted(bottoms)
+        by_top.extend((top, bottoms) for top in tops)
+    by_top.sort(key=itemgetter(0))
+    return [FrobeniusArray(top, bottom) for top, bottoms in by_top for bottom in bottoms]
+
+
+def _count(variant: str, k: int, alpha: int, n: int) -> int:
+    rows_fn = _row_fn(variant, k, n)
+    return sum(len(tops) * len(bottoms) for tops, bottoms in _row_pairs(rows_fn, k, alpha, n))
 
 
 def count_phi(k: int, alpha: int, n: int) -> int:
-    """Number of weight-n, row-difference-alpha arrays, repetition variant."""
-    return len(enumerate_arrays("repetition", k, alpha, n))
+    """Number of weight-n, row-difference-alpha arrays, repetition variant.
+
+    Equal to len(enumerate_arrays("repetition", k, alpha, n)) and computed
+    from the same exhaustive row lists, but multiplies the top and bottom
+    row counts of each split instead of building the arrays.
+    """
+    return _count("repetition", k, alpha, n)
 
 
 def count_cphi(k: int, alpha: int, n: int) -> int:
-    """Number of weight-n, row-difference-alpha arrays, colored variant."""
-    return len(enumerate_arrays("colored", k, alpha, n))
+    """Number of weight-n, row-difference-alpha arrays, colored variant.
+
+    Equal to len(enumerate_arrays("colored", k, alpha, n)) and computed
+    from the same exhaustive row lists, but multiplies the top and bottom
+    row counts of each split instead of building the arrays.
+    """
+    return _count("colored", k, alpha, n)
 
 
 def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> TruncSeries:

@@ -56,6 +56,20 @@ def test_enumerate_count(capsys):
     assert json_lines(out)[0]["count"] == "12"
 
 
+@pytest.mark.parametrize("variant", ["repetition", "colored"])
+@pytest.mark.parametrize("k, alpha, n", [(1, 0, 6), (2, -1, 7), (3, 2, 8), (2, -3, 4), (2, 9, 3)])
+def test_enumerate_count_with_and_without_list(capsys, variant, k, alpha, n):
+    argv = ("enumerate", "--variant", variant, "--k", str(k), "--alpha", str(alpha), "--n", str(n))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    counted = json_lines(out)[0]
+    code, out, _ = run_cli(capsys, *argv, "--list")
+    assert code == 0
+    listed = json_lines(out)[0]
+    assert counted["count"] == listed["count"] == str(len(listed["arrays"]))
+    assert list(counted) == [key for key in listed if key != "arrays"]
+
+
 def test_enumerate_list_shape(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--variant", "repetition",
                            "--k", "2", "--alpha", "-1", "--n", "0", "--list")

@@ -1,7 +1,10 @@
 """Enumeration oracle vs the bivariate product expansion."""
 
+import dataclasses
+
 import pytest
 
+from frobq import frobenius
 from frobq.frobenius import (
     MAX_ENUM_WEIGHT,
     FrobeniusArray,
@@ -10,6 +13,7 @@ from frobq.frobenius import (
     count_phi,
     enumerate_arrays,
 )
+from frobq.theorems import cphi_theta_series
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +73,15 @@ def test_colored_rows_canonical_and_distinct():
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
-    arrays = enumerate_arrays("colored", 2, -1, 5)
-    keyed = [(a.top, a.bottom) for a in arrays]
-    assert keyed == sorted(keyed)
-    assert len(set(keyed)) == len(keyed)
+    # every case has top rows of several lengths, which interleave in the
+    # canonical order: (0,) < (0, 0) < (1,) < (1, 0) ...
+    for variant in ("repetition", "colored"):
+        for k, alpha, n in ((2, -1, 5), (2, -2, 10), (3, 1, 9), (1, 0, 8)):
+            arrays = enumerate_arrays(variant, k, alpha, n)
+            keyed = [(a.top, a.bottom) for a in arrays]
+            assert keyed == sorted(keyed), (variant, k, alpha, n)
+            assert len(set(keyed)) == len(keyed), (variant, k, alpha, n)
+            assert len({len(a.top) for a in arrays}) > 1, (variant, k, alpha, n)
 
 
 def test_enumeration_guard():
@@ -86,9 +95,84 @@ def test_enumeration_guard():
         enumerate_arrays("repetition", 2, -1, -1)
 
 
+@pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
+@pytest.mark.parametrize("k, n", [(0, 1), (2, -1), (2, MAX_ENUM_WEIGHT + 1)])
+def test_counts_refuse_what_enumeration_refuses(variant, count, k, n):
+    with pytest.raises(ValueError) as expected:
+        enumerate_arrays(variant, k, -1, n)
+    with pytest.raises(ValueError) as got:
+        count(k, -1, n)
+    assert str(got.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# the array value type
+# ---------------------------------------------------------------------------
+
+def test_array_is_slotted_frozen_and_hashable():
+    a = FrobeniusArray(((2, 1), (0, 2)), ((1, 1),))
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.top = ()
+    b = FrobeniusArray(((2, 1), (0, 2)), ((1, 1),))
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b, FrobeniusArray((), ((1, 1),))}) == 2
+    assert a.weight == 2 + 2 + 0 + 1
+    assert a.row_difference == 1
+    assert a.to_json_dict() == {"top": [[2, 1], [0, 2]], "bottom": [[1, 1]]}
+    rep = FrobeniusArray((3, 3, 0), (1,))
+    assert (rep.weight, rep.row_difference) == (3 + 6 + 1, 2)
+    assert rep.to_json_dict() == {"top": [[3], [3], [0]], "bottom": [[1]]}
+
+
 # ---------------------------------------------------------------------------
 # counts
 # ---------------------------------------------------------------------------
+
+def _grid():
+    for variant in ("repetition", "colored"):
+        for k in range(1, 5):
+            top = 8 if variant == "colored" and k >= 3 else 10
+            for alpha in range(-4, 5):
+                for n in range(top + 1):
+                    yield variant, k, alpha, n
+
+
+@pytest.fixture(scope="module")
+def enumerated_lengths():
+    return {case: len(enumerate_arrays(*case)) for case in _grid()}
+
+
+def _count_mismatches(lengths):
+    counts = {"repetition": count_phi, "colored": count_cphi}
+    return [(variant, k, alpha, n) for (variant, k, alpha, n), length in lengths.items()
+            if counts[variant](k, alpha, n) != length]
+
+
+def test_counts_equal_enumeration_lengths(enumerated_lengths):
+    assert _count_mismatches(enumerated_lengths) == []
+
+
+def test_count_skipping_a_split_is_rejected(enumerated_lengths, monkeypatch):
+    row_pairs = frobenius._row_pairs
+
+    def without_empty_bottom_sum(rows_fn, k, alpha, n):
+        # drop the n1 = budget split, where the bottom row's entries sum to 0
+        for tops, bottoms in row_pairs(rows_fn, k, alpha, n):
+            if sum(FrobeniusArray._values(bottoms[0])):
+                yield tops, bottoms
+
+    monkeypatch.setattr(frobenius, "_row_pairs", without_empty_bottom_sum)
+    mismatches = _count_mismatches(enumerated_lengths)
+    assert ("repetition", 2, -1, 0) in mismatches
+    assert ("colored", 3, 1, 5) in mismatches
+
+
+def test_colored_counts_match_theta_route_at_k6():
+    # far too many arrays to build at k=6; the counts only multiply row counts
+    assert [count_cphi(6, -2, n) for n in range(13)] == list(cphi_theta_series(6, -2, 12).coeffs)
+
 
 def test_count_phi_k1_is_partition_numbers():
     assert [count_phi(1, 0, n) for n in range(5)] == [1, 1, 2, 3, 5]
