@@ -144,6 +144,9 @@ def _mod5_numerator_comparison(order):
 
 
 def _congruence_report(label, series, step, offset, modulus):
+    if offset > series.order:
+        raise ValueError(f"insufficient witnesses: {label}({step}n+{offset}) has no index "
+                         f"up to order {series.order}")
     claim = congruence.verify_congruence(series, step, offset, modulus)
     ok = claim.status == "verified"
     out = {

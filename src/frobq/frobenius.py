@@ -196,7 +196,8 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     exact z window is [-M2, M1]: M1 is the longest top row that fits in
     weight `order` (each entry costs its value plus 1) and M2 the longest
     bottom row (each entry costs its value).  Nothing is ever clipped, and an
-    alpha outside the window gives the zero series.
+    alpha outside the window gives the zero series.  The product is expanded
+    in place, one `BivarSeries.apply_factor` per (k+1)-term factor.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -213,10 +214,6 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     weight = (lambda j: 1) if variant == "repetition" else (lambda j: comb(k, j))
     acc = BivarSeries.one(ZZ, order, zmin, zmax)
     for lam in range(order + 1):
-        top = [(j, j * (lam + 1), weight(j)) for j in range(k + 1) if j * (lam + 1) <= order]
-        if len(top) > 1:
-            acc = acc * BivarSeries.from_terms(ZZ, order, zmin, zmax, top)
-        bottom = [(-j, j * lam, weight(j)) for j in range(k + 1) if j * lam <= order]
-        if len(bottom) > 1:
-            acc = acc * BivarSeries.from_terms(ZZ, order, zmin, zmax, bottom)
+        acc.apply_factor([(j, j * (lam + 1), weight(j)) for j in range(1, k + 1)])
+        acc.apply_factor([(-j, j * lam, weight(j)) for j in range(1, k + 1)])
     return acc.z_slice(alpha)

@@ -93,17 +93,32 @@ def test_theorem_one_reports_integrality(capsys):
     assert payload["coefficients"] == ["1", "2", "3", "6", "10", "16", "26"]
 
 
-def test_theorem_lattice_guard_exits_two_quickly():
-    # k=9, N=60 would walk 21^8 lattice points; the guard refuses before walking
+def _run_cli_process(*argv):
     src = str(Path(theorems.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "frobq.cli", "theorem", "--which", "1",
-         "--k", "9", "--alpha", "0", "--N", "60"],
-        capture_output=True, text=True, env=env, timeout=1)
+    return subprocess.run([sys.executable, "-m", "frobq.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=1)
+
+
+def test_theorem_lattice_guard_exits_two_quickly():
+    # k=9, N=60 would walk 21^8 lattice points; the guard refuses before walking
+    proc = _run_cli_process("theorem", "--which", "1", "--k", "9", "--alpha", "0", "--N", "60")
     assert proc.returncode == 2
     assert "lattice guard" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--spec=-,1,0,-1", "--N", "1000000"),
+    ("expand", "--spec=-,1,0,-1", "--N", "1000000", "--mod", "7"),
+    ("scan", "--spec=-,1,0,-1", "--N", "1000000", "--maxA", "5", "--maxM", "5"),
+])
+def test_product_guard_exits_two_quickly(argv):
+    # 5e11 coefficient updates would run for hours; the guard refuses up front
+    proc = _run_cli_process(*argv)
+    assert proc.returncode == 2
+    assert "product guard" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -120,6 +135,25 @@ def test_verify_targets_pass(capsys, target):
     code, out, _ = run_cli(capsys, "verify", "--target", target, "--N", "40")
     assert code == 0
     assert json_lines(out)[0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("target", ["thm3", "thm4"])
+@pytest.mark.parametrize("order", [0, 3])
+def test_verify_congruence_without_witnesses_is_usage_error(capsys, target, order):
+    # 5n+4 <= N has no index below N = 4, so a pass would check nothing
+    code, out, err = run_cli(capsys, "verify", "--target", target, "--N", str(order))
+    assert code == 2
+    assert out == ""
+    assert "insufficient witnesses" in err
+
+
+@pytest.mark.parametrize("target, label", [("thm3", "phi_{2,-1}"), ("thm4", "cphi_{2,-1}")])
+def test_verify_congruence_with_one_witness_passes(capsys, target, label):
+    code, out, _ = run_cli(capsys, "verify", "--target", target, "--N", "4")
+    assert code == 0
+    payload = json_lines(out)[0]
+    assert payload["status"] == "pass"
+    assert payload["report"] == f"{label}(5n+4) ≡ 0 mod 5, 1 witnesses"
 
 
 def test_verify_thm3_report_text(capsys):

@@ -221,7 +221,7 @@ def test_bivar_window_edges():
 
 
 @pytest.mark.parametrize("variant", ["repetition", "colored"])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_oracle_agrees_with_bivariate(variant, k):
     count = count_phi if variant == "repetition" else count_cphi
     for alpha in range(-2, 3):

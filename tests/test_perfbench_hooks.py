@@ -5,6 +5,7 @@ from pathlib import Path
 
 import frobq.frobenius as frobenius
 import frobq.qseries as qseries
+from frobq.exactring import ZZ
 import frobq.theorems as theorems
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -34,6 +35,10 @@ def test_hooks_trace_product_psi2_and_bivar_then_uninstall():
         series * series.inverse()
         theorems.psi2_product(20)
         frobenius.bivar_coefficient_series("colored", 2, -1, 8)
+        # the bivariate route multiplies in place, so call the general
+        # product directly to keep its wrapper covered
+        factor = qseries.BivarSeries.from_terms(ZZ, 8, -2, 2, [(0, 0, 1), (1, 1, 1), (2, 3, 1)])
+        factor * factor
         theorems.cphi_theta_series(2, -1, 10)
     finally:
         uninstall()
@@ -46,8 +51,12 @@ def test_hooks_trace_product_psi2_and_bivar_then_uninstall():
     assert metrics["qseries.factors_applied"] == 20 + 10
     # only the explicit call: products, psi2 and the theta route divide in place
     assert metrics["qseries.inverse.calls"] == 1
-    assert metrics["qseries.bivar_mul.calls"] > 0
-    # colored k=2, N=8: the z window is [-6, 4]
-    assert metrics["frobenius.bivar.zwindow"] == 11
+    # only the direct product: (1 + zq + z^2q^3)^2 has rows z^0, z^1, z^2
+    # (z^3 and z^4 fall outside the window [-2, 2])
+    assert metrics["qseries.bivar_mul.calls"] == 1
+    assert metrics["qseries.bivar_rows"] == 3
+    # the window is recorded by the BivarSeries.__mul__ wrapper, which the
+    # bivariate route no longer calls
+    assert metrics["frobenius.bivar.zwindow"] == 0
     # the theta route walks the lattice without calling quad_exponent per point
     assert metrics["theorems.lattice.visited"] == 0

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from frobq.exactring import ZZ, ModRing, NotUnitError
 from frobq.qseries import (
+    MAX_PRODUCT_WORK,
     BivarSeries,
     ProductFactor,
+    ProductSpec,
     ProductSpecError,
     RingMismatchError,
     TruncSeries,
@@ -22,7 +24,9 @@ from frobq.qseries import (
     jacobi_triple,
     parse_product_spec,
     product_from_spec,
+    product_work,
 )
+from frobq.theorems import PHI2M1_SPEC_TEXT
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +171,16 @@ def _kernel_vs_reference(values, sign, e, ring, divide, kernel_sign):
     return _or_not_unit(kernel), _or_not_unit(reference)
 
 
+# lengths up to 40 and e up to 41 reach both division branches: running
+# sums along residue classes (e*e < len) and blocks of e (e*e >= len)
 _KERNEL_CASES = dict(
-    values=st.lists(st.integers(-30, 30), min_size=1, max_size=12),
+    values=st.lists(st.integers(-30, 30), min_size=1, max_size=40),
     sign=st.sampled_from([1, -1]),
-    e=st.integers(0, 13),
+    e=st.integers(0, 41),
     ring=st.sampled_from([ZZ, ModRing(7)]),
     divide=st.booleans(),
 )
+_THIRTY = list(range(-14, 16))
 
 
 @settings(max_examples=200)
@@ -181,6 +188,12 @@ _KERNEL_CASES = dict(
 @example(values=[3, 1], sign=1, e=0, ring=ZZ, divide=True)  # 1/2 is not in ZZ
 @example(values=[3, 1], sign=1, e=0, ring=ModRing(7), divide=True)
 @example(values=[3, 1], sign=-1, e=0, ring=ZZ, divide=False)
+@example(values=_THIRTY, sign=1, e=5, ring=ZZ, divide=True)  # 25 < 30: running sums
+@example(values=_THIRTY, sign=-1, e=5, ring=ZZ, divide=True)
+@example(values=_THIRTY, sign=1, e=6, ring=ZZ, divide=True)  # 36 >= 30: blocks
+@example(values=_THIRTY, sign=-1, e=6, ring=ZZ, divide=True)
+@example(values=_THIRTY, sign=1, e=2, ring=ModRing(7), divide=True)
+@example(values=_THIRTY, sign=-1, e=29, ring=ModRing(7), divide=True)
 def test_apply_binomial_matches_dense_reference(values, sign, e, ring, divide):
     kernel, reference = _kernel_vs_reference(values, sign, e, ring, divide, sign)
     assert kernel == reference
@@ -191,7 +204,7 @@ def _acting_factors(draw):
     # (values, e) where the factor can act: a constant term that is a nonzero
     # residue mod 7, and q^e inside the truncation
     values = [draw(st.sampled_from([v for v in range(-30, 31) if v % 7]))]
-    values += draw(st.lists(st.integers(-30, 30), min_size=1, max_size=11))
+    values += draw(st.lists(st.integers(-30, 30), min_size=1, max_size=39))
     return values, draw(st.integers(1, len(values) - 1))
 
 
@@ -283,7 +296,6 @@ def test_product_from_spec_known_expansions():
 
 
 def test_product_from_spec_empty_is_one():
-    from frobq.qseries import ProductSpec
     assert product_from_spec(ProductSpec(()), 9) == TruncSeries.one(ZZ, 9)
 
 
@@ -293,6 +305,30 @@ def test_product_from_spec_mod_ring():
     series = product_from_spec(spec, 10, ring)
     expected = [_count_partitions(n) % 5 for n in range(11)]
     assert list(series.coeffs) == expected
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 9), st.integers(0, 9),
+                          st.integers(-3, 3).filter(bool)), min_size=1, max_size=4),
+       st.integers(0, 60))
+def test_product_work_closed_form_matches_literal_count(factors, order):
+    # one update per coefficient from q^e up, per binomial, per exponent unit
+    spec = ProductSpec(tuple(ProductFactor(s, p, min(r, p), x) for s, p, r, x in factors))
+    literal = sum(abs(f.exponent) * (order + 1 - e) for f in spec.factors
+                  for e in range(f.period - f.residue, order + 1, f.period))
+    assert product_work(spec, order) == literal
+
+
+def test_product_guard_refuses_before_expanding():
+    phi2m1 = parse_product_spec(PHI2M1_SPEC_TEXT)
+    assert MAX_PRODUCT_WORK >= 20 * product_work(phi2m1, 3000)
+    spec = parse_product_spec("-,1,0,-1")
+    # work N(N+1)/2: the limit sits between N = 15810 and N = 15811
+    assert product_work(spec, 15810) <= MAX_PRODUCT_WORK < product_work(spec, 15811)
+    with pytest.raises(ValueError, match="product guard: 125001766 coefficient updates"):
+        product_from_spec(spec, 15811)
+    with pytest.raises(ValueError, match="product guard"):
+        product_from_spec(spec, 10 ** 6, ModRing(5))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +377,102 @@ def test_bivar_multiplication_clips_window():
     g = f * f * f
     assert sorted(g.rows) == [0, 1]
     assert g.z_slice(1).coeffs == (0, 3, 0, 0, 0)
+
+
+def _rows(draw, ring, order, zs, first=None):
+    # dense rows with a drawn number of leading zeros (or exactly `first`),
+    # so the kernel's start index matters
+    rows = {}
+    for z in zs:
+        lead = draw(st.integers(0, order + 1)) if first is None else first
+        values = draw(st.lists(st.integers(-9, 9), min_size=order + 1 - lead,
+                               max_size=order + 1 - lead))
+        if first is not None:
+            values[0] = draw(st.sampled_from([v for v in range(-9, 10) if v % 7]))
+        rows[z] = [ring.zero] * lead + [ring.from_int(v) for v in values]
+    return rows
+
+
+@st.composite
+def _bivar_and_factor(draw):
+    ring = draw(st.sampled_from([ZZ, ModRing(7)]))
+    order = draw(st.integers(0, 10))
+    zmin, zmax = draw(st.integers(-4, 0)), draw(st.integers(0, 4))
+    zs = draw(st.lists(st.integers(zmin, zmax), unique=True, max_size=zmax - zmin + 1))
+    rows = _rows(draw, ring, order, zs)
+    dz = {1: st.integers(0, 3), -1: st.integers(-3, 0), 0: st.just(0)}[
+        draw(st.sampled_from([1, -1, 0]))]
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        z = draw(dz)
+        terms.append((z, draw(st.integers(0 if z else 1, max(order, 1))), draw(st.integers(-3, 3))))
+    return BivarSeries(ring, order, zmin, zmax, rows), terms
+
+
+def _factor_reference(series, terms):
+    # the general product with the factor as a series; its own window holds
+    # every term, so only the product's window clips
+    lo = min(0, *(dz for dz, _, _ in terms))
+    hi = max(0, *(dz for dz, _, _ in terms))
+    factor = BivarSeries.from_terms(series.ring, series.order, lo, hi, [(0, 0, 1), *terms])
+    return series * factor
+
+
+def _copy(series):
+    rows = {z: list(row) for z, row in series.rows.items()}
+    return BivarSeries(series.ring, series.order, series.zmin, series.zmax, rows)
+
+
+@settings(max_examples=200)
+@given(_bivar_and_factor())
+def test_apply_factor_matches_general_product(case):
+    series, terms = case
+    reference = _factor_reference(series, terms)
+    series.apply_factor(terms)
+    assert series == reference
+    assert set(series.rows) <= set(range(series.zmin, series.zmax + 1))
+
+
+@st.composite
+def _chained_rows(draw):
+    # rows 0 and dz, both with their first nonzero coefficient at index
+    # `first`, and one term c z^dz q^dq whose square lands in the window:
+    # a sweep that updates row dz before reading it adds c^2 z^2dz q^2dq
+    # times row 0, nonzero mod 7 at index first + 2dq
+    ring = draw(st.sampled_from([ZZ, ModRing(7)]))
+    dz = draw(st.sampled_from([1, 2, -1, -2]))
+    dq = draw(st.integers(0, 3))
+    order = draw(st.integers(2 * dq, 10))
+    first = draw(st.integers(0, order - 2 * dq))
+    rows = _rows(draw, ring, order, (0, dz), first)
+    c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return BivarSeries(ring, order, -4, 4, rows), (dz, dq, c)
+
+
+@settings(max_examples=100)
+@given(_chained_rows())
+def test_apply_factor_property_rejects_wrong_sweep(case):
+    series, (dz, dq, c) = case
+    reference = _factor_reference(series, [(dz, dq, c)])
+    right, wrong = _copy(series), _copy(series)
+    right._sweep([(dz, dq, series.ring.from_int(c))], descending=dz > 0)
+    wrong._sweep([(dz, dq, series.ring.from_int(c))], descending=dz < 0)
+    assert right == reference
+    assert wrong != reference
+
+
+@pytest.mark.parametrize("terms", [
+    [(1, 1, 1), (-1, 1, 1)],  # mixed z-exponent signs
+    [(2, 0, 1), (0, 3, 1), (-1, 2, 1)],
+    [(0, 0, 1)],  # would change the constant 1
+    [(1, 2, 1), (0, 0, -1)],
+])
+def test_apply_factor_refusals(terms):
+    series = BivarSeries.from_terms(ZZ, 4, -2, 2, [(0, 0, 1), (1, 1, 2), (-1, 0, 3)])
+    before = _copy(series)
+    with pytest.raises(ValueError):
+        series.apply_factor(terms)
+    assert series == before
 
 
 def test_jacobi_triple_basics():
