@@ -33,10 +33,8 @@ from .theorems import (
     NonIntegralCoefficientError,
     cphi2m1_product,
     cphi_theta_series,
-    mod5_numerator_identity,
     phi2m1_product,
     phi_theta_series,
-    psi2_identity_check,
     quad_exponent,
 )
 from .congruence import (
@@ -55,8 +53,7 @@ __all__ = [
     "product_from_spec",
     "FrobeniusArray", "bivar_coefficient_series", "count_cphi", "count_phi", "enumerate_arrays",
     "NonIntegralCoefficientError", "cphi2m1_product", "cphi_theta_series",
-    "mod5_numerator_identity", "phi2m1_product", "phi_theta_series", "psi2_identity_check",
-    "quad_exponent",
+    "phi2m1_product", "phi_theta_series", "quad_exponent",
     "CongruenceClaim", "progression_exponent_check", "residue_argument_check",
     "scan_congruences", "verify_congruence",
 ]

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import congruence, frobenius, theorems
-from .exactring import ModRing, NotUnitError
+from .exactring import ZZ, ModRing, NotUnitError
 from .qseries import (
     ProductSpecError,
     decimal_coefficients,
@@ -37,6 +37,12 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _emit_csv(header: str, rows) -> None:
+    print(header)
+    for row in rows:
+        print(",".join(map(str, row)))
+
+
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -49,14 +55,10 @@ def _fail_usage(message: str) -> int:
 
 def cmd_expand(args) -> int:
     spec = parse_product_spec(args.spec)
-    ring = ModRing(args.mod) if args.mod is not None else None
-    series = (product_from_spec(spec, args.N, ring) if ring
-              else product_from_spec(spec, args.N))
-    coeffs = decimal_coefficients(series)
+    ring = ModRing(args.mod) if args.mod is not None else ZZ
+    coeffs = decimal_coefficients(product_from_spec(spec, args.N, ring))
     if args.csv:
-        print("n,coefficient")
-        for n, c in enumerate(coeffs):
-            print(f"{n},{c}")
+        _emit_csv("n,coefficient", enumerate(coeffs))
     else:
         out = {"command": "expand", "N": args.N, "spec": spec.render(), "coefficients": coeffs}
         if args.mod is not None:
@@ -100,9 +102,7 @@ def cmd_theorem(args) -> int:
     out["coefficients"] = decimal_coefficients(series)
     out["status"] = "pass"
     if args.csv:
-        print("n,coefficient")
-        for n, c in enumerate(out["coefficients"]):
-            print(f"{n},{c}")
+        _emit_csv("n,coefficient", enumerate(out["coefficients"]))
     else:
         _emit(out)
     return 0
@@ -123,8 +123,6 @@ def _series_comparison(name, lhs, rhs):
 
 def _jacobi_comparison(order):
     product, theta = jacobi_triple(order)
-    if product == theta:
-        return True, {"identity": "jacobi_triple", "status": "pass"}
     for z in sorted(set(product.rows) | set(theta.rows)):
         d = first_divergence(product.z_slice(z), theta.z_slice(z))
         if d is not None:
@@ -159,32 +157,33 @@ def _congruence_report(label, series, step, offset, modulus):
     return ok, out
 
 
-def _run_verify_target(target: str, order: int):
-    if target == "thm3":
-        return _congruence_report("phi_{2,-1}", theorems.phi2m1_product(order), 5, 4, 5)
-    if target == "thm4":
-        return _congruence_report("cphi_{2,-1}", theorems.cphi2m1_product(order), 5, 4, 5)
-    if target == "cor1":
-        return _series_comparison("phi2m1(theta,product)",
-                                  theorems.phi_theta_series(2, -1, order),
-                                  theorems.phi2m1_product(order))
-    if target == "cor2":
-        return _series_comparison("cphi2m1(theta,product)",
-                                  theorems.cphi_theta_series(2, -1, order),
-                                  theorems.cphi2m1_product(order))
-    if target == "psi2":
-        return _series_comparison("psi2_product",
-                                  theorems.psi2_product(order),
-                                  theorems.phi2m1_product(order))
-    if target == "thm3numerator":
-        return _mod5_numerator_comparison(order)
-    if target == "jtp":
-        return _jacobi_comparison(order)
-    raise ValueError(f"unknown verify target {target!r}")
+# Every named check, once: its `verify --target` name, its `identities`
+# name (None where it has none) and the check, order -> (ok, detail).
+# `identities` runs the named ones in this order.  Each check looks its
+# series functions up when it runs, so a patched module attribute is seen.
+CHECKS = (
+    ("thm3", None, lambda order: _congruence_report(
+        "phi_{2,-1}", theorems.phi2m1_product(order), 5, 4, 5)),
+    ("thm4", None, lambda order: _congruence_report(
+        "cphi_{2,-1}", theorems.cphi2m1_product(order), 5, 4, 5)),
+    (None, "euler_cube", lambda order: _series_comparison(
+        "euler_cube", euler_cube(order), euler_product(order) ** 3)),
+    ("jtp", "jacobi_triple", _jacobi_comparison),
+    ("thm3numerator", "mod5_numerator", _mod5_numerator_comparison),
+    ("psi2", "psi2", lambda order: _series_comparison(
+        "psi2_product", theorems.psi2_product(order), theorems.phi2m1_product(order))),
+    ("cor1", "phi2m1_theta_vs_product", lambda order: _series_comparison(
+        "phi2m1(theta,product)",
+        theorems.phi_theta_series(2, -1, order), theorems.phi2m1_product(order))),
+    ("cor2", "cphi2m1_theta_vs_product", lambda order: _series_comparison(
+        "cphi2m1(theta,product)",
+        theorems.cphi_theta_series(2, -1, order), theorems.cphi2m1_product(order))),
+)
+VERIFY_TARGETS = {target: check for target, _, check in CHECKS if target}
 
 
 def cmd_verify(args) -> int:
-    ok, detail = _run_verify_target(args.target, args.N)
+    ok, detail = VERIFY_TARGETS[args.target](args.N)
     detail.update(command="verify", target=args.target, N=args.N)
     _emit(detail)
     return 0 if ok else 1
@@ -201,9 +200,9 @@ def cmd_scan(args) -> int:
         min_witnesses=args.min_witnesses,
         primes_only=not args.all_moduli)
     if args.csv:
-        print("A,B,M,verified_up_to,status,subsumed")
-        for c in claims:
-            print(f"{c.step},{c.offset},{c.modulus},{c.verified_up_to},{c.status},{c.subsumed}")
+        _emit_csv("A,B,M,verified_up_to,status,subsumed",
+                  ((c.step, c.offset, c.modulus, c.verified_up_to, c.status, c.subsumed)
+                   for c in claims))
     else:
         for c in claims:
             _emit(c.to_json_dict())
@@ -211,29 +210,17 @@ def cmd_scan(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    order = args.N
-    checks = [
-        ("euler_cube", lambda: _series_comparison(
-            "euler_cube", euler_cube(order), euler_product(order) ** 3)),
-        ("jacobi_triple", lambda: _jacobi_comparison(order)),
-        ("mod5_numerator", lambda: _mod5_numerator_comparison(order)),
-        ("psi2", lambda: _series_comparison(
-            "psi2_product", theorems.psi2_product(order), theorems.phi2m1_product(order))),
-        ("phi2m1_theta_vs_product", lambda: _series_comparison(
-            "phi2m1(theta,product)",
-            theorems.phi_theta_series(2, -1, order), theorems.phi2m1_product(order))),
-        ("cphi2m1_theta_vs_product", lambda: _series_comparison(
-            "cphi2m1(theta,product)",
-            theorems.cphi_theta_series(2, -1, order), theorems.cphi2m1_product(order))),
-    ]
-    failures = 0
-    for name, run in checks:
-        ok, detail = run()
-        detail.update(command="identities", name=name, N=order)
+    # run every check before printing, so a refused one leaves stdout empty
+    results = []
+    for _, name, check in CHECKS:
+        if name:
+            ok, detail = check(args.N)
+            detail.update(command="identities", name=name, N=args.N)
+            results.append((ok, detail))
+    for _, detail in results:
         _emit(detail)
-        if not ok:
-            failures += 1
-    _emit({"command": "identities", "N": order, "checks": len(checks), "failures": failures})
+    failures = sum(not ok for ok, _ in results)
+    _emit({"command": "identities", "N": args.N, "checks": len(results), "failures": failures})
     return 0 if failures == 0 else 1
 
 
@@ -272,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theorem)
 
     p = sub.add_parser("verify", help="check one named identity or congruence")
-    p.add_argument("--target", required=True,
-                   choices=("thm3", "thm4", "cor1", "cor2", "psi2", "thm3numerator", "jtp"))
+    p.add_argument("--target", required=True, choices=tuple(VERIFY_TARGETS))
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(func=cmd_verify)
 

@@ -600,17 +600,44 @@ class BivarSeries:
                 f"window=[{self.zmin},{self.zmax}], z-support={support})")
 
 
+# Refuse triple products above this many coefficient updates: about 10 s on
+# a 2-CPU x86 guest over ZZ (137-183 ns an update at orders 300-1000); the
+# largest accepted order is 961.
+MAX_JACOBI_WORK = 65_000_000
+
+
+def jacobi_work(order: int) -> int:
+    """Coefficient updates `jacobi_triple` performs on its product side, at most.
+
+    Row z^m starts no lower than q^(m(m+1)/2).  With L = order + 1 -
+    m(m+1)/2, the factors z^-1 q^(n-1) for n = 1..order+1 update it over at
+    most L(L+1)/2 coefficients, and q^n and z q^n for n = 1..order over at
+    most L(L-1)/2 each: L(3L-1)/2 in all.  Rows m >= 0 and -m-1 start alike,
+    so each m >= 0 counts twice."""
+    total, m = 0, 0
+    while m * (m + 1) // 2 <= order:
+        rest = order + 1 - m * (m + 1) // 2
+        total += rest * (3 * rest - 1)
+        m += 1
+    return total
+
+
 def jacobi_triple(order: int, ring=ZZ):
     """Both sides of the triple product identity, for equality testing.
 
     Product side: prod_{n>=1} (1 - q^n)(1 + z q^n)(1 + z^{-1} q^{n-1});
     sum side: sum_m z^m q^(m(m+1)/2).  The z window [-down, up] is exact:
-    z^m costs at least q^(m(m+1)/2) for m >= 0 and q^(m(m-1)/2) for m < 0,
-    on both sides, so up and down are the largest |m| that fit in q-degree
-    `order` and no term is ever clipped.
+    z^m costs at least q^(m(m+1)/2) on both sides, so up and down are the
+    largest |m| that fit in q-degree `order` and no term is ever clipped.
+    Guarded: raises ValueError before expanding when `jacobi_work` exceeds
+    MAX_JACOBI_WORK.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
+    work = jacobi_work(order)
+    if work > MAX_JACOBI_WORK:
+        raise ValueError(f"triple product guard: {work} coefficient updates exceed "
+                         f"MAX_JACOBI_WORK={MAX_JACOBI_WORK}")
     up = 0
     while (up + 1) * (up + 2) // 2 <= order:
         up += 1

@@ -245,11 +245,6 @@ def psi2_product(order: int, *, mutated: bool = False) -> TruncSeries:
     return TruncSeries(ZZ, coeffs, order)
 
 
-def psi2_identity_check(order: int, *, mutated: bool = False) -> bool:
-    """Does the psi2 product expansion equal the phi2m1 product expansion?"""
-    return psi2_product(order, mutated=mutated) == phi2m1_product(order)
-
-
 # ---------------------------------------------------------------------------
 # Mod-5 numerator identity: three routes to the same series
 # ---------------------------------------------------------------------------
@@ -284,9 +279,3 @@ def mod5_numerator_signed(order: int) -> TruncSeries:
         coeffs[j * j + j] += 1 if j % 3 in (0, 2) else -2
         j += 1
     return TruncSeries(ZZ, coeffs, order)
-
-
-def mod5_numerator_identity(order: int) -> bool:
-    """True iff all three numerator forms agree up to the truncation order."""
-    product = mod5_numerator_product(order)
-    return product == mod5_numerator_theta(order) and product == mod5_numerator_signed(order)

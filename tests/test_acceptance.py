@@ -18,10 +18,12 @@ from frobq.theorems import (
     NonIntegralCoefficientError,
     cphi2m1_product,
     cphi_theta_series,
-    mod5_numerator_identity,
+    mod5_numerator_product,
+    mod5_numerator_signed,
+    mod5_numerator_theta,
     phi2m1_product,
     phi_theta_series,
-    psi2_identity_check,
+    psi2_product,
 )
 
 
@@ -104,8 +106,9 @@ def test_criterion_6_proof_identity_battery():
     cube_ok = euler_cube(100) == euler_product(100) ** 3
     product_side, theta_side = jacobi_triple(100)
     jacobi_ok = product_side == theta_side
-    numerator_ok = mod5_numerator_identity(100)
-    psi2_ok = psi2_identity_check(100)
+    numerator = mod5_numerator_product(100)
+    numerator_ok = numerator == mod5_numerator_theta(100) == mod5_numerator_signed(100)
+    psi2_ok = psi2_product(100) == phi2m1_product(100)
     elapsed = time.perf_counter() - started
     ok = cube_ok and jacobi_ok and numerator_ok and psi2_ok and elapsed < 5.0
     _report(6, ok, f"at N=100: euler cube {cube_ok}, triple product {jacobi_ok}, "

@@ -1,5 +1,6 @@
 """CLI surface: flags, output shapes, exit codes, determinism."""
 
+import functools
 import json
 import os
 import subprocess
@@ -93,12 +94,12 @@ def test_theorem_one_reports_integrality(capsys):
     assert payload["coefficients"] == ["1", "2", "3", "6", "10", "16", "26"]
 
 
-def _run_cli_process(*argv):
+def _run_cli_process(*argv, timeout=1):
     src = str(Path(theorems.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run([sys.executable, "-m", "frobq.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=1)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_theorem_lattice_guard_exits_two_quickly():
@@ -122,6 +123,19 @@ def test_product_guard_exits_two_quickly(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, timeout", [
+    (("verify", "--target", "jtp", "--N", "5000"), 1),
+    (("identities", "--N", "3000"), 2),
+])
+def test_triple_product_guard_exits_two_quickly(argv, timeout):
+    # about 4e9 coefficient updates at N=5000; identities prints nothing
+    # before every check has run, so the refusal leaves stdout empty
+    proc = _run_cli_process(*argv, timeout=timeout)
+    assert proc.returncode == 2
+    assert "triple product guard" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_theorem_two(capsys):
     code, out, _ = run_cli(capsys, "theorem", "--which", "2",
                            "--k", "2", "--alpha", "-1", "--N", "4")
@@ -129,12 +143,25 @@ def test_theorem_two(capsys):
     assert json_lines(out)[0]["coefficients"] == ["2", "4", "12", "24", "50"]
 
 
-@pytest.mark.parametrize("target", ["thm3", "thm4", "cor1", "cor2", "psi2",
-                                    "thm3numerator", "jtp"])
+VERIFY_AT_30 = {
+    "thm3": '"identity": "phi_{2,-1}", "report": "phi_{2,-1}(5n+4) \\u2261 0 mod 5, '
+            '6 witnesses", "status": "pass"',
+    "thm4": '"identity": "cphi_{2,-1}", "report": "cphi_{2,-1}(5n+4) \\u2261 0 mod 5, '
+            '6 witnesses", "status": "pass"',
+    "jtp": '"identity": "jacobi_triple", "status": "pass"',
+    # a passing thm3numerator names the last of its two comparisons
+    "thm3numerator": '"identity": "mod5_numerator(product,signed)", "status": "pass"',
+    "psi2": '"identity": "psi2_product", "status": "pass"',
+    "cor1": '"identity": "phi2m1(theta,product)", "status": "pass"',
+    "cor2": '"identity": "cphi2m1(theta,product)", "status": "pass"',
+}
+
+
+@pytest.mark.parametrize("target", list(VERIFY_AT_30))
 def test_verify_targets_pass(capsys, target):
-    code, out, _ = run_cli(capsys, "verify", "--target", target, "--N", "40")
+    code, out, _ = run_cli(capsys, "verify", "--target", target, "--N", "30")
     assert code == 0
-    assert json_lines(out)[0]["status"] == "pass"
+    assert out == f'{{"N": 30, "command": "verify", {VERIFY_AT_30[target]}, "target": "{target}"}}\n'
 
 
 @pytest.mark.parametrize("target", ["thm3", "thm4"])
@@ -161,6 +188,77 @@ def test_verify_thm3_report_text(capsys):
     assert code == 0
     payload = json_lines(out)[0]
     assert payload["report"] == "phi_{2,-1}(5n+4) ≡ 0 mod 5, 21 witnesses"
+
+
+def test_verify_targets_match_readme_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = readme.index("### Verify targets") + 4  # title, blank line, header, rule
+    rows = []
+    for line in readme[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip().strip("`"))
+    assert rows == list(cli.VERIFY_TARGETS)
+
+
+def _all_ones(order):
+    return TruncSeries.from_ints(ZZ, [1] * (order + 1))
+
+
+def test_verify_thm4_violation_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(theorems, "cphi2m1_product", _all_ones)
+    code, out, _ = run_cli(capsys, "verify", "--target", "thm4", "--N", "30")
+    assert code == 1
+    payload = json_lines(out)[0]
+    assert payload["status"] == "fail"
+    assert payload["first_violation"] == 4
+
+
+def test_verify_jtp_divergence_exits_one(capsys, monkeypatch):
+    real = cli.jacobi_triple
+
+    def broken(order):
+        product, theta = real(order)
+        theta.rows[1][5] = 7
+        return product, theta
+
+    monkeypatch.setattr(cli, "jacobi_triple", broken)
+    code, out, _ = run_cli(capsys, "verify", "--target", "jtp", "--N", "30")
+    assert code == 1
+    payload = json_lines(out)[0]
+    assert payload["status"] == "fail"
+    assert (payload["z"], payload["first_divergence"]) == (1, 5)
+
+
+@pytest.mark.parametrize("stage", ["theta", "signed"])
+def test_verify_thm3numerator_stage_divergence_exits_one(capsys, monkeypatch, stage):
+    monkeypatch.setattr(theorems, f"mod5_numerator_{stage}", _all_ones)
+    code, out, _ = run_cli(capsys, "verify", "--target", "thm3numerator", "--N", "30")
+    assert code == 1
+    payload = json_lines(out)[0]
+    assert payload["identity"] == f"mod5_numerator(product,{stage})"
+    assert payload["status"] == "fail"
+    assert payload["first_divergence"] == 1
+
+
+def test_verify_psi2_mutated_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(theorems, "psi2_product",
+                        functools.partial(theorems.psi2_product, mutated=True))
+    code, out, _ = run_cli(capsys, "verify", "--target", "psi2", "--N", "30")
+    assert code == 1
+    payload = json_lines(out)[0]
+    assert payload["status"] == "fail"
+    assert (payload["first_divergence"], payload["lhs"], payload["rhs"]) == (4, "8", "10")
+
+
+def test_identities_counts_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(theorems, "psi2_product",
+                        functools.partial(theorems.psi2_product, mutated=True))
+    code, out, _ = run_cli(capsys, "identities", "--N", "30")
+    assert code == 1
+    lines = json_lines(out)
+    assert [line["status"] for line in lines[:-1]] == ["pass"] * 3 + ["fail"] + ["pass"] * 2
+    assert lines[-1]["failures"] == 1
 
 
 def test_verify_disagreement_exits_one(capsys, monkeypatch):
@@ -212,11 +310,14 @@ def test_scan_insufficient_witnesses_usage_error(capsys):
 def test_identities_battery(capsys):
     code, out, _ = run_cli(capsys, "identities", "--N", "30")
     assert code == 0
-    lines = json_lines(out)
-    summary = lines[-1]
-    assert summary["failures"] == 0
-    assert summary["checks"] == len(lines) - 1
-    assert all(line["status"] == "pass" for line in lines[:-1])
+    checks = [("euler_cube", "euler_cube"), ("jacobi_triple", "jacobi_triple"),
+              ("mod5_numerator(product,signed)", "mod5_numerator"), ("psi2_product", "psi2"),
+              ("phi2m1(theta,product)", "phi2m1_theta_vs_product"),
+              ("cphi2m1(theta,product)", "cphi2m1_theta_vs_product")]
+    assert out == "".join(
+        f'{{"N": 30, "command": "identities", "identity": "{identity}", "name": "{name}", '
+        f'"status": "pass"}}\n' for identity, name in checks
+    ) + '{"N": 30, "checks": 6, "command": "identities", "failures": 0}\n'
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from frobq.exactring import ZZ, ModRing, NotUnitError
 from frobq.qseries import (
+    MAX_JACOBI_WORK,
     MAX_PRODUCT_WORK,
     BivarSeries,
     ProductFactor,
@@ -22,6 +23,7 @@ from frobq.qseries import (
     extract_progression,
     first_divergence,
     jacobi_triple,
+    jacobi_work,
     parse_product_spec,
     product_from_spec,
     product_work,
@@ -489,6 +491,58 @@ def test_jacobi_triple_basics():
 def test_jacobi_triple_agrees_to_50():
     product, theta = jacobi_triple(50)
     assert product == theta
+
+
+def _triangle(m):
+    return m * (m + 1) // 2
+
+
+def test_jacobi_work_closed_form_matches_literal_sum():
+    # per window row z^m, starting at q^(m(m+1)/2): the z^-1 factors at
+    # q^0..q^N, then the q^n and z q^n factors at q^1..q^N
+    for order in range(61):
+        rows = [m for m in range(-order - 2, order + 2) if _triangle(m) <= order]
+        literal = sum(max(0, order + 1 - _triangle(m) - dq)
+                      for m in rows
+                      for dq in [*range(order + 1), *range(1, order + 1), *range(1, order + 1)])
+        assert jacobi_work(order) == literal
+
+
+def test_jacobi_work_bounds_the_slice_updates(monkeypatch):
+    # tally each slice update's length as apply_factor's sweep performs it
+    done = []
+    sweep = BivarSeries._sweep
+
+    def counting_sweep(self, factor, descending):
+        n = self.order + 1
+        low = {z: next(i for i, c in enumerate(row) if c) for z, row in self.rows.items()
+               if any(row)}
+        for dz, dq, _ in factor:
+            done.extend(n - low[z] - dq for z in low
+                        if self.zmin <= z + dz <= self.zmax and low[z] + dq < n)
+        sweep(self, factor, descending)
+
+    monkeypatch.setattr(BivarSeries, "_sweep", counting_sweep)
+    for order in (0, 1, 5, 20, 60):
+        done.clear()
+        jacobi_triple(order)
+        assert sum(done) <= jacobi_work(order)
+        if order >= 20:
+            assert jacobi_work(order) < 1.3 * sum(done)
+
+
+def test_jacobi_guard_refuses_before_expanding(monkeypatch):
+    assert jacobi_work(961) <= MAX_JACOBI_WORK < jacobi_work(962)
+    with pytest.raises(ValueError, match=f"triple product guard: {jacobi_work(962)} "):
+        jacobi_triple(962)
+
+    def no_expansion(*args):
+        raise AssertionError("expanded before refusing")
+
+    monkeypatch.setattr(BivarSeries, "apply_factor", no_expansion)
+    for ring in (ZZ, ModRing(5)):
+        with pytest.raises(ValueError, match="triple product guard"):
+            jacobi_triple(5000, ring)
 
 
 def test_rng_smoke_mod_series_matches_int_series():

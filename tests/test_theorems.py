@@ -19,13 +19,12 @@ from frobq.theorems import (
     _lattice_table,
     cphi2m1_product,
     cphi_theta_series,
-    mod5_numerator_identity,
     mod5_numerator_product,
     mod5_numerator_signed,
     mod5_numerator_theta,
     phi2m1_product,
     phi_theta_series,
-    psi2_identity_check,
+    psi2_product,
     quad_exponent,
 )
 
@@ -230,9 +229,9 @@ def test_progression_slice_of_phi2m1_matches_oracle():
 # ---------------------------------------------------------------------------
 
 def test_psi2_identity():
-    assert psi2_identity_check(0)
-    assert psi2_identity_check(30)
-    assert not psi2_identity_check(30, mutated=True)
+    assert psi2_product(0) == phi2m1_product(0)
+    assert psi2_product(30) == phi2m1_product(30)
+    assert psi2_product(30, mutated=True) != phi2m1_product(30)
 
 
 def test_mod5_numerator_small_coefficients():
@@ -242,4 +241,6 @@ def test_mod5_numerator_small_coefficients():
 
 
 def test_mod5_numerator_identity_to_100():
-    assert mod5_numerator_identity(100)
+    product = mod5_numerator_product(100)
+    assert product == mod5_numerator_theta(100)
+    assert product == mod5_numerator_signed(100)
