@@ -5,7 +5,7 @@ enumeration, bivariate product slicing, theta-quotient closed forms, and
 infinite-product formulas), plus a congruence verifier/scanner over them.
 """
 
-from .exactring import ZZ, CycInt, CycRing, ModRing, NotUnitError, cyclotomic_poly, zeta, zeta_pow
+from .exactring import ZZ, CycInt, ModRing, NotUnitError, cyclotomic_poly, zeta_pow
 from .qseries import (
     BivarSeries,
     ProductFactor,
@@ -46,7 +46,7 @@ from .congruence import (
 )
 
 __all__ = [
-    "ZZ", "CycInt", "CycRing", "ModRing", "NotUnitError", "cyclotomic_poly", "zeta", "zeta_pow",
+    "ZZ", "CycInt", "ModRing", "NotUnitError", "cyclotomic_poly", "zeta_pow",
     "BivarSeries", "ProductFactor", "ProductSpec", "ProductSpecError", "RingMismatchError",
     "TruncSeries", "decimal_coefficients", "euler_cube", "euler_product",
     "extract_progression", "first_divergence", "jacobi_triple", "parse_product_spec",

@@ -1,15 +1,19 @@
 """Exact coefficient arithmetic for the series engine.
 
-Three rings cover everything downstream: plain arbitrary-precision integers
-(Python ints are already exact), integers modulo m, and cyclotomic integers,
-i.e. Z extended by a primitive n-th root of unity.  A cyclotomic integer is
-stored in the power basis 1, z, ..., z^(d-1) of Z[x]/Phi_n(x), where Phi_n is
-the n-th cyclotomic polynomial and d = phi(n) its degree; the representation
-is unique, so "is this a plain integer" is a zero test on the non-constant
-coordinates.
+Two rings carry series: plain arbitrary-precision integers (ZZ; Python ints
+are already exact), which every route runs on, and the integers modulo m
+(ModRing), which only the product DSL and the congruence verifier accept.
 
-The ring descriptors at the bottom (ZZ, ModRing, CycRing) give the series
-layer one uniform surface: zero, one, from_int, add, sub, neg, mul, invert.
+The theta route also needs Z[zeta] for zeta a primitive n-th root of unity,
+but only to reduce integer counts of lattice points by zeta exponent: a
+cyclotomic integer is stored in the power basis 1, z, ..., z^(d-1) of
+Z[x]/Phi_n(x), where Phi_n is the n-th cyclotomic polynomial and d = phi(n)
+its degree.  The representation is unique, so "is this a plain integer" is a
+zero test on the non-constant coordinates.  CycInt is the value of such an
+element, as reported by the theta route's integrality detector.
+
+The ring descriptors at the bottom (ZZ, ModRing) give the series layer one
+uniform surface: zero, one, from_int, add, sub, neg, mul, invert.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ class CycInt:
     """An element of Z[zeta] for zeta a primitive `order`-th root of unity.
 
     Immutable.  `coeffs` always has length exactly deg(Phi_order); inputs may
-    be shorter and are zero-padded.  All arithmetic reduces modulo the
+    be shorter and are zero-padded.  Multiplication reduces modulo the
     cyclotomic polynomial, so e.g. in order 3 the square of the generator
     comes out as (-1, -1), i.e. -1 - zeta.
     """
@@ -140,26 +144,6 @@ class CycInt:
             return CycInt(self.order, (other,))
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycInt(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycInt(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return CycInt(self.order, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return CycInt(self.order, tuple(a * other for a in self.coeffs))
@@ -176,18 +160,6 @@ class CycInt:
         return CycInt._from_poly(self.order, prod)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers not supported; use ring.invert")
-        result = CycInt(self.order, (1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         try:
@@ -222,11 +194,6 @@ def zeta_pow(order: int, e: int) -> CycInt:
     if order < 1:
         raise ValueError("order must be >= 1")
     return CycInt(order, _power_basis_rows(order)[e % order])
-
-
-def zeta(order: int) -> CycInt:
-    """The generator zeta itself."""
-    return zeta_pow(order, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +231,19 @@ ZZ = IntegerRing()
 
 
 class ModRing:
-    """Integers modulo m >= 2; residues are bare ints kept in [0, m)."""
+    """Integers modulo m >= 2; residues are bare ints kept in [0, m).  Immutable."""
+
+    __slots__ = ("modulus",)
+    zero = 0
+    one = 1
 
     def __init__(self, modulus: int):
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        self.modulus = modulus
-        self.zero = 0
-        self.one = 1 % modulus
+        object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModRing is immutable")
 
     def from_int(self, n: int) -> int:
         return n % self.modulus
@@ -302,44 +274,3 @@ class ModRing:
 
     def __repr__(self):
         return f"ModRing({self.modulus})"
-
-
-class CycRing:
-    """Z[zeta] for a primitive `order`-th root of unity; elements are CycInt."""
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-
-    def __init__(self, order: int):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = order
-        self.zero = CycInt(order, ())
-        self.one = CycInt(order, (1,))
-
-    def from_int(self, n: int) -> CycInt:
-        return CycInt(self.order, (n,))
-
-    def invert(self, a: CycInt) -> CycInt:
-        # Units we ever need are the monomial ones: +/- zeta^e.
-        v = a.as_int()
-        if v == 1 or v == -1:
-            return a
-        for e in range(self.order):
-            p = zeta_pow(self.order, e)
-            if a == p:
-                return zeta_pow(self.order, -e)
-            if a == -p:
-                return -zeta_pow(self.order, -e)
-        raise NotUnitError(f"{a!r} is not an invertible monomial unit")
-
-    def __eq__(self, other):
-        return isinstance(other, CycRing) and other.order == self.order
-
-    def __hash__(self):
-        return hash((CycRing, self.order))
-
-    def __repr__(self):
-        return f"CycRing({self.order})"

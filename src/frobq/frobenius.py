@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
-from .exactring import ZZ
 from .qseries import BivarSeries, TruncSeries
 
 VARIANTS = ("repetition", "colored")
@@ -212,7 +211,7 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
         m2 += 1
     zmin, zmax = -m2, m1
     weight = (lambda j: 1) if variant == "repetition" else (lambda j: comb(k, j))
-    acc = BivarSeries.one(ZZ, order, zmin, zmax)
+    acc = BivarSeries.one(order, zmin, zmax)
     for lam in range(order + 1):
         acc.apply_factor([(j, j * (lam + 1), weight(j)) for j in range(1, k + 1)])
         acc.apply_factor([(-j, j * lam, weight(j)) for j in range(1, k + 1)])

@@ -1,15 +1,16 @@
 """Truncated formal power series in q over an exact coefficient ring.
 
-A TruncSeries holds coefficients for q^0 .. q^N inclusive and nothing beyond;
-binary operations truncate at min(N_a, N_b) so precision loss is always
-explicit.  On top of the core ring operations this module provides:
+A TruncSeries holds coefficients for q^0 .. q^N inclusive and nothing beyond,
+over ZZ or, for the product DSL, over ModRing; binary operations truncate at
+min(N_a, N_b) so precision loss is always explicit.  On top of the core ring
+operations this module provides:
 
   * the Euler product (q;q) = prod (1 - q^n) and its cube as a theta-style sum,
   * a tiny product DSL: each factor (sign, period, residue, exponent) denotes
     prod_{n>=1} (1 + sign * q^(period*n - residue))^exponent,
-  * BivarSeries, a two-variable series truncated in q and confined to a window
-    of z-exponents, expanded in place factor by factor and used to slice out
-    fixed-row-difference coefficients,
+  * BivarSeries, a two-variable series over ZZ truncated in q and confined to
+    a window of z-exponents, expanded in place factor by factor and used to
+    slice out fixed-row-difference coefficients,
   * both sides of the Jacobi triple product identity
         prod_{n>=1} (1 - q^n)(1 + z q^n)(1 + z^{-1} q^{n-1})
             = sum_m z^m q^(m(m+1)/2)
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
-from operator import mod, ne
+from operator import add, mod, mul
 
 from .exactring import ZZ, ModRing
 
@@ -275,28 +276,22 @@ def _apply_binomial(coeffs: list, sign: int, e: int, ring, divide: bool = False)
             coeffs[r::e] = accumulate(coeffs[r::e], ring.add)
 
 
-def euler_product(order: int, ring=ZZ) -> TruncSeries:
-    """prod_{n=1..N} (1 - q^n) truncated at N; later factors cannot contribute."""
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    coeffs = [ring.one] + [ring.zero] * order
-    for n in range(1, order + 1):
-        _apply_binomial(coeffs, -1, n, ring)
-    return TruncSeries(ring, coeffs, order)
+def euler_product(order: int) -> TruncSeries:
+    """prod_{n=1..N} (1 - q^n) truncated at N, as the product-DSL spec -,1,0,1;
+    guarded like every DSL expansion."""
+    return product_from_spec(parse_product_spec("-,1,0,1"), order)
 
 
-def euler_cube(order: int, ring=ZZ) -> TruncSeries:
+def euler_cube(order: int) -> TruncSeries:
     """sum_{j>=0} (-1)^j (2j+1) q^(j(j+1)/2), the cube of the Euler product."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    coeffs = [ring.zero] * (order + 1)
+    coeffs = [0] * (order + 1)
     j = 0
     while j * (j + 1) // 2 <= order:
-        term = (2 * j + 1) if j % 2 == 0 else -(2 * j + 1)
-        e = j * (j + 1) // 2
-        coeffs[e] = ring.add(coeffs[e], ring.from_int(term))
+        coeffs[j * (j + 1) // 2] = -(2 * j + 1) if j % 2 else 2 * j + 1
         j += 1
-    return TruncSeries(ring, coeffs, order)
+    return TruncSeries(ZZ, coeffs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +429,7 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
 
 
 class BivarSeries:
-    """A series in z and q, truncated at q^order, z-exponents clipped to a window.
+    """A series in z and q over ZZ, truncated at q^order, z-exponents clipped to a window.
 
     Rows are stored sparsely: `rows[z]` is the dense q-coefficient list for
     z-exponent z; missing rows are zero, and multiplication creates a row only
@@ -446,62 +441,44 @@ class BivarSeries:
     the products in this package are expanded; `*` is the general product.
     """
 
-    __slots__ = ("ring", "order", "zmin", "zmax", "rows")
+    __slots__ = ("order", "zmin", "zmax", "rows")
 
-    def __init__(self, ring, order: int, zmin: int, zmax: int, rows: dict | None = None):
+    def __init__(self, order: int, zmin: int, zmax: int, rows: dict | None = None):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         if zmin > zmax:
             raise ValueError("empty z window")
-        self.ring = ring
         self.order = order
         self.zmin = zmin
         self.zmax = zmax
         self.rows = {} if rows is None else rows
 
     @classmethod
-    def one(cls, ring, order: int, zmin: int, zmax: int) -> "BivarSeries":
-        out = cls(ring, order, zmin, zmax)
+    def one(cls, order: int, zmin: int, zmax: int) -> "BivarSeries":
+        out = cls(order, zmin, zmax)
         if zmin <= 0 <= zmax:
-            row = [ring.zero] * (order + 1)
-            row[0] = ring.one
-            out.rows[0] = row
+            out.rows[0] = [1] + [0] * order
         return out
 
     @classmethod
-    def from_terms(cls, ring, order: int, zmin: int, zmax: int, terms) -> "BivarSeries":
+    def from_terms(cls, order: int, zmin: int, zmax: int, terms) -> "BivarSeries":
         """Build from (z_exponent, q_exponent, int_coefficient) triples.
 
         Terms beyond the q truncation or outside the z window are dropped,
         consistent with multiplication semantics.
         """
-        out = cls(ring, order, zmin, zmax)
+        out = cls(order, zmin, zmax)
         for z, e, c in terms:
-            if not (zmin <= z <= zmax) or not (0 <= e <= order):
-                continue
-            row = out.rows.get(z)
-            if row is None:
-                row = [ring.zero] * (order + 1)
-                out.rows[z] = row
-            row[e] = ring.add(row[e], ring.from_int(c))
+            if zmin <= z <= zmax and 0 <= e <= order:
+                out.rows.setdefault(z, [0] * (order + 1))[e] += c
         return out
 
-    def _entries(self):
-        zero = self.ring.zero
-        for z, row in self.rows.items():
-            for e, c in enumerate(row):
-                if c != zero:
-                    yield z, e, c
-
     def __mul__(self, other: "BivarSeries") -> "BivarSeries":
-        if self.ring != other.ring:
-            raise RingMismatchError("bivariate ring mismatch")
         order = min(self.order, other.order)
         zmin, zmax = self.zmin, self.zmax
-        ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero
-        out = BivarSeries(ring, order, zmin, zmax)
-        other_entries = list(other._entries())
+        out = BivarSeries(order, zmin, zmax)
+        other_entries = [(z, e, c) for z, row in other.rows.items()
+                         for e, c in enumerate(row) if c]
         for z1, row1 in self.rows.items():
             for z2, e2, c2 in other_entries:
                 z = z1 + z2
@@ -510,18 +487,18 @@ class BivarSeries:
                 target = out.rows.get(z)
                 for e1 in range(order - e2 + 1):
                     c1 = row1[e1]
-                    if c1 != zero:
+                    if c1:
                         if target is None:
-                            target = out.rows[z] = [zero] * (order + 1)
-                        target[e1 + e2] = add(target[e1 + e2], mul(c1, c2))
+                            target = out.rows[z] = [0] * (order + 1)
+                        target[e1 + e2] += c1 * c2
         return out
 
     def apply_factor(self, terms) -> None:
         """Multiply in place by 1 + sum c * z^dz * q^dq over (dz, dq, c) in `terms`.
 
-        The coefficients c are ints, coerced through the ring.  All nonzero
-        dz must have one sign, and the constant term is the implicit 1, so a
-        (0, 0) term or a mix of positive and negative dz raises ValueError.
+        The coefficients c are ints.  All nonzero dz must have one sign, and
+        the constant term is the implicit 1, so a (0, 0) term or a mix of
+        positive and negative dz raises ValueError.
         The result equals `self * factor` under the same window and
         truncation rules, without allocating a series for the factor.
 
@@ -532,11 +509,9 @@ class BivarSeries:
         term adds to it.  Each term is one slice update of the target row,
         starting where the source row's first nonzero coefficient lands.
         """
-        factor = []
-        for dz, dq, c in terms:
-            if dz == 0 and dq == 0:
-                raise ValueError("a (0, 0) term would change the factor's constant 1")
-            factor.append((dz, dq, self.ring.from_int(c)))
+        factor = list(terms)
+        if any(dz == 0 and dq == 0 for dz, dq, _ in factor):
+            raise ValueError("a (0, 0) term would change the factor's constant 1")
         up = any(dz > 0 for dz, _, _ in factor)
         if up and any(dz < 0 for dz, _, _ in factor):
             raise ValueError("factor mixes positive and negative z-exponents")
@@ -546,13 +521,12 @@ class BivarSeries:
         # apply_factor's row loop; `descending` must be the direction the
         # invariant asks for (tests pass the other one to show it matters)
         n, rows = self.order + 1, self.rows
-        add, mul, zero, one = self.ring.add, self.ring.mul, self.ring.zero, self.ring.one
-        factor = [(dz, dq, c) for dz, dq, c in factor if dq < n and c != zero]
+        factor = [(dz, dq, c) for dz, dq, c in factor if dq < n and c]
         if not factor:
             return
         low = {}
         for z, row in rows.items():
-            first = next(compress(count(), map(ne, row, repeat(zero))), None)
+            first = next(compress(count(), row), None)
             if first is not None:
                 low[z] = first
         targets = {z + dz for z in low for dz, _, _ in factor}
@@ -567,36 +541,30 @@ class BivarSeries:
                 if lo is None or lo + dq >= n:
                     continue
                 if row is None:
-                    row = rows[z] = [zero] * n
+                    row = rows[z] = [0] * n
                 part = (own if dz == 0 else rows[z - dz])[lo:n - dq]
-                if c != one:
+                if c != 1:
                     part = map(mul, part, repeat(c))
                 row[lo + dq:] = map(add, row[lo + dq:], part)
 
     def z_slice(self, z: int) -> TruncSeries:
         """The coefficient of z^z as a plain series in q."""
-        row = self.rows.get(z)
-        if row is None:
-            return TruncSeries.zero(self.ring, self.order)
-        return TruncSeries(self.ring, row, self.order)
+        return TruncSeries(ZZ, self.rows.get(z, ()), self.order)
 
     def __eq__(self, other):
         if not isinstance(other, BivarSeries):
             return NotImplemented
-        if self.ring != other.ring or self.order != other.order:
+        if self.order != other.order:
             return False
-        zero_row = [self.ring.zero] * (self.order + 1)
-        keys = set(self.rows) | set(other.rows)
-        for z in keys:
-            if list(self.rows.get(z, zero_row)) != list(other.rows.get(z, zero_row)):
-                return False
-        return True
+        zero_row = [0] * (self.order + 1)
+        return all(list(self.rows.get(z, zero_row)) == list(other.rows.get(z, zero_row))
+                   for z in set(self.rows) | set(other.rows))
 
     __hash__ = None
 
     def __repr__(self):
-        support = sorted(z for z, row in self.rows.items() if any(c != self.ring.zero for c in row))
-        return (f"BivarSeries({self.ring!r}, N={self.order}, "
+        support = sorted(z for z, row in self.rows.items() if any(row))
+        return (f"BivarSeries(N={self.order}, "
                 f"window=[{self.zmin},{self.zmax}], z-support={support})")
 
 
@@ -622,22 +590,26 @@ def jacobi_work(order: int) -> int:
     return total
 
 
-def jacobi_triple(order: int, ring=ZZ):
+def jacobi_guard(order: int) -> None:
+    """Raise ValueError when `jacobi_work(order)` exceeds MAX_JACOBI_WORK."""
+    work = jacobi_work(order)
+    if work > MAX_JACOBI_WORK:
+        raise ValueError(f"triple product guard: {work} coefficient updates exceed "
+                         f"MAX_JACOBI_WORK={MAX_JACOBI_WORK}")
+
+
+def jacobi_triple(order: int):
     """Both sides of the triple product identity, for equality testing.
 
     Product side: prod_{n>=1} (1 - q^n)(1 + z q^n)(1 + z^{-1} q^{n-1});
     sum side: sum_m z^m q^(m(m+1)/2).  The z window [-down, up] is exact:
     z^m costs at least q^(m(m+1)/2) on both sides, so up and down are the
     largest |m| that fit in q-degree `order` and no term is ever clipped.
-    Guarded: raises ValueError before expanding when `jacobi_work` exceeds
-    MAX_JACOBI_WORK.
+    Guarded: `jacobi_guard` refuses before anything is expanded.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    work = jacobi_work(order)
-    if work > MAX_JACOBI_WORK:
-        raise ValueError(f"triple product guard: {work} coefficient updates exceed "
-                         f"MAX_JACOBI_WORK={MAX_JACOBI_WORK}")
+    jacobi_guard(order)
     up = 0
     while (up + 1) * (up + 2) // 2 <= order:
         up += 1
@@ -645,17 +617,12 @@ def jacobi_triple(order: int, ring=ZZ):
     while (down + 1) * down // 2 <= order:
         down += 1
     zmin, zmax = -down, up
-    product = BivarSeries.one(ring, order, zmin, zmax)
+    product = BivarSeries.one(order, zmin, zmax)
     for n in range(1, order + 2):
         product.apply_factor([(-1, n - 1, 1)])
         if n <= order:
             product.apply_factor([(0, n, -1)])
             product.apply_factor([(1, n, 1)])
-    theta = BivarSeries(ring, order, zmin, zmax)
-    for m in range(zmin, zmax + 1):
-        e = m * (m + 1) // 2
-        if 0 <= e <= order:
-            row = [ring.zero] * (order + 1)
-            row[e] = ring.one
-            theta.rows[m] = row
+    theta = BivarSeries.from_terms(order, zmin, zmax,
+                                   ((m, m * (m + 1) // 2, 1) for m in range(zmin, zmax + 1)))
     return product, theta

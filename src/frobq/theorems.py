@@ -30,10 +30,12 @@ from math import isqrt
 
 from .exactring import ZZ, CycInt, _power_basis_rows
 from .qseries import (
+    MAX_PRODUCT_WORK,
     TruncSeries,
     _apply_binomial,
     parse_product_spec,
     product_from_spec,
+    product_work,
 )
 
 
@@ -224,13 +226,27 @@ def cphi2m1_product(order: int) -> TruncSeries:
     return product_from_spec(parse_product_spec(CPHI2M1_SPEC_TEXT), order)
 
 
+def psi2_work(order: int) -> int:
+    """Coefficient updates `psi2_product` performs: its binomials are those of
+    the product-DSL spec -,2,0,1; -,1,0,-2, and the trinomial for i <= N/2
+    takes N - 2i + 1 steps."""
+    t = order // 2
+    return (product_work(parse_product_spec("-,2,0,1; -,1,0,-2"), order)
+            + t * (order + 1) - t * (t + 1))
+
+
 def psi2_product(order: int, *, mutated: bool = False) -> TruncSeries:
     """prod_{i>=1} (1 - q^(2i)) (1 - q^(2i) + q^(4i)) / (q;q)^2.
 
     With mutated=True the trinomial's q^(4i) term is flipped to -q^(4i),
     which breaks the identity with the phi2m1 product; tests use it to show
-    the comparison has teeth.
+    the comparison has teeth.  Guarded like the product DSL: raises
+    ValueError before expanding when `psi2_work` exceeds MAX_PRODUCT_WORK.
     """
+    work = psi2_work(order)
+    if work > MAX_PRODUCT_WORK:
+        raise ValueError(f"product guard: {work} coefficient updates exceed "
+                         f"MAX_PRODUCT_WORK={MAX_PRODUCT_WORK}")
     quartic_sign = -1 if mutated else 1
     coeffs = [1] + [0] * order
     for i in range(1, order // 2 + 1):

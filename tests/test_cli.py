@@ -1,8 +1,10 @@
 """CLI surface: flags, output shapes, exit codes, determinism."""
 
 import functools
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +116,11 @@ def test_theorem_lattice_guard_exits_two_quickly():
     ("expand", "--spec=-,1,0,-1", "--N", "1000000"),
     ("expand", "--spec=-,1,0,-1", "--N", "1000000", "--mod", "7"),
     ("scan", "--spec=-,1,0,-1", "--N", "1000000", "--maxA", "5", "--maxM", "5"),
+    # psi2 is guarded itself; cor1 and cor2 build the product side before
+    # the theta division
+    ("verify", "--target", "psi2", "--N", "14000"),
+    ("verify", "--target", "cor1", "--N", "60000"),
+    ("verify", "--target", "cor2", "--N", "60000"),
 ])
 def test_product_guard_exits_two_quickly(argv):
     # 5e11 coefficient updates would run for hours; the guard refuses up front
@@ -126,6 +133,8 @@ def test_product_guard_exits_two_quickly(argv):
 @pytest.mark.parametrize("argv, timeout", [
     (("verify", "--target", "jtp", "--N", "5000"), 1),
     (("identities", "--N", "3000"), 2),
+    # identities runs the triple-product guard before its first check
+    (("identities", "--N", "15000"), 1),
 ])
 def test_triple_product_guard_exits_two_quickly(argv, timeout):
     # about 4e9 coefficient updates at N=5000; identities prints nothing
@@ -199,6 +208,23 @@ def test_verify_targets_match_readme_table():
             break
         rows.append(line.split("|")[1].strip().strip("`"))
     assert rows == list(cli.VERIFY_TARGETS)
+
+
+def test_readme_layout_names_resolve():
+    # every backticked name in a row of the "Library layout" table is an
+    # attribute (dotted for members) of that row's module
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = readme.index("## Library layout") + 4  # title, blank line, header, rule
+    rows = 0
+    for line in readme[start:]:
+        if not line.startswith("|"):
+            break
+        module_cell, contents = line.split("|")[1:3]
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        for name in re.findall(r"`([^`]+)`", contents):
+            functools.reduce(getattr, name.split("."), module)
+        rows += 1
+    assert rows == 6
 
 
 def _all_ones(order):

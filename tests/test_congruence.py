@@ -174,3 +174,15 @@ def test_progression_exponent_check_instances():
     assert progression_exponent_check(5, 4, 5)
     assert progression_exponent_check()  # defaults to the same instance
     assert not progression_exponent_check(5, 3, 5)
+
+
+def test_ring_guard_survives_an_attempted_relabel():
+    # a series keeps the ring it was reduced in: relabelling ModRing(5) as
+    # ModRing(7) would let residues mod 5 pass the guard as residues mod 7
+    ring = ModRing(5)
+    series = TruncSeries.from_ints(ring, [7, 7, 7])
+    with pytest.raises(AttributeError):
+        ring.modulus = 7
+    assert series.ring == ModRing(5) and series.coeffs == (2, 2, 2)
+    with pytest.raises(ValueError, match="cannot decide residues mod 7"):
+        verify_congruence(series, 1, 0, 7)

@@ -1,21 +1,32 @@
-"""The benchmark's traced mode (perfbench/tracing.py) still finds every frobq name it wraps."""
+"""The benchmark still finds every frobq name it uses: the traced mode
+(perfbench/tracing.py) wraps them and the setup probe (perfbench/child.py)
+warms each workload through them."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 import frobq.frobenius as frobenius
 import frobq.qseries as qseries
-from frobq.exactring import ZZ
 import frobq.theorems as theorems
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_setup_probe_warms_every_workload(workload):
+    # the probe that `setup_s` times; a frobq name it calls must not go missing
+    _load("child").warm(workload)
 
 
 def _wrapped_names():
@@ -25,7 +36,7 @@ def _wrapped_names():
 
 
 def test_hooks_trace_product_psi2_and_bivar_then_uninstall():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     originals = _wrapped_names()
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
@@ -37,7 +48,7 @@ def test_hooks_trace_product_psi2_and_bivar_then_uninstall():
         frobenius.bivar_coefficient_series("colored", 2, -1, 8)
         # the bivariate route multiplies in place, so call the general
         # product directly to keep its wrapper covered
-        factor = qseries.BivarSeries.from_terms(ZZ, 8, -2, 2, [(0, 0, 1), (1, 1, 1), (2, 3, 1)])
+        factor = qseries.BivarSeries.from_terms(8, -2, 2, [(0, 0, 1), (1, 1, 1), (2, 3, 1)])
         factor * factor
         theorems.cphi_theta_series(2, -1, 10)
     finally:

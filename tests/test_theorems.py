@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frobq.theorems as theorems
-from frobq.exactring import ZZ, CycInt, CycRing, zeta_pow
+from frobq.exactring import ZZ, CycInt, cyclotomic_poly
 from frobq.frobenius import count_cphi, count_phi
-from frobq.qseries import TruncSeries, euler_product
+from frobq.qseries import MAX_PRODUCT_WORK, TruncSeries, euler_product
 from frobq.theorems import (
     MAX_LATTICE_BOX,
     NonIntegralCoefficientError,
@@ -25,6 +25,7 @@ from frobq.theorems import (
     phi2m1_product,
     phi_theta_series,
     psi2_product,
+    psi2_work,
     quad_exponent,
 )
 
@@ -151,20 +152,34 @@ def test_phi_theta_detector_reports_first_bad_coefficient(k, alpha, index, value
     assert (info.value.index, info.value.value) == (index, value)
 
 
+def _reduce_mod_cyclotomic(poly, order):
+    # remainder of the polynomial in zeta by Phi_order, by long division
+    phi = cyclotomic_poly(order)
+    deg = len(phi) - 1
+    rem = list(poly)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j, p in enumerate(phi):
+                rem[i - deg + j] -= c * p
+    return rem[:deg]
+
+
 def _first_non_integer_of_dense_quotient(k, alpha, order, table):
-    # the detector's answer computed over CycRing: the numerator times the
-    # dense inverse of (q;q)^k, scanned for the first non-integer coefficient
-    ring, width = CycRing(k + 1), k + 1
+    # the detector's answer from a dense reference: each zeta-exponent
+    # coordinate of the numerator times the dense inverse of (q;q)^k over
+    # ZZ, then each coefficient reduced mod Phi_(k+1) and scanned for the
+    # first non-integer one
+    width = k + 1
     sign = -1 if alpha % 2 else 1
-    numerator = []
-    for q in range(order + 1):
-        c = ring.zero
-        for e in range(width):
-            c = c + zeta_pow(width, e) * (sign * table[q * width + e])
-        numerator.append(c)
     inverse = (euler_product(order) ** k).inverse()
-    quotient = TruncSeries(ring, numerator) * TruncSeries.from_ints(ring, inverse.coeffs)
-    return next((i, c) for i, c in enumerate(quotient.coeffs) if c.as_int() is None)
+    by_exponent = [
+        (TruncSeries(ZZ, [sign * table[q * width + e] for q in range(order + 1)]) * inverse).coeffs
+        for e in range(width)]
+    for i, poly in enumerate(zip(*by_exponent)):
+        coords = _reduce_mod_cyclotomic(poly, width)
+        if any(coords[1:]):
+            return i, CycInt(width, coords)
 
 
 @pytest.mark.parametrize("k, alpha, bump", [(2, -1, 5), (3, 0, 4), (4, 1, 3)])
@@ -232,6 +247,27 @@ def test_psi2_identity():
     assert psi2_product(0) == phi2m1_product(0)
     assert psi2_product(30) == phi2m1_product(30)
     assert psi2_product(30, mutated=True) != phi2m1_product(30)
+
+
+def test_psi2_work_closed_form_matches_literal_count():
+    # the binomials (1 - q^2i) once and (1 - q^n) twice, each updating the
+    # coefficients from q^e up, then the trinomial's j = N down to 2i
+    for order in range(80):
+        literal = (sum(order + 1 - e for e in range(2, order + 1, 2))
+                   + 2 * sum(order + 1 - n for n in range(1, order + 1))
+                   + sum(len(range(order, 2 * i - 1, -1)) for i in range(1, order // 2 + 1)))
+        assert psi2_work(order) == literal
+
+
+def test_psi2_guard_refuses_before_expanding(monkeypatch):
+    assert psi2_work(9128) <= MAX_PRODUCT_WORK < psi2_work(9129)
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("expanded before refusing")
+
+    monkeypatch.setattr(theorems, "_apply_binomial", no_expansion)
+    with pytest.raises(ValueError, match=f"product guard: {psi2_work(9129)} "):
+        psi2_product(9129)
 
 
 def test_mod5_numerator_small_coefficients():
