@@ -13,7 +13,9 @@ zero test on the non-constant coordinates.  CycInt is the value of such an
 element, as reported by the theta route's integrality detector.
 
 The ring descriptors at the bottom (ZZ, ModRing) give the series layer one
-uniform surface: zero, one, from_int, add, sub, neg, mul, invert.
+uniform surface: from_int, which is the ring's reduction of an int (and
+refuses anything that is not an integer), and invert.  Series arithmetic
+runs on plain ints and reduces once, in the TruncSeries constructor.
 """
 
 from __future__ import annotations
@@ -204,13 +206,7 @@ def zeta_pow(order: int, e: int) -> CycInt:
 class IntegerRing:
     """Plain Python ints: exact, arbitrary precision, nothing to configure."""
 
-    zero = 0
-    one = 1
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-    from_int = staticmethod(int)
+    from_int = staticmethod(operator.index)
 
     def invert(self, a: int) -> int:
         if a == 1 or a == -1:
@@ -234,8 +230,6 @@ class ModRing:
     """Integers modulo m >= 2; residues are bare ints kept in [0, m).  Immutable."""
 
     __slots__ = ("modulus",)
-    zero = 0
-    one = 1
 
     def __init__(self, modulus: int):
         if modulus < 2:
@@ -246,19 +240,7 @@ class ModRing:
         raise AttributeError("ModRing is immutable")
 
     def from_int(self, n: int) -> int:
-        return n % self.modulus
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return -a % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
+        return operator.index(n) % self.modulus
 
     def invert(self, a: int) -> int:
         try:

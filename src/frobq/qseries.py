@@ -2,8 +2,10 @@
 
 A TruncSeries holds coefficients for q^0 .. q^N inclusive and nothing beyond,
 over ZZ or, for the product DSL, over ModRing; binary operations truncate at
-min(N_a, N_b) so precision loss is always explicit.  On top of the core ring
-operations this module provides:
+min(N_a, N_b) so precision loss is always explicit.  Arithmetic runs on plain
+ints and the constructor reduces every coefficient through the ring, so two
+series over one ring are equal exactly when they denote the same series.  On
+top of the core ring operations this module provides:
 
   * the Euler product (q;q) = prod (1 - q^n) and its cube as a theta-style sum,
   * a tiny product DSL: each factor (sign, period, residue, exponent) denotes
@@ -24,9 +26,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
-from operator import add, mod, mul
+from operator import add, mul, neg, sub
 
-from .exactring import ZZ, ModRing
+from .exactring import ZZ
 
 
 class RingMismatchError(ValueError):
@@ -52,7 +54,7 @@ class TruncSeries:
     __slots__ = ("ring", "order", "coeffs")
 
     def __init__(self, ring, coeffs, order: int | None = None):
-        coeffs = list(coeffs)
+        coeffs = list(map(ring.from_int, coeffs))
         if order is None:
             if not coeffs:
                 raise ValueError("need coefficients or an explicit order")
@@ -60,7 +62,7 @@ class TruncSeries:
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         del coeffs[order + 1:]
-        coeffs += [ring.zero] * (order + 1 - len(coeffs))
+        coeffs += [0] * (order + 1 - len(coeffs))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -71,24 +73,17 @@ class TruncSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_ints(cls, ring, values, order: int | None = None) -> "TruncSeries":
-        """Build a series from plain ints, coercing each through the ring."""
-        return cls(ring, [ring.from_int(v) for v in values], order)
-
-    @classmethod
     def zero(cls, ring, order: int) -> "TruncSeries":
         return cls(ring, [], order)
 
     @classmethod
     def one(cls, ring, order: int) -> "TruncSeries":
-        return cls(ring, [ring.one], order)
+        return cls(ring, [1], order)
 
     @classmethod
-    def monomial(cls, ring, order: int, exponent: int, coeff=None) -> "TruncSeries":
+    def monomial(cls, ring, order: int, exponent: int, coeff: int = 1) -> "TruncSeries":
         """coeff * q^exponent, silently zero when exponent exceeds the order."""
-        if coeff is None:
-            coeff = ring.one
-        coeffs = [ring.zero] * (order + 1)
+        coeffs = [0] * (order + 1)
         if 0 <= exponent <= order:
             coeffs[exponent] = coeff
         return cls(ring, coeffs, order)
@@ -116,44 +111,36 @@ class TruncSeries:
             return NotImplemented
         self._check_ring(other)
         n = min(self.order, other.order)
-        add = self.ring.add
-        return TruncSeries(self.ring, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)], n)
+        return TruncSeries(self.ring, map(add, self.coeffs, other.coeffs), n)
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_ring(other)
         n = min(self.order, other.order)
-        sub = self.ring.sub
-        return TruncSeries(self.ring, [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)], n)
+        return TruncSeries(self.ring, map(sub, self.coeffs, other.coeffs), n)
 
     def __neg__(self):
-        neg = self.ring.neg
-        return TruncSeries(self.ring, [neg(a) for a in self.coeffs], self.order)
+        return TruncSeries(self.ring, map(neg, self.coeffs), self.order)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = self.ring.from_int(other)
-            mul = self.ring.mul
-            return TruncSeries(self.ring, [mul(a, c) for a in self.coeffs], self.order)
+            return TruncSeries(self.ring, map(mul, self.coeffs, repeat(other)), self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_ring(other)
         n = min(self.order, other.order)
-        ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero
         a, b = self.coeffs, other.coeffs
-        out = [zero] * (n + 1)
+        out = [0] * (n + 1)
         for i in range(n + 1):
             ai = a[i]
-            if ai == zero:
+            if not ai:
                 continue
             for j in range(n + 1 - i):
                 bj = b[j]
-                if bj == zero:
-                    continue
-                out[i + j] = add(out[i + j], mul(ai, bj))
-        return TruncSeries(ring, out, n)
+                if bj:
+                    out[i + j] += ai * bj
+        return TruncSeries(self.ring, out, n)
 
     __rmul__ = __mul__
 
@@ -176,17 +163,15 @@ class TruncSeries:
         otherwise); satisfies self * self.inverse() == 1 up to order N.
         """
         ring = self.ring
-        add, mul, neg, zero = ring.add, ring.mul, ring.neg, ring.zero
         inv0 = ring.invert(self.coeffs[0])
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = zero
+            acc = 0
             for j in range(1, n + 1):
                 aj = self.coeffs[j]
-                if aj == zero:
-                    continue
-                acc = add(acc, mul(aj, out[n - j]))
-            out.append(neg(mul(inv0, acc)))
+                if aj:
+                    acc += aj * out[n - j]
+            out.append(ring.from_int(-inv0 * acc))
         return TruncSeries(ring, out, self.order)
 
     def __eq__(self, other):
@@ -246,26 +231,25 @@ def _apply_binomial(coeffs: list, sign: int, e: int, ring, divide: bool = False)
     finished block before it.  With few long classes, dividing by (1 - q^e)
     is a running sum along each class, one `accumulate`, and dividing by
     (1 + q^e) multiplies by (1 - q^e) and then divides by (1 - q^2e), whose
-    running sums need no sign changes.  ModRing residues are plain ints,
-    so they take the integer kernel and are reduced once per call.  e = 0
-    scales by 1 + sign or, dividing, by its inverse, which raises
-    NotUnitError when it has none.
+    running sums need no sign changes.  These steps only add and subtract,
+    so they are the same on ints for every ring, and the TruncSeries built
+    from the list reduces it.  e = 0 scales by 1 + sign or, dividing, by its
+    inverse in the ring, which raises NotUnitError when it has none; the
+    scaled list is reduced at once, so a repeated constant factor does not
+    grow the ints.
     """
     n = len(coeffs)
     if e == 0:
         scale = ring.from_int(1 + sign)
         if divide:
             scale = ring.invert(scale)
-        coeffs[:] = map(ring.mul, coeffs, repeat(scale))
+        coeffs[:] = map(ring.from_int, map(mul, coeffs, repeat(scale)))
     elif e >= n:
         return
-    elif isinstance(ring, ModRing):
-        _apply_binomial(coeffs, sign, e, ZZ, divide)
-        coeffs[e:] = map(mod, coeffs[e:], repeat(ring.modulus))
     elif not divide:
-        coeffs[e:] = map(ring.add if sign > 0 else ring.sub, coeffs[e:], coeffs[:n - e])
+        coeffs[e:] = map(add if sign > 0 else sub, coeffs[e:], coeffs[:n - e])
     elif e * e >= n:
-        step = ring.sub if sign > 0 else ring.add
+        step = sub if sign > 0 else add
         for i in range(e, n, e):
             coeffs[i:i + e] = map(step, coeffs[i:i + e], coeffs[i - e:i])
     elif sign > 0:
@@ -273,7 +257,7 @@ def _apply_binomial(coeffs: list, sign: int, e: int, ring, divide: bool = False)
         _apply_binomial(coeffs, -1, 2 * e, ring, divide=True)
     else:
         for r in range(e):
-            coeffs[r::e] = accumulate(coeffs[r::e], ring.add)
+            coeffs[r::e] = accumulate(coeffs[r::e])
 
 
 def euler_product(order: int) -> TruncSeries:
@@ -415,7 +399,7 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     if work > MAX_PRODUCT_WORK:
         raise ValueError(f"product guard: {work} coefficient updates exceed "
                          f"MAX_PRODUCT_WORK={MAX_PRODUCT_WORK}")
-    coeffs = [ring.one] + [ring.zero] * order
+    coeffs = [1] + [0] * order
     for f in spec.factors:
         for e in range(f.period - f.residue, order + 1, f.period):
             for _ in range(abs(f.exponent)):

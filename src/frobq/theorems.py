@@ -29,14 +29,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .exactring import ZZ, CycInt, _power_basis_rows
-from .qseries import (
-    MAX_PRODUCT_WORK,
-    TruncSeries,
-    _apply_binomial,
-    parse_product_spec,
-    product_from_spec,
-    product_work,
-)
+from .qseries import TruncSeries, parse_product_spec, product_from_spec
 
 
 # Refuse lattices too large to walk in seconds.  The estimate is the box
@@ -226,39 +219,22 @@ def cphi2m1_product(order: int) -> TruncSeries:
     return product_from_spec(parse_product_spec(CPHI2M1_SPEC_TEXT), order)
 
 
-def psi2_work(order: int) -> int:
-    """Coefficient updates `psi2_product` performs: its binomials are those of
-    the product-DSL spec -,2,0,1; -,1,0,-2, and the trinomial for i <= N/2
-    takes N - 2i + 1 steps."""
-    t = order // 2
-    return (product_work(parse_product_spec("-,2,0,1; -,1,0,-2"), order)
-            + t * (order + 1) - t * (t + 1))
+# 1 - x + x^2 = (1 + x^3) / (1 + x) at x = q^(2i) turns the trinomial into
+# binomials.
+PSI2_SPEC_TEXT = "-,2,0,1; +,6,0,1; +,2,0,-1; -,1,0,-2"
+PSI2_MUTANT_SPEC_TEXT = "-,2,0,1; -,6,0,1; +,2,0,-1; -,1,0,-2"
 
 
 def psi2_product(order: int, *, mutated: bool = False) -> TruncSeries:
-    """prod_{i>=1} (1 - q^(2i)) (1 - q^(2i) + q^(4i)) / (q;q)^2.
+    """prod_{i>=1} (1 - q^(2i)) (1 - q^(2i) + q^(4i)) / (q;q)^2, expanded as
+    the product-DSL spec PSI2_SPEC_TEXT and guarded like every DSL expansion.
 
-    With mutated=True the trinomial's q^(4i) term is flipped to -q^(4i),
+    With mutated=True the numerator factor (1 + q^(6i)) becomes (1 - q^(6i)),
     which breaks the identity with the phi2m1 product; tests use it to show
-    the comparison has teeth.  Guarded like the product DSL: raises
-    ValueError before expanding when `psi2_work` exceeds MAX_PRODUCT_WORK.
+    the comparison has teeth.
     """
-    work = psi2_work(order)
-    if work > MAX_PRODUCT_WORK:
-        raise ValueError(f"product guard: {work} coefficient updates exceed "
-                         f"MAX_PRODUCT_WORK={MAX_PRODUCT_WORK}")
-    quartic_sign = -1 if mutated else 1
-    coeffs = [1] + [0] * order
-    for i in range(1, order // 2 + 1):
-        _apply_binomial(coeffs, -1, 2 * i, ZZ)
-        for j in range(order, 2 * i - 1, -1):
-            coeffs[j] -= coeffs[j - 2 * i]
-            if j >= 4 * i:
-                coeffs[j] += quartic_sign * coeffs[j - 4 * i]
-    for n in range(1, order + 1):
-        _apply_binomial(coeffs, -1, n, ZZ, divide=True)
-        _apply_binomial(coeffs, -1, n, ZZ, divide=True)
-    return TruncSeries(ZZ, coeffs, order)
+    text = PSI2_MUTANT_SPEC_TEXT if mutated else PSI2_SPEC_TEXT
+    return product_from_spec(parse_product_spec(text), order)
 
 
 # ---------------------------------------------------------------------------

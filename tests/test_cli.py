@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from frobq import cli, theorems
+from frobq import cli, qseries, theorems
 from frobq.exactring import ZZ
-from frobq.qseries import TruncSeries
+from frobq.qseries import TruncSeries, first_divergence
 
 
 def run_cli(capsys, *argv):
@@ -116,8 +116,8 @@ def test_theorem_lattice_guard_exits_two_quickly():
     ("expand", "--spec=-,1,0,-1", "--N", "1000000"),
     ("expand", "--spec=-,1,0,-1", "--N", "1000000", "--mod", "7"),
     ("scan", "--spec=-,1,0,-1", "--N", "1000000", "--maxA", "5", "--maxM", "5"),
-    # psi2 is guarded itself; cor1 and cor2 build the product side before
-    # the theta division
+    # psi2 expands through the product DSL; cor1 and cor2 build the product
+    # side before the theta division
     ("verify", "--target", "psi2", "--N", "14000"),
     ("verify", "--target", "cor1", "--N", "60000"),
     ("verify", "--target", "cor2", "--N", "60000"),
@@ -228,7 +228,7 @@ def test_readme_layout_names_resolve():
 
 
 def _all_ones(order):
-    return TruncSeries.from_ints(ZZ, [1] * (order + 1))
+    return TruncSeries(ZZ, [1] * (order + 1))
 
 
 def test_verify_thm4_violation_exits_one(capsys, monkeypatch):
@@ -274,7 +274,25 @@ def test_verify_psi2_mutated_exits_one(capsys, monkeypatch):
     assert code == 1
     payload = json_lines(out)[0]
     assert payload["status"] == "fail"
-    assert (payload["first_divergence"], payload["lhs"], payload["rhs"]) == (4, "8", "10")
+    assert (payload["first_divergence"], payload["lhs"], payload["rhs"]) == (6, "24", "26")
+
+
+def test_psi2_is_the_check_that_divides_by_one_plus_q(capsys, monkeypatch):
+    # phi2m1 and cphi2m1 only divide by (1 - q^e); a kernel that divides by
+    # (1 - q^e) in place of (1 + q^e) leaves them intact and breaks psi2
+    phi2m1, cphi2m1 = theorems.phi2m1_product(60), theorems.cphi2m1_product(60)
+    real = qseries._apply_binomial
+
+    def minus_for_plus(coeffs, sign, e, ring, divide=False):
+        real(coeffs, -1 if divide else sign, e, ring, divide)
+
+    monkeypatch.setattr(qseries, "_apply_binomial", minus_for_plus)
+    assert theorems.phi2m1_product(60) == phi2m1
+    assert theorems.cphi2m1_product(60) == cphi2m1
+    assert first_divergence(theorems.psi2_product(60), phi2m1) == 2
+    code, out, _ = run_cli(capsys, "verify", "--target", "psi2", "--N", "30")
+    assert code == 1
+    assert json_lines(out)[0]["status"] == "fail"
 
 
 def test_identities_counts_a_failure(capsys, monkeypatch):
@@ -290,7 +308,7 @@ def test_identities_counts_a_failure(capsys, monkeypatch):
 def test_verify_disagreement_exits_one(capsys, monkeypatch):
     # sabotage one side so the CLI has a genuine divergence to report
     def broken(order):
-        return TruncSeries.from_ints(ZZ, [1] * (order + 1))
+        return TruncSeries(ZZ, [1] * (order + 1))
 
     monkeypatch.setattr(theorems, "phi2m1_product", broken)
     code, out, _ = run_cli(capsys, "verify", "--target", "cor1", "--N", "10")

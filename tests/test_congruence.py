@@ -48,10 +48,10 @@ def test_verify_validates_inputs():
 def test_verify_honours_the_series_ring():
     sevens = [7] * 30
     with pytest.raises(ValueError, match="cannot decide residues mod 7"):
-        verify_congruence(TruncSeries.from_ints(ModRing(5), sevens), 1, 0, 7)
+        verify_congruence(TruncSeries(ModRing(5), sevens), 1, 0, 7)
     # mod 35 determines the residues mod 5 and mod 7, so the claims match ZZ
-    reduced = TruncSeries.from_ints(ModRing(35), sevens)
-    exact = TruncSeries.from_ints(ZZ, sevens)
+    reduced = TruncSeries(ModRing(35), sevens)
+    exact = TruncSeries(ZZ, sevens)
     for modulus, status in ((5, "violated"), (7, "verified")):
         claim = verify_congruence(reduced, 1, 0, modulus)
         assert claim.status == status
@@ -180,7 +180,7 @@ def test_ring_guard_survives_an_attempted_relabel():
     # a series keeps the ring it was reduced in: relabelling ModRing(5) as
     # ModRing(7) would let residues mod 5 pass the guard as residues mod 7
     ring = ModRing(5)
-    series = TruncSeries.from_ints(ring, [7, 7, 7])
+    series = TruncSeries(ring, [7, 7, 7])
     with pytest.raises(AttributeError):
         ring.modulus = 7
     assert series.ring == ModRing(5) and series.coeffs == (2, 2, 2)

@@ -59,7 +59,8 @@ def test_hooks_trace_product_psi2_and_bivar_then_uninstall():
     assert {"qseries.product_from_spec", "qseries.inverse", "qseries.mul", "theorems.psi2",
             "frobenius.bivar", "qseries.bivar_mul", "theorems.theta"} <= names
     metrics = tracing.pass_metrics(tracer.spans, 0, tracer.counts)
-    assert metrics["qseries.factors_applied"] == 20 + 10
+    # the spec's 20 binomials, then psi2(20)'s 10 + 3 + 10 + 40
+    assert metrics["qseries.factors_applied"] == 20 + 10 + 63
     # only the explicit call: products, psi2 and the theta route divide in place
     assert metrics["qseries.inverse.calls"] == 1
     # only the direct product: (1 + zq + z^2q^3)^2 has rows z^0, z^1, z^2

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 import frobq.theorems as theorems
 from frobq.exactring import ZZ, CycInt, cyclotomic_poly
 from frobq.frobenius import count_cphi, count_phi
-from frobq.qseries import MAX_PRODUCT_WORK, TruncSeries, euler_product
+import frobq.qseries as qseries
+from frobq.qseries import (
+    MAX_PRODUCT_WORK,
+    TruncSeries,
+    euler_product,
+    parse_product_spec,
+    product_work,
+)
 from frobq.theorems import (
     MAX_LATTICE_BOX,
     NonIntegralCoefficientError,
@@ -24,8 +31,8 @@ from frobq.theorems import (
     mod5_numerator_theta,
     phi2m1_product,
     phi_theta_series,
+    PSI2_SPEC_TEXT,
     psi2_product,
-    psi2_work,
     quad_exponent,
 )
 
@@ -249,25 +256,16 @@ def test_psi2_identity():
     assert psi2_product(30, mutated=True) != phi2m1_product(30)
 
 
-def test_psi2_work_closed_form_matches_literal_count():
-    # the binomials (1 - q^2i) once and (1 - q^n) twice, each updating the
-    # coefficients from q^e up, then the trinomial's j = N down to 2i
-    for order in range(80):
-        literal = (sum(order + 1 - e for e in range(2, order + 1, 2))
-                   + 2 * sum(order + 1 - n for n in range(1, order + 1))
-                   + sum(len(range(order, 2 * i - 1, -1)) for i in range(1, order // 2 + 1)))
-        assert psi2_work(order) == literal
-
-
 def test_psi2_guard_refuses_before_expanding(monkeypatch):
-    assert psi2_work(9128) <= MAX_PRODUCT_WORK < psi2_work(9129)
+    spec = parse_product_spec(PSI2_SPEC_TEXT)
+    assert product_work(spec, 8885) <= MAX_PRODUCT_WORK < product_work(spec, 8886)
 
     def no_expansion(*args, **kwargs):
         raise AssertionError("expanded before refusing")
 
-    monkeypatch.setattr(theorems, "_apply_binomial", no_expansion)
-    with pytest.raises(ValueError, match=f"product guard: {psi2_work(9129)} "):
-        psi2_product(9129)
+    monkeypatch.setattr(qseries, "_apply_binomial", no_expansion)
+    with pytest.raises(ValueError, match=f"product guard: {product_work(spec, 8886)} "):
+        psi2_product(8886)
 
 
 def test_mod5_numerator_small_coefficients():
