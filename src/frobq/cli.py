@@ -295,6 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a computed coefficient is printed whatever its size: Python's limit on
+    # int-to-decimal conversion (3.11+, some 3.10 patch releases) would raise
+    # ValueError, which below means a usage error
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ProductSpecError as exc:
@@ -303,6 +309,9 @@ def main(argv=None) -> int:
         return _fail_usage(f"non-invertible constant term: {exc}")
     except ValueError as exc:
         return _fail_usage(str(exc))
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
+from .exactring import ZZ
 from .qseries import BivarSeries, TruncSeries
 
 VARIANTS = ("repetition", "colored")
@@ -187,16 +188,48 @@ def count_cphi(k: int, alpha: int, n: int) -> int:
     return _count("colored", k, alpha, n)
 
 
+def _reach_cost(z: int, alpha: int, lam: int) -> int:
+    """Least q-weight the factors after `lam` can add to move z^z to z^alpha.
+
+    Those factors have lam' >= lam + 1: a top entry raises z by one at a
+    cost of at least lam + 2, a bottom entry lowers it by one at a cost of
+    at least lam + 1.
+    """
+    return (alpha - z) * (lam + 2) if z < alpha else (z - alpha) * (lam + 1)
+
+
 def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> TruncSeries:
     """Coefficient of z^alpha in the variant's two-variable product, as a q-series.
 
     Every term of every partial product that survives the q truncation is an
     array of weight <= order whose row difference is its z-exponent, so the
-    exact z window is [-M2, M1]: M1 is the longest top row that fits in
+    z window starts as [-M2, M1]: M1 is the longest top row that fits in
     weight `order` (each entry costs its value plus 1) and M2 the longest
-    bottom row (each entry costs its value).  Nothing is ever clipped, and an
-    alpha outside the window gives the zero series.  The product is expanded
-    in place, one `BivarSeries.apply_factor` per (k+1)-term factor.
+    bottom row (each entry costs its value).  An alpha outside it gives the
+    zero series at once.  The product is expanded in place, one
+    `BivarSeries.apply_factor` per (k+1)-term factor.
+
+    Only what can still reach z^alpha is expanded.  Once both factors of
+    lam = L are applied, a term at (z, w) can end in z^alpha q^(<= order)
+    only if w + cost_L(z) <= order, where cost_L = `_reach_cost(., alpha,
+    L)`.  So after each lam, `BivarSeries.truncate` keeps the first
+    order + 1 - cost_L(z) coefficients of row z and drops the row when that
+    count is <= 0; the window shrinks to the rows left.  Row alpha has cost
+    0 and is never cut.
+
+    The cut is exact: every kept coefficient is the true one.  cost_L is
+    nondecreasing in L, and it obeys the triangle inequality for moves that
+    cost L + 2 a step up and L + 1 a step down.  The sweeps of lam = L read
+    rows cut by cost_(L-1), or uncut for L = 0; a row a sweep creates is
+    uncut.  A term (dz, dq) feeds (z, w) from (z - dz, w - dq), and under
+    cost_(L-1) that move costs exactly dq (dq = dz(L+1) for a top entry,
+    |dz| L for a bottom one), so cost_(L-1)(z - dz) <= dq + cost_(L-1)(z).
+    Hence a coefficient in the cost_(L-1) prefix of its row reads only
+    coefficients in the cost_(L-1) prefixes of theirs, in both sweeps of
+    lam = L, and those prefixes stay exact.  The truncation after them
+    keeps the cost_L prefixes, which are no longer.  The work is about
+    k order^2 log(order) slice entries, against k order^2 times the
+    window's row count without the cut.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -209,10 +242,12 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
         m1 += 1
     while _min_row_sum(m2 + 1, k) <= order:
         m2 += 1
-    zmin, zmax = -m2, m1
+    if not -m2 <= alpha <= m1:
+        return TruncSeries.zero(ZZ, order)
     weight = (lambda j: 1) if variant == "repetition" else (lambda j: comb(k, j))
-    acc = BivarSeries.one(order, zmin, zmax)
+    acc = BivarSeries.one(order, -m2, m1)
     for lam in range(order + 1):
         acc.apply_factor([(j, j * (lam + 1), weight(j)) for j in range(1, k + 1)])
         acc.apply_factor([(-j, j * lam, weight(j)) for j in range(1, k + 1)])
+        acc.truncate(lambda z: order + 1 - _reach_cost(z, alpha, lam))
     return acc.z_slice(alpha)

@@ -418,11 +418,18 @@ class BivarSeries:
     Rows are stored sparsely: `rows[z]` is the dense q-coefficient list for
     z-exponent z; missing rows are zero, and multiplication creates a row only
     when a nonzero term lands in it.  Multiplication drops any product term
-    whose z-exponent leaves [zmin, zmax]; the callers in this package compute
-    a window that every term of every partial product lies in, so nothing is
-    ever dropped.  Unlike TruncSeries this is a mutable working object:
-    `apply_factor` multiplies it in place by a sparse factor, which is how
-    the products in this package are expanded; `*` is the general product.
+    whose z-exponent leaves [zmin, zmax].  Unlike TruncSeries this is a
+    mutable working object: `apply_factor` multiplies it in place by a
+    sparse factor, which is how the products in this package are expanded;
+    `*` is the general product.
+
+    A row may be shorter than order + 1: `truncate` cuts each row to a live
+    length, for a caller that reads only some coefficients and has shown
+    that the ones cut cannot reach them.  `apply_factor` keeps every row's
+    length, so a cut row holds only its live prefix.  `jacobi_triple` never
+    cuts: its window holds every term of every partial product.
+    `bivar_coefficient_series` cuts after each pair of factors, and its
+    docstring proves that the prefixes it keeps are exact.
     """
 
     __slots__ = ("order", "zmin", "zmax", "rows")
@@ -491,7 +498,13 @@ class BivarSeries:
         ascending when some dz < 0, so the rows z - dz a row reads are still
         unchanged; a dz = 0 term reads a copy of its own row taken before any
         term adds to it.  Each term is one slice update of the target row,
-        starting where the source row's first nonzero coefficient lands.
+        starting where the source row's first nonzero coefficient lands and
+        ending at the end of the target or of the source, whichever comes
+        first.  A row keeps its length; a row created by the sweep has
+        length order + 1.  So on cut rows (see `truncate`) the result's
+        row z is exact on its first min(len(row z), len(source) + dq)
+        coefficients, the minimum over the terms (dz, dq, c) and their
+        source rows z - dz.
         """
         factor = list(terms)
         if any(dz == 0 and dq == 0 for dz, dq, _ in factor):
@@ -522,14 +535,38 @@ class BivarSeries:
             own = row[:] if flat and z in low else None
             for dz, dq, c in factor:
                 lo = low.get(z - dz)
-                if lo is None or lo + dq >= n:
+                if lo is None:
+                    continue
+                end = (n if row is None else len(row)) - dq
+                if lo >= end:
                     continue
                 if row is None:
                     row = rows[z] = [0] * n
-                part = (own if dz == 0 else rows[z - dz])[lo:n - dq]
+                part = (own if dz == 0 else rows[z - dz])[lo:end]
+                a = lo + dq
+                b = a + len(part)
                 if c != 1:
                     part = map(mul, part, repeat(c))
-                row[lo + dq:] = map(add, row[lo + dq:], part)
+                row[a:b] = map(add, row[a:b], part)
+
+    def truncate(self, live) -> None:
+        """Cut every row z to its first `live(z)` coefficients, in place.
+
+        A row with live(z) <= 0 is dropped, and the window shrinks to the
+        smallest one holding every z of the old window with live(z) > 0, so
+        a sweep never recreates a dropped row outside it.  With no such z
+        the rows are dropped and the window is left as it is.  A row that
+        is already shorter than its live length is left as it is.
+        """
+        alive = [z for z in range(self.zmin, self.zmax + 1) if live(z) > 0]
+        for z in list(self.rows):
+            keep = live(z)
+            if keep > 0:
+                del self.rows[z][keep:]
+            else:
+                del self.rows[z]
+        if alive:
+            self.zmin, self.zmax = alive[0], alive[-1]
 
     def z_slice(self, z: int) -> TruncSeries:
         """The coefficient of z^z as a plain series in q."""

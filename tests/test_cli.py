@@ -130,6 +130,25 @@ def test_product_guard_exits_two_quickly(argv):
     assert proc.stdout == ""
 
 
+def _decimal(n):
+    # str(n) in 1000-digit chunks, each under Python's 4300-digit limit
+    chunks = []
+    while n >= 10 ** 1000:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(str(low).zfill(1000))
+    return str(n) + "".join(reversed(chunks))
+
+
+def test_expand_prints_a_coefficient_of_any_size():
+    # (1 + q^0)^20000 is the constant 2^20000, 6021 digits: a computed
+    # answer, printed in full with exit 0
+    proc = _run_cli_process("expand", "--spec", "+,1,1,20000", "--N", "0", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    (digits,) = json.loads(proc.stdout)["coefficients"]
+    assert len(digits) == 6021
+    assert digits == _decimal(2 ** 20000)
+
+
 @pytest.mark.parametrize("argv, timeout", [
     (("verify", "--target", "jtp", "--N", "5000"), 1),
     (("identities", "--N", "3000"), 2),

@@ -1,6 +1,7 @@
 """Enumeration oracle vs the bivariate product expansion."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from frobq.frobenius import (
     count_phi,
     enumerate_arrays,
 )
+from frobq.qseries import BivarSeries
 from frobq.theorems import cphi_theta_series
 
 
@@ -228,6 +230,50 @@ def test_oracle_agrees_with_bivariate(variant, k):
         series = bivar_coefficient_series(variant, k, alpha, 12)
         for n in range(13):
             assert series.coeffs[n] == count(k, alpha, n), (variant, k, alpha, n)
+
+
+def _uncut_product(variant, k, order):
+    # the whole product, no row ever cut: a top row fits at most `order`
+    # entries and a bottom row at most order + k (k zero entries cost
+    # nothing), so the window [-order - k, order] clips nothing
+    acc = BivarSeries.one(order, -order - k, order)
+    for lam in range(order + 1):
+        for sign, shift in ((1, 1), (-1, 0)):
+            acc.apply_factor([(sign * j, j * (lam + shift),
+                               1 if variant == "repetition" else math.comb(k, j))
+                              for j in range(1, k + 1)])
+    return acc
+
+
+@pytest.mark.parametrize("variant", ["repetition", "colored"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cut_expansion_matches_uncut_product(variant, k):
+    # the factors with lam > order only reach q^(> order), so row alpha of
+    # the order-25 product, cut to its first order + 1 coefficients, is
+    # the answer at every smaller order
+    top = 25
+    reference = _uncut_product(variant, k, top)
+    for order in range(top + 1):
+        m1 = max(z for z, row in reference.rows.items() if any(row[:order + 1]))
+        m2 = -min(z for z, row in reference.rows.items() if any(row[:order + 1]))
+        for alpha in range(-m2 - 1, m1 + 2):
+            expected = list(reference.rows.get(alpha, [0] * (top + 1))[:order + 1])
+            series = bivar_coefficient_series(variant, k, alpha, order)
+            assert list(series.coeffs) == expected, (variant, k, alpha, order)
+
+
+@pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
+def test_cut_bound_has_teeth(monkeypatch, variant, count):
+    # charging one more unit of q per unit of z cuts coefficients that do
+    # reach z^alpha, and the series stops matching the oracle
+    def overcharged(z, alpha, lam, cost=frobenius._reach_cost):
+        return cost(z, alpha, lam + 1)
+
+    order = 10
+    counts = [count(2, -1, n) for n in range(order + 1)]
+    assert list(bivar_coefficient_series(variant, 2, -1, order).coeffs) == counts
+    monkeypatch.setattr(frobenius, "_reach_cost", overcharged)
+    assert list(bivar_coefficient_series(variant, 2, -1, order).coeffs) != counts
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,9 @@ def _rows(draw, order, zs, first=None):
 
 @st.composite
 def _bivar_and_factor(draw):
+    # a series, a factor, and a live length per row: the full order + 1,
+    # or for about half the cases a drawn cut, so that sources shorter and
+    # longer than their targets both occur
     order = draw(st.integers(0, 10))
     zmin, zmax = draw(st.integers(-4, 0)), draw(st.integers(0, 4))
     zs = draw(st.lists(st.integers(zmin, zmax), unique=True, max_size=zmax - zmin + 1))
@@ -422,7 +425,9 @@ def _bivar_and_factor(draw):
     for _ in range(draw(st.integers(1, 4))):
         z = draw(dz)
         terms.append((z, draw(st.integers(0 if z else 1, max(order, 1))), draw(st.integers(-3, 3))))
-    return BivarSeries(order, zmin, zmax, rows), terms
+    cut = draw(st.booleans())
+    live = {z: draw(st.integers(1, order + 1)) if cut else order + 1 for z in rows}
+    return BivarSeries(order, zmin, zmax, rows), terms, live
 
 
 def _factor_reference(series, terms):
@@ -439,14 +444,46 @@ def _copy(series):
     return BivarSeries(series.order, series.zmin, series.zmax, rows)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(_bivar_and_factor())
 def test_apply_factor_matches_general_product(case):
-    series, terms = case
+    # on cut rows, row z of the result must keep its length and match the
+    # uncut product on the prefix that every source it reads covers
+    series, terms, live = case
     reference = _factor_reference(series, terms)
+    n = series.order + 1
+    series.truncate(lambda z: live.get(z, n))
     series.apply_factor(terms)
-    assert series == reference
+    for z, row in series.rows.items():
+        exact = min([live.get(z, n)] + [live[z - dz] + dq for dz, dq, _ in terms
+                                        if z - dz in live])
+        assert len(row) == live.get(z, n)
+        assert row[:exact] == reference.rows.get(z, [0] * n)[:exact]
+    if all(length == n for length in live.values()):
+        assert series == reference
     assert set(series.rows) <= set(range(series.zmin, series.zmax + 1))
+
+
+def test_short_source_keeps_the_target_length():
+    # row 0 is cut to 3 coefficients and feeds row 1 through z q: the
+    # update covers q^1..q^3 and leaves q^4, q^5 of row 1 as they were
+    series = BivarSeries(5, 0, 1, {0: [1, 2, 3], 1: [1, 1, 1, 1, 1, 1]})
+    series.apply_factor([(1, 1, 1)])
+    assert series.rows == {0: [1, 2, 3], 1: [1, 2, 3, 4, 1, 1]}
+    # a short target takes only its own prefix of a long source
+    series = BivarSeries(5, 0, 1, {0: [1, 1, 1, 1, 1, 1], 1: [5, 5]})
+    series.apply_factor([(1, 1, 2)])
+    assert series.rows == {0: [1] * 6, 1: [5, 7]}
+
+
+def test_truncate_cuts_drops_and_shrinks_the_window():
+    series = BivarSeries(4, -3, 3, {z: [1] * 5 for z in range(-3, 4)})
+    series.truncate(lambda z: 5 - 2 * abs(z - 1))
+    assert (series.zmin, series.zmax) == (-1, 3)
+    assert series.rows == {-1: [1], 0: [1] * 3, 1: [1] * 5, 2: [1] * 3, 3: [1]}
+    # every row dead: the rows go and the window stays
+    series.truncate(lambda z: 0)
+    assert series.rows == {} and (series.zmin, series.zmax) == (-1, 3)
 
 
 @st.composite
