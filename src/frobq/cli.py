@@ -6,6 +6,9 @@ outgrow 64 bits quickly), CSV on request for the tabular commands.
 
 Exit codes: 0 success/verified, 1 mathematical disagreement (with location),
 2 usage error or violated input guard.
+
+Each subcommand, and each named check, imports the modules it calls when it
+runs, so a call loads only what it computes with.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import congruence, frobenius, theorems
+from . import VARIANTS
 from .exactring import ZZ, ModRing, NotUnitError
 from .qseries import (
     ProductSpecError,
@@ -28,9 +31,10 @@ from .qseries import (
     product_from_spec,
 )
 
+# `scan --builtin` names, each with its spec's name in `theorems`
 BUILTIN_SPECS = {
-    "phi2m1": theorems.PHI2M1_SPEC_TEXT,
-    "cphi2m1": theorems.CPHI2M1_SPEC_TEXT,
+    "phi2m1": "PHI2M1_SPEC_TEXT",
+    "cphi2m1": "CPHI2M1_SPEC_TEXT",
 }
 
 
@@ -69,6 +73,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import frobenius
+
     out = {
         "command": "enumerate",
         "variant": args.variant,
@@ -88,6 +94,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_theorem(args) -> int:
+    from . import theorems
+
     out = {"command": "theorem", "which": args.which, "k": args.k,
            "alpha": args.alpha, "N": args.N}
     if args.which == 1:
@@ -139,7 +147,14 @@ def _theta_vs_product(name, theta, product, order):
     return _series_comparison(name, theta(2, -1, order), rhs)
 
 
+def _theorems():
+    from . import theorems
+
+    return theorems
+
+
 def _mod5_numerator_comparison(order):
+    theorems = _theorems()
     product = theorems.mod5_numerator_product(order)
     theta = theorems.mod5_numerator_theta(order)
     signed = theorems.mod5_numerator_signed(order)
@@ -150,10 +165,12 @@ def _mod5_numerator_comparison(order):
 
 
 def _congruence_report(label, series, step, offset, modulus):
+    from .congruence import verify_congruence
+
     if offset > series.order:
         raise ValueError(f"insufficient witnesses: {label}({step}n+{offset}) has no index "
                          f"up to order {series.order}")
-    claim = congruence.verify_congruence(series, step, offset, modulus)
+    claim = verify_congruence(series, step, offset, modulus)
     ok = claim.status == "verified"
     out = {
         "identity": label,
@@ -167,23 +184,26 @@ def _congruence_report(label, series, step, offset, modulus):
 
 # Every named check, once: its `verify --target` name, its `identities`
 # name (None where it has none) and the check, order -> (ok, detail).
-# `identities` runs the named ones in this order.  Each check looks its
-# series functions up when it runs, so a patched module attribute is seen.
+# `identities` runs the named ones in this order.  Each check imports
+# `theorems` and looks its series functions up when it runs, so a patched
+# module attribute is seen.
 CHECKS = (
     ("thm3", None, lambda order: _congruence_report(
-        "phi_{2,-1}", theorems.phi2m1_product(order), 5, 4, 5)),
+        "phi_{2,-1}", _theorems().phi2m1_product(order), 5, 4, 5)),
     ("thm4", None, lambda order: _congruence_report(
-        "cphi_{2,-1}", theorems.cphi2m1_product(order), 5, 4, 5)),
+        "cphi_{2,-1}", _theorems().cphi2m1_product(order), 5, 4, 5)),
     (None, "euler_cube", lambda order: _series_comparison(
         "euler_cube", euler_cube(order), euler_product(order) ** 3)),
     ("jtp", "jacobi_triple", _jacobi_comparison),
     ("thm3numerator", "mod5_numerator", _mod5_numerator_comparison),
     ("psi2", "psi2", lambda order: _series_comparison(
-        "psi2_product", theorems.psi2_product(order), theorems.phi2m1_product(order))),
+        "psi2_product", _theorems().psi2_product(order), _theorems().phi2m1_product(order))),
     ("cor1", "phi2m1_theta_vs_product", lambda order: _theta_vs_product(
-        "phi2m1(theta,product)", theorems.phi_theta_series, theorems.phi2m1_product, order)),
+        "phi2m1(theta,product)", _theorems().phi_theta_series, _theorems().phi2m1_product,
+        order)),
     ("cor2", "cphi2m1_theta_vs_product", lambda order: _theta_vs_product(
-        "cphi2m1(theta,product)", theorems.cphi_theta_series, theorems.cphi2m1_product, order)),
+        "cphi2m1(theta,product)", _theorems().cphi_theta_series, _theorems().cphi2m1_product,
+        order)),
 )
 VERIFY_TARGETS = {target: check for target, _, check in CHECKS if target}
 
@@ -196,12 +216,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .congruence import scan_congruences
+
     if args.builtin:
-        spec = parse_product_spec(BUILTIN_SPECS[args.builtin])
+        spec = parse_product_spec(getattr(_theorems(), BUILTIN_SPECS[args.builtin]))
     else:
         spec = parse_product_spec(args.spec)
     series = product_from_spec(spec, args.N)
-    claims = congruence.scan_congruences(
+    claims = scan_congruences(
         series, args.maxA, args.maxM,
         min_witnesses=args.min_witnesses,
         primes_only=not args.all_moduli)
@@ -252,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("enumerate", help="count or list arrays by exhaustive search")
-    p.add_argument("--variant", choices=frobenius.VARIANTS, required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="weight")

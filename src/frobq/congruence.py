@@ -12,24 +12,28 @@ finite residue computations that turn such observations into proofs for the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from ._value import FrozenValue
 from .exactring import ModRing
 from .qseries import TruncSeries
 
 
-@dataclass(frozen=True)
-class CongruenceClaim:
+class CongruenceClaim(FrozenValue):
     """One claim: coefficient(step*n + offset) = 0 (mod modulus) for all checked n."""
 
-    step: int
-    offset: int
-    modulus: int
-    verified_up_to: int
-    status: str  # "verified" or "violated"
-    first_violation: int | None = None
-    witnesses: int = 0
-    subsumed: bool = False
+    __slots__ = ("step", "offset", "modulus", "verified_up_to", "status", "first_violation",
+                 "witnesses", "subsumed")
+
+    def __init__(self, step: int, offset: int, modulus: int, verified_up_to: int,
+                 status: str, first_violation: int | None = None, witnesses: int = 0,
+                 subsumed: bool = False):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "verified_up_to", verified_up_to)
+        object.__setattr__(self, "status", status)  # "verified" or "violated"
+        object.__setattr__(self, "first_violation", first_violation)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "subsumed", subsumed)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -116,7 +120,7 @@ def scan_congruences(series: TruncSeries, max_step: int, max_modulus: int,
                     claims.append(claim)
     reported = {(c.modulus, c.step, c.offset) for c in claims}
     claims = [
-        replace(c, subsumed=any(
+        c.replace(subsumed=any(
             (c.modulus, a, c.offset % a) in reported
             for a in range(1, c.step)
             if c.step % a == 0

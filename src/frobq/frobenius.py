@@ -24,25 +24,27 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
+from . import VARIANTS
+from ._value import FrozenValue
 from .exactring import ZZ
 from .qseries import BivarSeries, TruncSeries
-
-VARIANTS = ("repetition", "colored")
 
 # Exhaustive enumeration is the oracle, not a production path; keep it honest.
 MAX_ENUM_WEIGHT = 30
 
 
-@dataclass(frozen=True, slots=True)
-class FrobeniusArray:
+class FrobeniusArray(FrozenValue):
     """One two-row array; entries are ints (repetition) or (value, color) pairs."""
 
-    top: tuple
-    bottom: tuple
+    # two slots and no __dict__: 48 bytes an array on CPython 3.11
+    __slots__ = ("top", "bottom")
+
+    def __init__(self, top: tuple, bottom: tuple):
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
 
     @property
     def weight(self) -> int:

@@ -24,10 +24,10 @@ Everything is pure and exact; there are no floats anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
 from operator import add, mul, neg, sub
 
+from ._value import FrozenValue
 from .exactring import ZZ
 
 
@@ -240,10 +240,7 @@ def _apply_binomial(coeffs: list, sign: int, e: int, ring, divide: bool = False)
     """
     n = len(coeffs)
     if e == 0:
-        scale = ring.from_int(1 + sign)
-        if divide:
-            scale = ring.invert(scale)
-        coeffs[:] = map(ring.from_int, map(mul, coeffs, repeat(scale)))
+        _scale(coeffs, _constant_factor(sign, 1, ring, divide), ring)
     elif e >= n:
         return
     elif not divide:
@@ -258,6 +255,26 @@ def _apply_binomial(coeffs: list, sign: int, e: int, ring, divide: bool = False)
     else:
         for r in range(e):
             coeffs[r::e] = accumulate(coeffs[r::e])
+
+
+def _constant_factor(sign: int, times: int, ring, divide: bool) -> int:
+    """(1 + sign)^times in the ring, or its inverse when `divide`; raises
+    NotUnitError when 1 + sign has no inverse.  Squares and reduces bit by
+    bit, so a ModRing power stays small however large `times` is."""
+    base = ring.from_int(1 + sign)
+    if divide:
+        base = ring.invert(base)
+    result = ring.from_int(1)
+    for bit in bin(times)[2:]:
+        result = ring.from_int(result * result)
+        if bit == "1":
+            result = ring.from_int(result * base)
+    return result
+
+
+def _scale(coeffs: list, scale: int, ring) -> None:
+    # reduced at once, so a repeated constant factor does not grow the ints
+    coeffs[:] = map(ring.from_int, map(mul, coeffs, repeat(scale)))
 
 
 def euler_product(order: int) -> TruncSeries:
@@ -283,14 +300,16 @@ def euler_cube(order: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductFactor:
+class ProductFactor(FrozenValue):
     """One factor family prod_{n>=1} (1 + sign*q^(period*n - residue))^exponent."""
 
-    sign: int
-    period: int
-    residue: int
-    exponent: int
+    __slots__ = ("sign", "period", "residue", "exponent")
+
+    def __init__(self, sign: int, period: int, residue: int, exponent: int):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "exponent", exponent)
 
     def validate(self, position: int | None = None) -> None:
         if self.sign not in (1, -1):
@@ -309,11 +328,13 @@ class ProductFactor:
         return f"{s},{self.period},{self.residue},{self.exponent}"
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(FrozenValue):
     """A parsed list of infinite-product factor families."""
 
-    factors: tuple[ProductFactor, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[ProductFactor, ...]):
+        object.__setattr__(self, "factors", factors)
 
     def render(self) -> str:
         return "; ".join(f.render() for f in self.factors)
@@ -385,11 +406,13 @@ def product_work(spec: ProductSpec, order: int) -> int:
 def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     """Expand the spec's product truncated at `order`.
 
-    Every binomial (1 + sign*q^e) with e <= order is applied in place to one
-    coefficient list, |exponent| times: multiplied in for a positive exponent,
-    divided out for a negative one.  Dividing by a constant factor (1 + q^0)
-    raises NotUnitError when 2 is not a unit of the ring.  Guarded: raises
-    ValueError before expanding when `product_work` exceeds MAX_PRODUCT_WORK.
+    Every binomial (1 + sign*q^e) with 1 <= e <= order is applied in place
+    to one coefficient list, |exponent| times: multiplied in for a positive
+    exponent, divided out for a negative one.  A constant factor (1 + q^0)
+    scales the list once, by 2^|exponent| or its inverse in the ring, and
+    dividing by it raises NotUnitError when 2 is not a unit of the ring.
+    Guarded: raises ValueError before expanding when `product_work`, which
+    counts the constant factor's |exponent| passes, exceeds MAX_PRODUCT_WORK.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
@@ -401,9 +424,14 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
                          f"MAX_PRODUCT_WORK={MAX_PRODUCT_WORK}")
     coeffs = [1] + [0] * order
     for f in spec.factors:
-        for e in range(f.period - f.residue, order + 1, f.period):
-            for _ in range(abs(f.exponent)):
-                _apply_binomial(coeffs, f.sign, e, ring, divide=f.exponent < 0)
+        times, divide = abs(f.exponent), f.exponent < 0
+        first = f.period - f.residue
+        if first == 0:
+            _scale(coeffs, _constant_factor(f.sign, times, ring, divide), ring)
+            first = f.period
+        for e in range(first, order + 1, f.period):
+            for _ in range(times):
+                _apply_binomial(coeffs, f.sign, e, ring, divide=divide)
     return TruncSeries(ring, coeffs, order)
 
 

@@ -1,0 +1,221 @@
+"""The package surface: what each entry point imports, the lazy namespace,
+and the small value classes."""
+
+import ast
+import copy
+import dataclasses
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import frobq
+from frobq import qseries
+from frobq.congruence import CongruenceClaim, scan_congruences
+from frobq.exactring import ZZ
+from frobq.frobenius import FrobeniusArray
+from frobq.qseries import ProductFactor, ProductSpec, TruncSeries, parse_product_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(code, *argv):
+    """Run `code` in a fresh interpreter that imports frobq from this checkout."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+# ---------------------------------------------------------------------------
+# modules loaded by each README subcommand
+# ---------------------------------------------------------------------------
+
+# runs `python -m frobq.cli ARGV...`, then reports the loaded modules on stderr
+_CLI_MODULES = """
+import runpy, sys
+sys.argv[0] = "frobq"
+code = None
+try:
+    runpy.run_module("frobq.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(repr((code, sorted(sys.modules))))
+"""
+
+_FROBQ = {"frobenius", "theorems", "congruence"}
+
+README_CALLS = [
+    (("expand", "--spec", "-,2,1,-2; -,12,8,-1; -,12,6,-1; -,12,4,-1; -,12,0,-1", "--N", "4"),
+     _FROBQ),
+    (("enumerate", "--variant", "colored", "--k", "2", "--alpha", "-1", "--n", "2", "--list"),
+     {"theorems", "congruence"}),
+    (("theorem", "--which", "1", "--k", "2", "--alpha", "-1", "--N", "50"),
+     {"frobenius", "congruence"}),
+    (("verify", "--target", "thm3", "--N", "104"), {"frobenius"}),
+    (("scan", "--builtin", "phi2m1", "--N", "204", "--maxA", "8", "--maxM", "7"), {"frobenius"}),
+    (("identities", "--N", "100"), {"frobenius"}),
+]
+
+
+@pytest.mark.parametrize("argv, absent", README_CALLS, ids=[a[0] for a, _ in README_CALLS])
+def test_subcommand_loads_only_its_modules(argv, absent):
+    proc = _fresh(_CLI_MODULES, *argv)
+    code, modules = ast.literal_eval(proc.stderr)
+    assert code == 0 and proc.stdout
+    assert "dataclasses" not in modules and "inspect" not in modules
+    assert not {f"frobq.{name}" for name in absent} & set(modules)
+
+
+def test_bare_import_loads_no_submodule():
+    proc = _fresh("import sys, frobq; print(sorted(m for m in sys.modules if 'frobq' in m))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['frobq']"]
+
+
+# ---------------------------------------------------------------------------
+# the lazy namespace
+# ---------------------------------------------------------------------------
+
+_NAMESPACE = """
+import json, sys
+import frobq
+theorems, qs = frobq.theorems, frobq.qseries  # no explicit import
+assert theorems is sys.modules["frobq.theorems"] and qs is sys.modules["frobq.qseries"]
+homes = {}
+for name in frobq.__all__:
+    obj = getattr(frobq, name)
+    home = sys.modules[obj.__module__]
+    assert obj is getattr(home, name), name
+    homes[name] = obj.__module__
+star = {}
+exec("from frobq import *", star)
+assert set(star) - {"__builtins__"} == set(frobq.__all__)
+print(json.dumps(homes))
+"""
+
+PARENT_ALL = [
+    "ZZ", "CycInt", "ModRing", "NotUnitError", "cyclotomic_poly", "zeta_pow",
+    "BivarSeries", "ProductFactor", "ProductSpec", "ProductSpecError", "RingMismatchError",
+    "TruncSeries", "decimal_coefficients", "euler_cube", "euler_product",
+    "extract_progression", "first_divergence", "jacobi_triple", "parse_product_spec",
+    "product_from_spec",
+    "FrobeniusArray", "bivar_coefficient_series", "count_cphi", "count_phi", "enumerate_arrays",
+    "NonIntegralCoefficientError", "cphi2m1_product", "cphi_theta_series",
+    "phi2m1_product", "phi_theta_series", "quad_exponent",
+    "CongruenceClaim", "progression_exponent_check", "residue_argument_check",
+    "scan_congruences", "verify_congruence",
+]
+
+
+def test_every_exported_name_is_its_module_attribute_in_a_fresh_interpreter():
+    proc = _fresh(_NAMESPACE)
+    assert proc.returncode == 0, proc.stderr
+    homes = json.loads(proc.stdout)
+    assert list(homes) == PARENT_ALL
+    assert set(homes.values()) == {f"frobq.{m}" for m in
+                                   ("exactring", "qseries", "frobenius", "theorems", "congruence")}
+
+
+def test_dir_covers_all_and_the_submodules():
+    names = dir(frobq)
+    assert set(frobq.__all__) <= set(names)
+    assert {"cli", "congruence", "exactring", "frobenius", "qseries", "theorems"} <= set(names)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        frobq.frobnicate
+    assert not hasattr(frobq, "_apply_binomial")
+
+
+def test_a_patched_module_attribute_is_seen_through_the_package(monkeypatch):
+    def patched(spec, order, ring=ZZ):
+        return TruncSeries.zero(ring, order)
+
+    monkeypatch.setattr(qseries, "product_from_spec", patched)
+    assert frobq.product_from_spec is patched
+    monkeypatch.undo()
+    assert frobq.product_from_spec is qseries.product_from_spec is not patched
+    assert "product_from_spec" not in vars(frobq)
+
+
+# ---------------------------------------------------------------------------
+# value classes: the contract the dataclasses they replaced had
+# ---------------------------------------------------------------------------
+
+def _values():
+    spec = parse_product_spec("-,2,1,-2; +,12,8,3")
+    return [
+        spec,
+        spec.factors[0],
+        FrobeniusArray(((2, 1), (0, 2)), ((1, 1),)),
+        FrobeniusArray((3, 1), ()),
+        scan_congruences(TruncSeries.zero(ZZ, 40), 2, 2, min_witnesses=10)[1],
+        CongruenceClaim(2, 1, 3, 1, "violated", first_violation=1, witnesses=1),
+    ]
+
+
+def test_reprs_match_the_dataclass_reprs():
+    assert [repr(v) for v in _values()] == [
+        "ProductSpec(factors=(ProductFactor(sign=-1, period=2, residue=1, exponent=-2), "
+        "ProductFactor(sign=1, period=12, residue=8, exponent=3)))",
+        "ProductFactor(sign=-1, period=2, residue=1, exponent=-2)",
+        "FrobeniusArray(top=((2, 1), (0, 2)), bottom=((1, 1),))",
+        "FrobeniusArray(top=(3, 1), bottom=())",
+        "CongruenceClaim(step=2, offset=0, modulus=2, verified_up_to=40, status='verified', "
+        "first_violation=None, witnesses=21, subsumed=True)",
+        "CongruenceClaim(step=2, offset=1, modulus=3, verified_up_to=1, status='violated', "
+        "first_violation=1, witnesses=1, subsumed=False)",
+    ]
+
+
+def test_equality_and_hash_by_value_within_one_type():
+    for value, twin in zip(_values(), _values()):
+        assert value == twin and value is not twin and hash(value) == hash(twin)
+    assert FrobeniusArray((), ()) != ((), ())
+    assert ProductFactor(1, 2, 1, 1) != (1, 2, 1, 1)
+    assert ProductSpec(()) != FrobeniusArray((), ())
+    assert CongruenceClaim(5, 4, 5, 9, "verified") != CongruenceClaim(5, 4, 5, 9, "verified",
+                                                                       subsumed=True)
+    assert len({FrobeniusArray((1,), ()), FrobeniusArray((1,), ()), FrobeniusArray((), (1,))}) == 2
+
+
+@pytest.mark.parametrize("cls, slots", [
+    (ProductFactor, ("sign", "period", "residue", "exponent")),
+    (ProductSpec, ("factors",)),
+    (FrobeniusArray, ("top", "bottom")),
+    (CongruenceClaim, ("step", "offset", "modulus", "verified_up_to", "status",
+                       "first_violation", "witnesses", "subsumed")),
+])
+def test_slotted_and_frozen(cls, slots):
+    assert cls.__slots__ == slots
+    value = next(v for v in _values() if type(v) is cls)
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{slots[0]}'"):
+        setattr(value, slots[0], None)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{slots[0]}'"):
+        delattr(value, slots[0])
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+
+
+def test_array_is_as_small_as_the_slotted_dataclass():
+    # the dataclass FrobeniusArray replaced, on the running Python
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class Reference:
+        top: tuple
+        bottom: tuple
+
+    assert sys.getsizeof(FrobeniusArray((), ())) == sys.getsizeof(Reference((), ()))
+
+
+def test_replace_changes_only_the_named_fields():
+    claim = CongruenceClaim(5, 4, 5, 99, "verified", witnesses=20)
+    flagged = claim.replace(subsumed=True)
+    assert flagged == CongruenceClaim(5, 4, 5, 99, "verified", witnesses=20, subsumed=True)
+    assert not claim.subsumed

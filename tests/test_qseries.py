@@ -1,6 +1,7 @@
 """Series engine: arithmetic, builders, the product DSL, and bivariate slicing."""
 
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -346,6 +347,52 @@ def test_product_guard_refuses_before_expanding():
     # (q;q) is the DSL product -,1,0,1, with the same work
     with pytest.raises(ValueError, match="product guard: 125001766 coefficient updates"):
         euler_product(15811)
+
+
+def _repeated_passes(spec, order, ring):
+    # the literal expansion: every binomial |exponent| times, (1 + q^0) included
+    coeffs = [1] + [0] * order
+    for f in spec.factors:
+        for e in range(f.period - f.residue, order + 1, f.period):
+            for _ in range(abs(f.exponent)):
+                _apply_binomial(coeffs, f.sign, e, ring, divide=f.exponent < 0)
+    return TruncSeries(ring, coeffs, order)
+
+
+_CONSTANT_RINGS = [ZZ, ModRing(2), ModRing(4), ModRing(5), ModRing(7), ModRing(9)]
+
+
+@pytest.mark.parametrize("ring", _CONSTANT_RINGS, ids=repr)
+def test_constant_factor_scales_once_like_repeated_passes(ring):
+    # the constant factor sits between other factors, so it scales a list
+    # that is already dense
+    for exponent in [e for e in range(-40, 41) if e]:
+        spec = parse_product_spec(f"-,1,0,-1; +,3,3,{exponent}; +,2,1,1")
+        got = _or_not_unit(lambda: product_from_spec(spec, 12, ring))
+        assert got == _or_not_unit(lambda: _repeated_passes(spec, 12, ring)), exponent
+
+
+@pytest.mark.parametrize("ring", [ZZ, ModRing(2), ModRing(4)], ids=repr)
+def test_constant_factor_division_keeps_the_not_unit_message(ring):
+    spec = parse_product_spec("-,1,0,-1; +,3,3,-5")
+    with pytest.raises(NotUnitError) as repeated:
+        _repeated_passes(spec, 6, ring)
+    with pytest.raises(NotUnitError) as once:
+        product_from_spec(spec, 6, ring)
+    assert str(once.value) == str(repeated.value)
+
+
+@pytest.mark.parametrize("text, order, ring, want", [
+    ("+,1,1,400000", 0, ZZ, (2 ** 400000,)),
+    # 1/2 = 4 mod 7, and 4^3 = 1 mod 7; e = 4 lies past the order
+    ("+,4,4,-400000", 3, ModRing(7), (4, 0, 0, 0)),
+])
+def test_large_constant_exponent_is_one_step(text, order, ring, want):
+    # 400,000 passes took seconds; one scale by 2^|E| takes milliseconds
+    start = time.perf_counter()
+    series = product_from_spec(parse_product_spec(text), order, ring)
+    assert time.perf_counter() - start < 0.5
+    assert series.coeffs == want
 
 
 # ---------------------------------------------------------------------------
