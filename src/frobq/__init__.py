@@ -15,11 +15,11 @@ import importlib
 VARIANTS = ("repetition", "colored")
 
 _EXPORTS = {
-    "exactring": ("ZZ", "CycInt", "ModRing", "NotUnitError", "cyclotomic_poly", "zeta_pow"),
+    "exactring": ("CycInt", "cyclotomic_poly", "zeta_pow"),
     "qseries": (
-        "BivarSeries", "ProductFactor", "ProductSpec", "ProductSpecError", "RingMismatchError",
-        "TruncSeries", "decimal_coefficients", "euler_cube", "euler_product",
-        "extract_progression", "first_divergence", "jacobi_triple", "parse_product_spec",
+        "BivarSeries", "ModRing", "NotUnitError", "ProductFactor", "ProductSpec",
+        "ProductSpecError", "RingMismatchError", "TruncSeries", "ZZ", "decimal_coefficients",
+        "euler_cube", "euler_product", "first_divergence", "jacobi_triple", "parse_product_spec",
         "product_from_spec",
     ),
     "frobenius": ("FrobeniusArray", "bivar_coefficient_series", "count_cphi", "count_phi",

@@ -13,8 +13,7 @@ finite residue computations that turn such observations into proofs for the
 from __future__ import annotations
 
 from ._value import FrozenValue
-from .exactring import ModRing
-from .qseries import TruncSeries
+from .qseries import ModRing, TruncSeries
 
 
 class CongruenceClaim(FrozenValue):
@@ -53,7 +52,8 @@ def verify_congruence(series: TruncSeries, step: int, offset: int, modulus: int)
     """Check coefficient(step*n + offset) = 0 (mod modulus) on every available index.
 
     A series over ModRing(m) only knows its coefficients mod m, so the check
-    refuses a modulus that does not divide m.
+    refuses a modulus that does not divide m.  A claim with no index up to
+    the truncation has no witness, and is refused rather than passed.
     """
     if step < 1 or not 0 <= offset < step:
         raise ValueError("need step >= 1 and 0 <= offset < step")
@@ -62,16 +62,15 @@ def verify_congruence(series: TruncSeries, step: int, offset: int, modulus: int)
     if isinstance(series.ring, ModRing) and series.ring.modulus % modulus:
         raise ValueError(f"a {series.ring!r} series cannot decide residues mod {modulus}")
     indices = range(offset, series.order + 1, step)
-    last = -1  # stays -1 when the truncation offers no indices at all
-    count = 0
-    for idx in indices:
-        last = idx
-        count += 1
+    if not indices:
+        raise ValueError(f"insufficient witnesses: A={step}, B={offset} has no index "
+                         f"up to order {series.order}")
+    for count, idx in enumerate(indices, 1):
         if series.coeffs[idx] % modulus != 0:
-            return CongruenceClaim(step, offset, modulus, verified_up_to=last,
+            return CongruenceClaim(step, offset, modulus, verified_up_to=idx,
                                    status="violated", first_violation=idx, witnesses=count)
-    return CongruenceClaim(step, offset, modulus, verified_up_to=last,
-                           status="verified", witnesses=count)
+    return CongruenceClaim(step, offset, modulus, verified_up_to=indices[-1],
+                           status="verified", witnesses=len(indices))
 
 
 def _primes_up_to(n: int) -> list[int]:

@@ -1,31 +1,18 @@
-"""Exact coefficient arithmetic for the series engine.
+"""Cyclotomic integers Z[zeta], the repetition theta route's lattice weights.
 
-Two rings carry series: plain arbitrary-precision integers (ZZ; Python ints
-are already exact), which every route runs on, and the integers modulo m
-(ModRing), which only the product DSL and the congruence verifier accept.
-
-The theta route also needs Z[zeta] for zeta a primitive n-th root of unity,
-but only to reduce integer counts of lattice points by zeta exponent: a
+zeta is a primitive n-th root of unity, and the theta route needs Z[zeta]
+only to reduce integer counts of lattice points by zeta exponent: a
 cyclotomic integer is stored in the power basis 1, z, ..., z^(d-1) of
 Z[x]/Phi_n(x), where Phi_n is the n-th cyclotomic polynomial and d = phi(n)
 its degree.  The representation is unique, so "is this a plain integer" is a
 zero test on the non-constant coordinates.  CycInt is the value of such an
-element, as reported by the theta route's integrality detector.
-
-The ring descriptors at the bottom (ZZ, ModRing) give the series layer one
-uniform surface: from_int, which is the ring's reduction of an int (and
-refuses anything that is not an integer), and invert.  Series arithmetic
-runs on plain ints and reduces once, in the TruncSeries constructor.
+element, as reported by the theta route's integrality detector.  The
+coefficient rings of the series layer (ZZ, ModRing) live in `qseries`.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
-
-
-class NotUnitError(ValueError):
-    """Inversion was requested for an element with no inverse in its ring."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,63 +183,3 @@ def zeta_pow(order: int, e: int) -> CycInt:
     if order < 1:
         raise ValueError("order must be >= 1")
     return CycInt(order, _power_basis_rows(order)[e % order])
-
-
-# ---------------------------------------------------------------------------
-# Ring descriptors
-# ---------------------------------------------------------------------------
-
-
-class IntegerRing:
-    """Plain Python ints: exact, arbitrary precision, nothing to configure."""
-
-    from_int = staticmethod(operator.index)
-
-    def invert(self, a: int) -> int:
-        if a == 1 or a == -1:
-            return a
-        raise NotUnitError(f"{a} is not a unit in ZZ")
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash(IntegerRing)
-
-    def __repr__(self):
-        return "ZZ"
-
-
-ZZ = IntegerRing()
-
-
-class ModRing:
-    """Integers modulo m >= 2; residues are bare ints kept in [0, m).  Immutable."""
-
-    __slots__ = ("modulus",)
-
-    def __init__(self, modulus: int):
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModRing is immutable")
-
-    def from_int(self, n: int) -> int:
-        return operator.index(n) % self.modulus
-
-    def invert(self, a: int) -> int:
-        try:
-            return pow(a, -1, self.modulus)
-        except ValueError:
-            raise NotUnitError(f"{a} is not a unit mod {self.modulus}") from None
-
-    def __eq__(self, other):
-        return isinstance(other, ModRing) and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash((ModRing, self.modulus))
-
-    def __repr__(self):
-        return f"ModRing({self.modulus})"

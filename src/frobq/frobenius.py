@@ -29,8 +29,7 @@ from operator import itemgetter
 
 from . import VARIANTS
 from ._value import FrozenValue
-from .exactring import ZZ
-from .qseries import BivarSeries, TruncSeries
+from .qseries import ZZ, BivarSeries, TruncSeries
 
 # Exhaustive enumeration is the oracle, not a production path; keep it honest.
 MAX_ENUM_WEIGHT = 30

@@ -1,11 +1,17 @@
 """Truncated formal power series in q over an exact coefficient ring.
 
-A TruncSeries holds coefficients for q^0 .. q^N inclusive and nothing beyond,
-over ZZ or, for the product DSL, over ModRing; binary operations truncate at
-min(N_a, N_b) so precision loss is always explicit.  Arithmetic runs on plain
-ints and the constructor reduces every coefficient through the ring, so two
-series over one ring are equal exactly when they denote the same series.  On
-top of the core ring operations this module provides:
+Two rings carry series: plain arbitrary-precision integers (ZZ; Python ints
+are already exact), which every route runs on, and the integers modulo m
+(ModRing), which only the product DSL and the congruence verifier accept.
+A ring is two operations: from_int, its reduction of an int (which refuses
+anything that is not an integer), and invert.
+
+A TruncSeries holds coefficients for q^0 .. q^N inclusive and nothing beyond;
+binary operations truncate at min(N_a, N_b) so precision loss is always
+explicit.  Arithmetic runs on plain ints and the constructor reduces every
+coefficient through the ring's from_int, so two series over one ring are
+equal exactly when they denote the same series.  On top of the core ring
+operations this module provides:
 
   * the Euler product (q;q) = prod (1 - q^n) and its cube as a theta-style sum,
   * a tiny product DSL: each factor (sign, period, residue, exponent) denotes
@@ -25,10 +31,68 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, compress, count, repeat
-from operator import add, mul, neg, sub
+from operator import add, index, mul, neg, sub
 
 from ._value import FrozenValue
-from .exactring import ZZ
+
+
+class NotUnitError(ValueError):
+    """Inversion was requested for an element with no inverse in its ring."""
+
+
+class IntegerRing:
+    """Plain Python ints: exact, arbitrary precision, nothing to configure."""
+
+    from_int = staticmethod(index)
+
+    def invert(self, a: int) -> int:
+        if a == 1 or a == -1:
+            return a
+        raise NotUnitError(f"{a} is not a unit in ZZ")
+
+    def __eq__(self, other):
+        return isinstance(other, IntegerRing)
+
+    def __hash__(self):
+        return hash(IntegerRing)
+
+    def __repr__(self):
+        return "ZZ"
+
+
+ZZ = IntegerRing()
+
+
+class ModRing:
+    """Integers modulo m >= 2; residues are bare ints kept in [0, m).  Immutable."""
+
+    __slots__ = ("modulus",)
+
+    def __init__(self, modulus: int):
+        if modulus < 2:
+            raise ValueError("modulus must be >= 2")
+        object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModRing is immutable")
+
+    def from_int(self, n: int) -> int:
+        return index(n) % self.modulus
+
+    def invert(self, a: int) -> int:
+        try:
+            return pow(a, -1, self.modulus)
+        except ValueError:
+            raise NotUnitError(f"{a} is not a unit mod {self.modulus}") from None
+
+    def __eq__(self, other):
+        return isinstance(other, ModRing) and other.modulus == self.modulus
+
+    def __hash__(self):
+        return hash((ModRing, self.modulus))
+
+    def __repr__(self):
+        return f"ModRing({self.modulus})"
 
 
 class RingMismatchError(ValueError):
@@ -93,11 +157,6 @@ class TruncSeries:
     def _check_ring(self, other: "TruncSeries"):
         if self.ring != other.ring:
             raise RingMismatchError(f"cannot combine {self.ring!r} and {other.ring!r} series")
-
-    def coefficient(self, n: int):
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside truncation 0..{self.order}")
-        return self.coeffs[n]
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
@@ -203,16 +262,6 @@ def first_divergence(a: TruncSeries, b: TruncSeries) -> int | None:
 def decimal_coefficients(series: TruncSeries) -> list[str]:
     """Coefficients rendered as decimal strings (exact; no floats)."""
     return [str(c) for c in series.coeffs]
-
-
-def extract_progression(series: TruncSeries, step: int, offset: int) -> TruncSeries:
-    """The series whose n-th coefficient is coefficient step*n + offset of the input."""
-    if step < 1 or not 0 <= offset < step:
-        raise ValueError("need step >= 1 and 0 <= offset < step")
-    picked = list(series.coeffs[offset::step])
-    if not picked:
-        raise ValueError(f"offset {offset} exceeds truncation order {series.order}")
-    return TruncSeries(series.ring, picked)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .exactring import ZZ, CycInt, _power_basis_rows
-from .qseries import TruncSeries, parse_product_spec, product_from_spec
+from .qseries import ZZ, TruncSeries, parse_product_spec, product_from_spec
 
 
 # Refuse lattices too large to walk in seconds.  The estimate is the box
@@ -176,6 +175,8 @@ def phi_theta_series(k: int, alpha: int, order: int, *,
     root-of-unity exponent and exists so tests can prove the detector
     actually fires; leave it at 0.
     """
+    from .exactring import CycInt, _power_basis_rows
+
     _check_args(k, order)
     table = _lattice_table(k, alpha, order, zeta_exponent_shift)
     width = k + 1

@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from frobq import cli, qseries, theorems
-from frobq.exactring import ZZ
-from frobq.qseries import TruncSeries, first_divergence
+from frobq.qseries import ZZ, TruncSeries, first_divergence
 
 
 def run_cli(capsys, *argv):

@@ -10,9 +10,8 @@ from frobq.congruence import (
     scan_congruences,
     verify_congruence,
 )
-from frobq.exactring import ZZ, ModRing
 from frobq.frobenius import bivar_coefficient_series
-from frobq.qseries import TruncSeries
+from frobq.qseries import ZZ, ModRing, TruncSeries
 from frobq.theorems import cphi2m1_product, phi2m1_product, phi_theta_series
 
 
@@ -43,6 +42,14 @@ def test_verify_validates_inputs():
         verify_congruence(s, 5, 5, 5)
     with pytest.raises(ValueError):
         verify_congruence(s, 5, 4, 1)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_verify_refuses_a_claim_without_witnesses(order):
+    # 5n+4 <= N has no index below N = 4: a "verified" claim would check nothing
+    with pytest.raises(ValueError, match="insufficient witnesses: A=5, B=4 has no index"):
+        verify_congruence(phi2m1_product(order), 5, 4, 5)
+    assert verify_congruence(phi2m1_product(4), 5, 4, 5).witnesses == 1
 
 
 def test_verify_honours_the_series_ring():

@@ -1,17 +1,11 @@
-"""Ring layer: cyclotomic integers, residues, and the descriptor surface."""
+"""Ring layer: cyclotomic integers, and the descriptor surface of the series rings."""
 
 import random
 
 import pytest
 
-from frobq.exactring import (
-    ZZ,
-    CycInt,
-    ModRing,
-    NotUnitError,
-    cyclotomic_poly,
-    zeta_pow,
-)
+from frobq.exactring import CycInt, cyclotomic_poly, zeta_pow
+from frobq.qseries import ZZ, ModRing, NotUnitError
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +139,15 @@ def test_order_two_behaves_like_integers():
 
 
 # ---------------------------------------------------------------------------
-# ring descriptors
+# ring descriptors (they live in qseries; exactring holds only Z[zeta])
 # ---------------------------------------------------------------------------
+
+def test_rings_are_not_in_exactring():
+    import frobq.exactring as exactring
+
+    for name in ("ZZ", "IntegerRing", "ModRing", "NotUnitError"):
+        assert not hasattr(exactring, name)
+
 
 def test_mod_ring_invert():
     ring = ModRing(10)

@@ -16,9 +16,8 @@ import pytest
 import frobq
 from frobq import qseries
 from frobq.congruence import CongruenceClaim, scan_congruences
-from frobq.exactring import ZZ
 from frobq.frobenius import FrobeniusArray
-from frobq.qseries import ProductFactor, ProductSpec, TruncSeries, parse_product_spec
+from frobq.qseries import ZZ, ProductFactor, ProductSpec, TruncSeries, parse_product_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,28 +46,38 @@ except SystemExit as exc:
 sys.stderr.write(repr((code, sorted(sys.modules))))
 """
 
-_FROBQ = {"frobenius", "theorems", "congruence"}
+_FROBQ = {"exactring", "frobenius", "theorems", "congruence"}
 
+# (argv, frobq modules it must not load, frobq modules it must load); only
+# the repetition theta route, `theorem --which 1` and the checks built on it,
+# loads `exactring`
 README_CALLS = [
-    (("expand", "--spec", "-,2,1,-2; -,12,8,-1; -,12,6,-1; -,12,4,-1; -,12,0,-1", "--N", "4"),
-     _FROBQ),
-    (("enumerate", "--variant", "colored", "--k", "2", "--alpha", "-1", "--n", "2", "--list"),
-     {"theorems", "congruence"}),
-    (("theorem", "--which", "1", "--k", "2", "--alpha", "-1", "--N", "50"),
-     {"frobenius", "congruence"}),
-    (("verify", "--target", "thm3", "--N", "104"), {"frobenius"}),
-    (("scan", "--builtin", "phi2m1", "--N", "204", "--maxA", "8", "--maxM", "7"), {"frobenius"}),
-    (("identities", "--N", "100"), {"frobenius"}),
+    pytest.param(
+        ("expand", "--spec", "-,2,1,-2; -,12,8,-1; -,12,6,-1; -,12,4,-1; -,12,0,-1", "--N", "4"),
+        _FROBQ, set(), id="expand"),
+    pytest.param(
+        ("enumerate", "--variant", "colored", "--k", "2", "--alpha", "-1", "--n", "2", "--list"),
+        {"exactring", "theorems", "congruence"}, set(), id="enumerate"),
+    pytest.param(("theorem", "--which", "1", "--k", "2", "--alpha", "-1", "--N", "50"),
+                 {"frobenius", "congruence"}, {"exactring"}, id="theorem"),
+    pytest.param(("theorem", "--which", "2", "--k", "2", "--alpha", "-1", "--N", "50"),
+                 {"exactring", "frobenius", "congruence"}, set(), id="theorem-colored"),
+    pytest.param(("verify", "--target", "thm3", "--N", "104"), {"exactring", "frobenius"}, set(),
+                 id="verify"),
+    pytest.param(("scan", "--builtin", "phi2m1", "--N", "204", "--maxA", "8", "--maxM", "7"),
+                 {"exactring", "frobenius"}, set(), id="scan"),
+    pytest.param(("identities", "--N", "100"), {"frobenius"}, set(), id="identities"),
 ]
 
 
-@pytest.mark.parametrize("argv, absent", README_CALLS, ids=[a[0] for a, _ in README_CALLS])
-def test_subcommand_loads_only_its_modules(argv, absent):
+@pytest.mark.parametrize("argv, absent, present", README_CALLS)
+def test_subcommand_loads_only_its_modules(argv, absent, present):
     proc = _fresh(_CLI_MODULES, *argv)
     code, modules = ast.literal_eval(proc.stderr)
     assert code == 0 and proc.stdout
     assert "dataclasses" not in modules and "inspect" not in modules
     assert not {f"frobq.{name}" for name in absent} & set(modules)
+    assert {f"frobq.{name}" for name in present} <= set(modules)
 
 
 def test_bare_import_loads_no_submodule():
@@ -99,10 +108,10 @@ print(json.dumps(homes))
 """
 
 PARENT_ALL = [
-    "ZZ", "CycInt", "ModRing", "NotUnitError", "cyclotomic_poly", "zeta_pow",
-    "BivarSeries", "ProductFactor", "ProductSpec", "ProductSpecError", "RingMismatchError",
-    "TruncSeries", "decimal_coefficients", "euler_cube", "euler_product",
-    "extract_progression", "first_divergence", "jacobi_triple", "parse_product_spec",
+    "CycInt", "cyclotomic_poly", "zeta_pow",
+    "BivarSeries", "ModRing", "NotUnitError", "ProductFactor", "ProductSpec",
+    "ProductSpecError", "RingMismatchError", "TruncSeries", "ZZ", "decimal_coefficients",
+    "euler_cube", "euler_product", "first_divergence", "jacobi_triple", "parse_product_spec",
     "product_from_spec",
     "FrobeniusArray", "bivar_coefficient_series", "count_cphi", "count_phi", "enumerate_arrays",
     "NonIntegralCoefficientError", "cphi2m1_product", "cphi_theta_series",

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frobq.exactring import ZZ, ModRing, NotUnitError
 from frobq.qseries import (
     MAX_JACOBI_WORK,
     MAX_PRODUCT_WORK,
+    ZZ,
     BivarSeries,
+    ModRing,
+    NotUnitError,
     ProductFactor,
     ProductSpec,
     ProductSpecError,
@@ -21,7 +23,6 @@ from frobq.qseries import (
     decimal_coefficients,
     euler_cube,
     euler_product,
-    extract_progression,
     first_divergence,
     jacobi_triple,
     jacobi_work,
@@ -396,22 +397,8 @@ def test_large_constant_exponent_is_one_step(text, order, ring, want):
 
 
 # ---------------------------------------------------------------------------
-# progressions and serialization
+# serialization
 # ---------------------------------------------------------------------------
-
-def test_extract_progression_examples():
-    s = TruncSeries(ZZ, [1, 2, 3, 4])
-    assert extract_progression(s, 2, 1).coeffs == (2, 4)
-    assert extract_progression(s, 1, 0) == s
-
-
-def test_extract_progression_validates():
-    s = TruncSeries(ZZ, [1, 2, 3])
-    with pytest.raises(ValueError):
-        extract_progression(s, 0, 0)
-    with pytest.raises(ValueError):
-        extract_progression(s, 2, 2)
-
 
 def test_decimal_coefficients_are_exact_strings():
     s = TruncSeries(ZZ, [10 ** 30, -1])
