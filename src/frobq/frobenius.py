@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import comb
+from math import comb, prod
 from operator import itemgetter
 
 from . import VARIANTS
@@ -93,14 +93,12 @@ def _bounded_rows(total: int, length: int, max_part: int, k: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _colored_rows(total: int, length: int, max_part: int, k: int) -> tuple:
     """Canonical colored rows: distinct (value, color) pairs, colors 1..k,
-    sorted by value descending then color descending."""
+    sorted by value descending then color descending.  Only enumeration
+    builds them; `count_cphi` weights the repetition rows instead."""
     rows = []
     for base in _bounded_rows(total, length, max_part, k):
         groups = [(v, len(list(g))) for v, g in itertools.groupby(base)]
-        choices = [
-            [combo for combo in itertools.combinations(range(k, 0, -1), mult)]
-            for _, mult in groups
-        ]
+        choices = [itertools.combinations(range(k, 0, -1), mult) for _, mult in groups]
         for pick in itertools.product(*choices):
             row = []
             for (v, _), colors in zip(groups, pick):
@@ -109,9 +107,14 @@ def _colored_rows(total: int, length: int, max_part: int, k: int) -> tuple:
     return tuple(rows)
 
 
-def _row_fn(variant: str, k: int, n: int):
-    """The exhaustive row generator for `variant`, after the argument checks
-    shared by `enumerate_arrays` and the counts."""
+def _colored_count(rows, k: int) -> int:
+    """The number of colored rows over these repetition rows: a value that
+    occurs j times in a row picks its colors among k, in C(k, j) ways."""
+    return sum(prod(comb(k, len(list(g))) for _, g in itertools.groupby(row)) for row in rows)
+
+
+def _check_enum_args(variant: str, k: int, n: int) -> None:
+    # the argument checks shared by `enumerate_arrays` and the counts
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if k < 1:
@@ -120,7 +123,6 @@ def _row_fn(variant: str, k: int, n: int):
         raise ValueError("weight must be >= 0")
     if n > MAX_ENUM_WEIGHT:
         raise ValueError(f"enumeration guard: weight {n} exceeds MAX_ENUM_WEIGHT={MAX_ENUM_WEIGHT}")
-    return _bounded_rows if variant == "repetition" else _colored_rows
 
 
 def _row_pairs(rows_fn, k: int, alpha: int, n: int):
@@ -155,18 +157,14 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[Frobenius
     with exactly the bottoms of its own split, concatenating gives the
     canonical order.  Guarded: refuses weights above MAX_ENUM_WEIGHT.
     """
-    rows_fn = _row_fn(variant, k, n)
+    _check_enum_args(variant, k, n)
+    rows_fn = _bounded_rows if variant == "repetition" else _colored_rows
     by_top = []
     for tops, bottoms in _row_pairs(rows_fn, k, alpha, n):
         bottoms = sorted(bottoms)
         by_top.extend((top, bottoms) for top in tops)
     by_top.sort(key=itemgetter(0))
     return [FrobeniusArray(top, bottom) for top, bottoms in by_top for bottom in bottoms]
-
-
-def _count(variant: str, k: int, alpha: int, n: int) -> int:
-    rows_fn = _row_fn(variant, k, n)
-    return sum(len(tops) * len(bottoms) for tops, bottoms in _row_pairs(rows_fn, k, alpha, n))
 
 
 def count_phi(k: int, alpha: int, n: int) -> int:
@@ -176,17 +174,22 @@ def count_phi(k: int, alpha: int, n: int) -> int:
     from the same exhaustive row lists, but multiplies the top and bottom
     row counts of each split instead of building the arrays.
     """
-    return _count("repetition", k, alpha, n)
+    _check_enum_args("repetition", k, n)
+    pairs = _row_pairs(_bounded_rows, k, alpha, n)
+    return sum(len(tops) * len(bottoms) for tops, bottoms in pairs)
 
 
 def count_cphi(k: int, alpha: int, n: int) -> int:
     """Number of weight-n, row-difference-alpha arrays, colored variant.
 
-    Equal to len(enumerate_arrays("colored", k, alpha, n)) and computed
-    from the same exhaustive row lists, but multiplies the top and bottom
-    row counts of each split instead of building the arrays.
+    Equal to len(enumerate_arrays("colored", k, alpha, n)), but builds no
+    colored row: it multiplies the top and bottom counts of each split, and
+    counts each list of repetition rows by the colored rows over it
+    (`_colored_count`).
     """
-    return _count("colored", k, alpha, n)
+    _check_enum_args("colored", k, n)
+    pairs = _row_pairs(_bounded_rows, k, alpha, n)
+    return sum(_colored_count(tops, k) * _colored_count(bottoms, k) for tops, bottoms in pairs)
 
 
 def _reach_cost(z: int, alpha: int, lam: int) -> int:

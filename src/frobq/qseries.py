@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, compress, count, repeat
+from math import isqrt
 from operator import add, index, mul, neg, sub
 
 from ._value import FrozenValue
@@ -269,28 +270,23 @@ def decimal_coefficients(series: TruncSeries) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _apply_binomial(coeffs: list, sign: int, e: int, ring, divide: bool = False) -> None:
+def _apply_binomial(coeffs: list, sign: int, e: int, divide: bool = False) -> None:
     """coeffs *= (1 + sign*q^e) in place, or coeffs /= it when `divide`.
 
-    `sign` is +1 or -1.  Sweep-order invariant: multiplying reads only old
-    coefficients, so it is one slice update whose right-hand side is copied
-    before the assignment.  Dividing reads only quotient coefficients,
-    c[i] -= sign*c[i-e] upward: with short residue classes mod e (e*e >=
-    len) that is one slice update per block of e coefficients from the
-    finished block before it.  With few long classes, dividing by (1 - q^e)
+    `sign` is +1 or -1 and e >= 1.  Sweep-order invariant: multiplying
+    reads only old coefficients, so it is one slice update whose right-hand
+    side is copied before the assignment.  Dividing reads only quotient
+    coefficients, c[i] -= sign*c[i-e] upward: with short residue classes mod
+    e (e*e >= len) that is one slice update per block of e coefficients from
+    the finished block before it.  With few long classes, dividing by (1 - q^e)
     is a running sum along each class, one `accumulate`, and dividing by
     (1 + q^e) multiplies by (1 - q^e) and then divides by (1 - q^2e), whose
     running sums need no sign changes.  These steps only add and subtract,
     so they are the same on ints for every ring, and the TruncSeries built
-    from the list reduces it.  e = 0 scales by 1 + sign or, dividing, by its
-    inverse in the ring, which raises NotUnitError when it has none; the
-    scaled list is reduced at once, so a repeated constant factor does not
-    grow the ints.
+    from the list reduces it.
     """
     n = len(coeffs)
-    if e == 0:
-        _scale(coeffs, _constant_factor(sign, 1, ring, divide), ring)
-    elif e >= n:
+    if e >= n:
         return
     elif not divide:
         coeffs[e:] = map(add if sign > 0 else sub, coeffs[e:], coeffs[:n - e])
@@ -299,18 +295,18 @@ def _apply_binomial(coeffs: list, sign: int, e: int, ring, divide: bool = False)
         for i in range(e, n, e):
             coeffs[i:i + e] = map(step, coeffs[i:i + e], coeffs[i - e:i])
     elif sign > 0:
-        _apply_binomial(coeffs, -1, e, ring)
-        _apply_binomial(coeffs, -1, 2 * e, ring, divide=True)
+        _apply_binomial(coeffs, -1, e)
+        _apply_binomial(coeffs, -1, 2 * e, divide=True)
     else:
         for r in range(e):
             coeffs[r::e] = accumulate(coeffs[r::e])
 
 
-def _constant_factor(sign: int, times: int, ring, divide: bool) -> int:
-    """(1 + sign)^times in the ring, or its inverse when `divide`; raises
-    NotUnitError when 1 + sign has no inverse.  Squares and reduces bit by
+def _constant_factor(times: int, ring, divide: bool) -> int:
+    """(1 + q^0)^times = 2^times in the ring, or its inverse when `divide`;
+    raises NotUnitError when 2 has no inverse.  Squares and reduces bit by
     bit, so a ModRing power stays small however large `times` is."""
-    base = ring.from_int(1 + sign)
+    base = ring.from_int(2)
     if divide:
         base = ring.invert(base)
     result = ring.from_int(1)
@@ -321,15 +317,15 @@ def _constant_factor(sign: int, times: int, ring, divide: bool) -> int:
     return result
 
 
-def _scale(coeffs: list, scale: int, ring) -> None:
-    # reduced at once, so a repeated constant factor does not grow the ints
-    coeffs[:] = map(ring.from_int, map(mul, coeffs, repeat(scale)))
-
-
 def euler_product(order: int) -> TruncSeries:
     """prod_{n=1..N} (1 - q^n) truncated at N, as the product-DSL spec -,1,0,1;
     guarded like every DSL expansion."""
     return product_from_spec(parse_product_spec("-,1,0,1"), order)
+
+
+def _triangular_root(order: int) -> int:
+    # the largest m >= 0 with m(m+1)/2 <= order, that is (2m+1)^2 <= 8*order+1
+    return (isqrt(8 * order + 1) - 1) // 2
 
 
 def euler_cube(order: int) -> TruncSeries:
@@ -337,10 +333,8 @@ def euler_cube(order: int) -> TruncSeries:
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     coeffs = [0] * (order + 1)
-    j = 0
-    while j * (j + 1) // 2 <= order:
+    for j in range(_triangular_root(order) + 1):
         coeffs[j * (j + 1) // 2] = -(2 * j + 1) if j % 2 else 2 * j + 1
-        j += 1
     return TruncSeries(ZZ, coeffs, order)
 
 
@@ -442,7 +436,10 @@ def product_work(spec: ProductSpec, order: int) -> int:
     """Coefficient updates `product_from_spec` performs: each binomial
     (1 + sign*q^e) with e <= order updates the order + 1 - e coefficients
     from q^e up, |exponent| times, so the work is the sum over factors of
-    |exponent| * sum_e (order + 1 - e), here in closed form."""
+    |exponent| * sum_e (order + 1 - e), here in closed form.  A constant
+    factor (1 + q^0) counts |exponent| * (order + 1) updates although it is
+    applied as one scale: over ZZ, 2^|exponent| grows every coefficient by
+    |exponent| bits."""
     total = 0
     for f in spec.factors:
         first = f.period - f.residue
@@ -457,9 +454,10 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
 
     Every binomial (1 + sign*q^e) with 1 <= e <= order is applied in place
     to one coefficient list, |exponent| times: multiplied in for a positive
-    exponent, divided out for a negative one.  A constant factor (1 + q^0)
-    scales the list once, by 2^|exponent| or its inverse in the ring, and
-    dividing by it raises NotUnitError when 2 is not a unit of the ring.
+    exponent, divided out for a negative one.  The constant factors
+    (1 + q^0) = 2 make one ring scalar, 2^|exponent| or its inverse each,
+    which scales the list once at the end; it is computed first, so dividing
+    by a non-unit 2 raises NotUnitError before anything is expanded.
     Guarded: raises ValueError before expanding when `product_work`, which
     counts the constant factor's |exponent| passes, exceeds MAX_PRODUCT_WORK.
     """
@@ -471,17 +469,19 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     if work > MAX_PRODUCT_WORK:
         raise ValueError(f"product guard: {work} coefficient updates exceed "
                          f"MAX_PRODUCT_WORK={MAX_PRODUCT_WORK}")
+    scale = 1
+    for f in spec.factors:
+        if f.residue == f.period:
+            scale = ring.from_int(scale * _constant_factor(abs(f.exponent), ring, f.exponent < 0))
     coeffs = [1] + [0] * order
     for f in spec.factors:
         times, divide = abs(f.exponent), f.exponent < 0
-        first = f.period - f.residue
-        if first == 0:
-            _scale(coeffs, _constant_factor(f.sign, times, ring, divide), ring)
-            first = f.period
+        first = f.period - f.residue or f.period  # q^0 is in `scale`
         for e in range(first, order + 1, f.period):
             for _ in range(times):
-                _apply_binomial(coeffs, f.sign, e, ring, divide=divide)
-    return TruncSeries(ring, coeffs, order)
+                _apply_binomial(coeffs, f.sign, e, divide=divide)
+    # the passes are linear, so the constant factors can scale the list last
+    return TruncSeries(ring, map(mul, coeffs, repeat(scale)), order)
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +680,10 @@ def jacobi_work(order: int) -> int:
     most L(L+1)/2 coefficients, and q^n and z q^n for n = 1..order over at
     most L(L-1)/2 each: L(3L-1)/2 in all.  Rows m >= 0 and -m-1 start alike,
     so each m >= 0 counts twice."""
-    total, m = 0, 0
-    while m * (m + 1) // 2 <= order:
+    total = 0
+    for m in range(_triangular_root(order) + 1):
         rest = order + 1 - m * (m + 1) // 2
         total += rest * (3 * rest - 1)
-        m += 1
     return total
 
 
@@ -700,21 +699,17 @@ def jacobi_triple(order: int):
     """Both sides of the triple product identity, for equality testing.
 
     Product side: prod_{n>=1} (1 - q^n)(1 + z q^n)(1 + z^{-1} q^{n-1});
-    sum side: sum_m z^m q^(m(m+1)/2).  The z window [-down, up] is exact:
-    z^m costs at least q^(m(m+1)/2) on both sides, so up and down are the
-    largest |m| that fit in q-degree `order` and no term is ever clipped.
+    sum side: sum_m z^m q^(m(m+1)/2).  The z window [-(up+1), up] is exact:
+    z^m costs at least q^(m(m+1)/2) on both sides, which is the same for m
+    and -m-1, so with up the largest m >= 0 whose cost fits in q-degree
+    `order` no term is ever clipped.
     Guarded: `jacobi_guard` refuses before anything is expanded.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     jacobi_guard(order)
-    up = 0
-    while (up + 1) * (up + 2) // 2 <= order:
-        up += 1
-    down = 0
-    while (down + 1) * down // 2 <= order:
-        down += 1
-    zmin, zmax = -down, up
+    up = _triangular_root(order)
+    zmin, zmax = -(up + 1), up
     product = BivarSeries.one(order, zmin, zmax)
     for n in range(1, order + 2):
         product.apply_factor([(-1, n - 1, 1)])

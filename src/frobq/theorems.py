@@ -69,16 +69,17 @@ def _interval(free: int, budget: int, c: int) -> tuple[int, int]:
     # The integers m with free*(budget - m*m) >= (c + m)^2, as (lo, hi); empty
     # when lo > hi.  With `free` coordinates left, this one included, the rest
     # add at least (c + m)^2 / free to the squares, so this is the exact
-    # Fincke-Pohst interval.  Its test is concave in m with the peak at
-    # -c/(free+1), so walk outward from there.
-    top = -c // (free + 1)
-    hi = top
-    while free * (budget - (hi + 1) ** 2) >= (c + hi + 1) ** 2:
-        hi += 1
-    lo = top + 1
-    while free * (budget - (lo - 1) ** 2) >= (c + lo - 1) ** 2:
-        lo -= 1
-    return lo, hi
+    # Fincke-Pohst interval.  The test is (free+1)m^2 + 2cm + c^2 - free*budget
+    # <= 0, with roots (-c -+ sqrt(d))/(free+1) for d = free*((free+1)*budget
+    # - c^2), so lo = -floor((c + sqrt(d))/(free+1)) and hi = floor((sqrt(d)
+    # - c)/(free+1)).  Write sqrt(d) = s + x with s = isqrt(d), 0 <= x < 1:
+    # for an integer p, floor((p + x)/(free+1)) = p // (free+1), so both
+    # floors are exact.
+    d = free * ((free + 1) * budget - c * c)
+    if d < 0:
+        return 1, 0
+    s = isqrt(d)
+    return -((c + s) // (free + 1)), (s - c) // (free + 1)
 
 
 def _lattice_table(k: int, alpha: int, order: int, shift: int = 0) -> list[int]:

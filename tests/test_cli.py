@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -95,12 +96,25 @@ def test_theorem_one_reports_integrality(capsys):
     assert payload["coefficients"] == ["1", "2", "3", "6", "10", "16", "26"]
 
 
-def _run_cli_process(*argv, timeout=1):
+def _run_cli_process(*argv, timeout=1, preexec_fn=None):
     src = str(Path(theorems.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    return subprocess.run([sys.executable, "-m", "frobq.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, "-m", "frobq.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout, preexec_fn=preexec_fn)
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_enumerate_colored_count_at_k6_fits_in_one_gib():
+    # building the colored rows ran out of memory here; the count weights
+    # the repetition rows instead
+    proc = _run_cli_process("enumerate", "--variant", "colored", "--k", "6", "--alpha", "0",
+                            "--n", "20", timeout=10, preexec_fn=_one_gib_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert json_lines(proc.stdout)[0]["count"] == "9436609944"
 
 
 def test_theorem_lattice_guard_exits_two_quickly():
@@ -301,8 +315,8 @@ def test_psi2_is_the_check_that_divides_by_one_plus_q(capsys, monkeypatch):
     phi2m1, cphi2m1 = theorems.phi2m1_product(60), theorems.cphi2m1_product(60)
     real = qseries._apply_binomial
 
-    def minus_for_plus(coeffs, sign, e, ring, divide=False):
-        real(coeffs, -1 if divide else sign, e, ring, divide)
+    def minus_for_plus(coeffs, sign, e, divide=False):
+        real(coeffs, -1 if divide else sign, e, divide)
 
     monkeypatch.setattr(qseries, "_apply_binomial", minus_for_plus)
     assert theorems.phi2m1_product(60) == phi2m1

@@ -171,9 +171,30 @@ def test_count_skipping_a_split_is_rejected(enumerated_lengths, monkeypatch):
     assert ("colored", 3, 1, 5) in mismatches
 
 
+def test_count_with_every_coloring_weight_one_is_rejected(enumerated_lengths, monkeypatch):
+    # a mutant that counts each repetition row once, not by its colorings
+    monkeypatch.setattr(frobenius, "_colored_count", lambda rows, k: len(rows))
+    mismatches = _count_mismatches(enumerated_lengths)
+    assert ("colored", 2, -1, 0) in mismatches
+    assert not [case for case in mismatches if case[0] == "repetition"]
+
+
 def test_colored_counts_match_theta_route_at_k6():
-    # far too many arrays to build at k=6; the counts only multiply row counts
-    assert [count_cphi(6, -2, n) for n in range(13)] == list(cphi_theta_series(6, -2, 12).coeffs)
+    # far too many arrays, and colored rows, to build at k=6; the counts
+    # weight the repetition rows
+    for alpha, top in ((-2, 12), (0, 20)):
+        counts = [count_cphi(6, alpha, n) for n in range(top + 1)]
+        assert counts == list(cphi_theta_series(6, alpha, top).coeffs), alpha
+
+
+def test_count_cphi_builds_no_colored_row(monkeypatch):
+    expected = len(enumerate_arrays("colored", 3, 1, 9))
+
+    def refuse(*args):
+        raise AssertionError("count_cphi built colored rows")
+
+    monkeypatch.setattr(frobenius, "_colored_rows", refuse)
+    assert count_cphi(3, 1, 9) == expected
 
 
 def test_count_phi_k1_is_partition_numbers():

@@ -228,3 +228,48 @@ def test_replace_changes_only_the_named_fields():
     flagged = claim.replace(subsumed=True)
     assert flagged == CongruenceClaim(5, 4, 5, 99, "verified", witnesses=20, subsumed=True)
     assert not claim.subsumed
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic: the README promises not a single float in the package
+# ---------------------------------------------------------------------------
+
+def _float_uses(source):
+    """(line, what) for each float literal, true division and call that makes
+    a float (`float`, `math.sqrt`, `math.log`, `math.exp`) in `source`."""
+    makers = {"sqrt", "log", "exp"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{a.name}") for a in node.names if a.name in makers]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "float":
+                found.append((node.lineno, "float"))
+            elif (isinstance(func, ast.Attribute) and func.attr in makers
+                  and isinstance(func.value, ast.Name) and func.value.id == "math"):
+                found.append((node.lineno, f"math.{func.attr}"))
+    return found
+
+
+def test_the_package_has_no_float():
+    found = {path.name: _float_uses(path.read_text()) for path in sorted(SRC.glob("frobq/*.py"))}
+    assert len(found) >= 8
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+@pytest.mark.parametrize("source, what", [
+    ("x = y / 2", "/"),
+    ("x = 1.5", "1.5"),
+    ("x /= 2", "/"),
+    ("x = float(y)", "float"),
+    ("import math\nx = math.sqrt(y)", "math.sqrt"),
+    ("from math import log\nx = log(y)", "math.log"),
+])
+def test_the_float_scan_flags_each_kind(source, what):
+    assert [w for _, w in _float_uses(source)] == [what]
+    assert _float_uses("from math import isqrt\nx = isqrt(y) // 2 + 3") == []

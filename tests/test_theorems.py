@@ -89,6 +89,18 @@ def test_lattice_walk_matches_box(k):
                 (k, alpha, order)
 
 
+def test_interval_is_the_brute_force_solution_set():
+    # the closed form against every m the quadratic can admit, |m| <= sqrt(budget);
+    # a negative budget and many (budget, c) pairs give empty intervals
+    for free in range(1, 9):
+        for budget in range(-5, 201):
+            r = isqrt(max(budget, 0))
+            for c in range(-40, 41):
+                lo, hi = theorems._interval(free, budget, c)
+                want = [m for m in range(-r, r + 1) if free * (budget - m * m) >= (c + m) ** 2]
+                assert list(range(lo, hi + 1)) == want, (free, budget, c)
+
+
 def test_lattice_walk_comparison_rejects_a_short_interval(monkeypatch):
     exact = theorems._interval
 
