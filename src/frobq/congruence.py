@@ -110,23 +110,19 @@ def scan_congruences(series: TruncSeries, max_step: int, max_modulus: int,
                 raise ValueError(
                     f"insufficient witnesses: A={step}, B={offset} has {available} "
                     f"indices up to order {series.order}, need {min_witnesses}")
-    claims = []
+    proper_divisors = [[a for a in range(1, step) if step % a == 0] for step in range(max_step + 1)]
+    claims, reported = [], set()
+    # claims come in (M, A, B) order, so every coarser claim is known before a finer one
     for modulus in moduli:
         for step in range(1, max_step + 1):
             for offset in range(step):
                 claim = verify_congruence(series, step, offset, modulus)
-                if claim.status == "verified":
-                    claims.append(claim)
-    reported = {(c.modulus, c.step, c.offset) for c in claims}
-    claims = [
-        c.replace(subsumed=any(
-            (c.modulus, a, c.offset % a) in reported
-            for a in range(1, c.step)
-            if c.step % a == 0
-        ))
-        for c in claims
-    ]
-    claims.sort(key=lambda c: (c.modulus, c.step, c.offset))
+                if claim.status != "verified":
+                    continue
+                if any((modulus, a, offset % a) in reported for a in proper_divisors[step]):
+                    claim = claim.replace(subsumed=True)
+                reported.add((modulus, step, offset))
+                claims.append(claim)
     return claims
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import functools
 
+from ._value import FrozenValue
+
 
 # ---------------------------------------------------------------------------
 # Dense integer polynomials (constant term first), just enough for Phi_n.
@@ -83,11 +85,11 @@ def _power_basis_rows(order: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-class CycInt:
+class CycInt(FrozenValue):
     """An element of Z[zeta] for zeta a primitive `order`-th root of unity.
 
-    Immutable.  `coeffs` always has length exactly deg(Phi_order); inputs may
-    be shorter and are zero-padded.  Multiplication reduces modulo the
+    `coeffs` always has length exactly deg(Phi_order); inputs may be
+    shorter and are zero-padded.  Multiplication reduces modulo the
     cyclotomic polynomial, so e.g. in order 3 the square of the generator
     comes out as (-1, -1), i.e. -1 - zeta.
     """
@@ -103,9 +105,6 @@ class CycInt:
             raise ValueError(f"at most {deg} coordinates for order {order}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs + (0,) * (deg - len(coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycInt is immutable")
 
     @classmethod
     def _from_poly(cls, order: int, poly) -> "CycInt":
@@ -159,8 +158,8 @@ class CycInt:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
+    # defining __eq__ drops the inherited hash; it is the hash of (order, coeffs)
+    __hash__ = FrozenValue.__hash__
 
     def __repr__(self):
         return f"CycInt({self.order}, {list(self.coeffs)})"

@@ -41,8 +41,10 @@ class NotUnitError(ValueError):
     """Inversion was requested for an element with no inverse in its ring."""
 
 
-class IntegerRing:
+class IntegerRing(FrozenValue):
     """Plain Python ints: exact, arbitrary precision, nothing to configure."""
+
+    __slots__ = ()
 
     from_int = staticmethod(index)
 
@@ -51,12 +53,6 @@ class IntegerRing:
             return a
         raise NotUnitError(f"{a} is not a unit in ZZ")
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash(IntegerRing)
-
     def __repr__(self):
         return "ZZ"
 
@@ -64,8 +60,8 @@ class IntegerRing:
 ZZ = IntegerRing()
 
 
-class ModRing:
-    """Integers modulo m >= 2; residues are bare ints kept in [0, m).  Immutable."""
+class ModRing(FrozenValue):
+    """Integers modulo m >= 2; residues are bare ints kept in [0, m)."""
 
     __slots__ = ("modulus",)
 
@@ -73,9 +69,6 @@ class ModRing:
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModRing is immutable")
 
     def from_int(self, n: int) -> int:
         return index(n) % self.modulus
@@ -85,12 +78,6 @@ class ModRing:
             return pow(a, -1, self.modulus)
         except ValueError:
             raise NotUnitError(f"{a} is not a unit mod {self.modulus}") from None
-
-    def __eq__(self, other):
-        return isinstance(other, ModRing) and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash((ModRing, self.modulus))
 
     def __repr__(self):
         return f"ModRing({self.modulus})"
@@ -113,10 +100,10 @@ class ProductSpecError(ValueError):
         self.position = position
 
 
-class TruncSeries:
+class TruncSeries(FrozenValue):
     """Formal power series in q truncated at order N (coefficients 0..N)."""
 
-    __slots__ = ("ring", "order", "coeffs")
+    __slots__ = ("ring", "coeffs", "order")
 
     def __init__(self, ring, coeffs, order: int | None = None):
         coeffs = list(map(ring.from_int, coeffs))
@@ -129,11 +116,8 @@ class TruncSeries:
         del coeffs[order + 1:]
         coeffs += [0] * (order + 1 - len(coeffs))
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
+        object.__setattr__(self, "order", order)
 
     # -- constructors ------------------------------------------------------
 
@@ -233,13 +217,6 @@ class TruncSeries:
                     acc += aj * out[n - j]
             out.append(ring.from_int(-inv0 * acc))
         return TruncSeries(ring, out, self.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.ring == other.ring and self.order == other.order and self.coeffs == other.coeffs
-
-    __hash__ = None
 
     def __repr__(self):
         shown = ", ".join(repr(c) for c in self.coeffs[:8])
@@ -511,7 +488,7 @@ class BivarSeries:
 
     __slots__ = ("order", "zmin", "zmax", "rows")
 
-    def __init__(self, order: int, zmin: int, zmax: int, rows: dict | None = None):
+    def __init__(self, order: int, zmin: int, zmax: int):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         if zmin > zmax:
@@ -519,7 +496,7 @@ class BivarSeries:
         self.order = order
         self.zmin = zmin
         self.zmax = zmax
-        self.rows = {} if rows is None else rows
+        self.rows = {}
 
     @classmethod
     def one(cls, order: int, zmin: int, zmax: int) -> "BivarSeries":

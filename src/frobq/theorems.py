@@ -50,6 +50,10 @@ class NonIntegralCoefficientError(ArithmeticError):
         self.index = index
         self.value = value
 
+    def __reduce__(self):
+        # BaseException pickles self.args, the one-string message
+        return type(self), (self.index, self.value)
+
 
 def _choose2(t: int) -> int:
     # C(t, 2) = t(t-1)/2 for ANY integer t, negatives included

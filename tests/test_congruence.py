@@ -129,6 +129,12 @@ def test_scan_flags_subsumption():
     assert claims[(2, 0, 2)].subsumed
     assert claims[(2, 1, 2)].subsumed
     assert claims[(4, 3, 2)].subsumed
+    # a coarser claim subsumes only through a divisor of the step: 2 does not
+    # divide 3, so (3, 0) stands beside (2, 0)
+    holes = TruncSeries(ZZ, [int(n % 2 != 0 and n % 3 != 0) for n in range(121)])
+    claims = {(c.step, c.offset): c.subsumed for c in scan_congruences(holes, 6, 2, min_witnesses=10)}
+    assert claims == {(2, 0): False, (3, 0): False, (4, 0): True, (4, 2): True,
+                      (6, 0): True, (6, 2): True, (6, 3): True, (6, 4): True}
 
 
 def test_scan_sorted_by_modulus_step_offset():

@@ -5,19 +5,25 @@ import ast
 import copy
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import frobq
 from frobq import qseries
+from frobq._value import FrozenValue
 from frobq.congruence import CongruenceClaim, scan_congruences
+from frobq.exactring import CycInt
 from frobq.frobenius import FrobeniusArray
-from frobq.qseries import ZZ, ProductFactor, ProductSpec, TruncSeries, parse_product_spec
+from frobq.qseries import (ZZ, ModRing, ProductFactor, ProductSpec, TruncSeries,
+                           parse_product_spec)
+from frobq.theorems import NonIntegralCoefficientError, cphi_theta_series, phi_theta_series
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -166,6 +172,10 @@ def _values():
         FrobeniusArray((3, 1), ()),
         scan_congruences(TruncSeries.zero(ZZ, 40), 2, 2, min_witnesses=10)[1],
         CongruenceClaim(2, 1, 3, 1, "violated", first_violation=1, witnesses=1),
+        TruncSeries(ZZ, [1, -2, 3]),
+        TruncSeries(ModRing(5), [7, 12]),
+        ModRing(5),
+        CycInt(3, [0, 1]),
     ]
 
 
@@ -180,6 +190,11 @@ def test_reprs_match_the_dataclass_reprs():
         "first_violation=None, witnesses=21, subsumed=True)",
         "CongruenceClaim(step=2, offset=1, modulus=3, verified_up_to=1, status='violated', "
         "first_violation=1, witnesses=1, subsumed=False)",
+        # the rings and series keep their short reprs, which error messages print
+        "TruncSeries(ZZ, N=2, [1, -2, 3])",
+        "TruncSeries(ModRing(5), N=1, [2, 2])",
+        "ModRing(5)",
+        "CycInt(3, [0, 1])",
     ]
 
 
@@ -200,6 +215,9 @@ def test_equality_and_hash_by_value_within_one_type():
     (FrobeniusArray, ("top", "bottom")),
     (CongruenceClaim, ("step", "offset", "modulus", "verified_up_to", "status",
                        "first_violation", "witnesses", "subsumed")),
+    (TruncSeries, ("ring", "coeffs", "order")),
+    (ModRing, ("modulus",)),
+    (CycInt, ("order", "coeffs")),
 ])
 def test_slotted_and_frozen(cls, slots):
     assert cls.__slots__ == slots
@@ -210,7 +228,37 @@ def test_slotted_and_frozen(cls, slots):
     with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{slots[0]}'"):
         delattr(value, slots[0])
     assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.copy(value) == value
     assert copy.deepcopy(value) == value
+
+
+def test_integer_ring_pickles_and_copies_to_an_equal_ring():
+    assert isinstance(ZZ, FrozenValue) and ZZ.__slots__ == () and not hasattr(ZZ, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(ZZ)), copy.copy(ZZ), copy.deepcopy(ZZ)):
+        assert twin == ZZ and hash(twin) == hash(ZZ) and repr(twin) == "ZZ"
+    assert ZZ != ModRing(2)
+
+
+def test_a_mod_ring_series_unpickles_through_its_ring():
+    series = TruncSeries(ModRing(5), [7, 12])
+    for twin in (pickle.loads(pickle.dumps(series)), copy.copy(series), copy.deepcopy(series)):
+        assert twin == series and twin.ring == ModRing(5) and twin.coeffs == (2, 2)
+    # unpickling calls the constructors, so the ring checks its modulus again
+    # and the series reduces its coefficients through the ring again
+    assert ModRing(5).__reduce__() == (ModRing, (5,))
+    assert series.__reduce__() == (TruncSeries, (ModRing(5), (2, 2), 1))
+
+
+def test_a_process_pool_returns_series_and_reraises_the_detector_error():
+    # spawned workers import frobq afresh, so everything crosses by pickle
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        series = pool.submit(cphi_theta_series, 3, 0, 20)
+        error = pool.submit(phi_theta_series, 2, -1, 10, zeta_exponent_shift=1)
+        assert series.result(timeout=60) == cphi_theta_series(3, 0, 20)
+        with pytest.raises(NonIntegralCoefficientError) as info:
+            error.result(timeout=60)
+    assert (info.value.index, info.value.value) == (0, CycInt(3, [0, 1]))
+    assert str(info.value) == "coefficient of q^0 is not a rational integer: CycInt(3, [0, 1])"
 
 
 def test_array_is_as_small_as_the_slotted_dataclass():
@@ -228,6 +276,43 @@ def test_replace_changes_only_the_named_fields():
     flagged = claim.replace(subsumed=True)
     assert flagged == CongruenceClaim(5, 4, 5, 99, "verified", witnesses=20, subsumed=True)
     assert not claim.subsumed
+
+
+def _attribute_hooks(source):
+    """Names of the classes in `source`, FrozenValue aside, whose body
+    defines or assigns __setattr__ or __delattr__."""
+    hooks = {"__setattr__", "__delattr__"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name != "FrozenValue":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = {item.name}
+                else:
+                    names = {t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)}
+                if names & hooks:
+                    found.append(node.name)
+    return found
+
+
+def test_only_frozen_value_guards_attributes():
+    # every immutable value gets its immutability, and so its pickling and
+    # copying, from FrozenValue
+    found = {path.name: _attribute_hooks(path.read_text()) for path in sorted(SRC.glob("frobq/*.py"))}
+    assert len(found) >= 8
+    assert {name: classes for name, classes in found.items() if classes} == {}
+
+
+@pytest.mark.parametrize("source, classes", [
+    ("class A:\n    def __setattr__(self, name, value):\n        pass", ["A"]),
+    ("class A:\n    def __delattr__(self, name):\n        pass", ["A"]),
+    ("class A:\n    __setattr__ = object.__setattr__", ["A"]),
+    ("class A:\n    class B:\n        __delattr__ = None", ["B"]),
+    ("class FrozenValue:\n    def __setattr__(self, name, value):\n        pass", []),
+    ("class A:\n    def __eq__(self, other):\n        return True", []),
+])
+def test_the_attribute_hook_scan_flags_each_kind(source, classes):
+    assert _attribute_hooks(source) == classes
 
 
 # ---------------------------------------------------------------------------

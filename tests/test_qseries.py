@@ -440,6 +440,13 @@ def _rows(draw, order, zs, first=None):
     return rows
 
 
+def _with_rows(order, zmin, zmax, rows):
+    # a series holding `rows` as given, cut rows included
+    series = BivarSeries(order, zmin, zmax)
+    series.rows.update(rows)
+    return series
+
+
 @st.composite
 def _bivar_and_factor(draw):
     # a series, a factor, and a live length per row: the full order + 1,
@@ -457,7 +464,7 @@ def _bivar_and_factor(draw):
         terms.append((z, draw(st.integers(0 if z else 1, max(order, 1))), draw(st.integers(-3, 3))))
     cut = draw(st.booleans())
     live = {z: draw(st.integers(1, order + 1)) if cut else order + 1 for z in rows}
-    return BivarSeries(order, zmin, zmax, rows), terms, live
+    return _with_rows(order, zmin, zmax, rows), terms, live
 
 
 def _factor_reference(series, terms):
@@ -471,7 +478,7 @@ def _factor_reference(series, terms):
 
 def _copy(series):
     rows = {z: list(row) for z, row in series.rows.items()}
-    return BivarSeries(series.order, series.zmin, series.zmax, rows)
+    return _with_rows(series.order, series.zmin, series.zmax, rows)
 
 
 @settings(max_examples=300)
@@ -497,17 +504,17 @@ def test_apply_factor_matches_general_product(case):
 def test_short_source_keeps_the_target_length():
     # row 0 is cut to 3 coefficients and feeds row 1 through z q: the
     # update covers q^1..q^3 and leaves q^4, q^5 of row 1 as they were
-    series = BivarSeries(5, 0, 1, {0: [1, 2, 3], 1: [1, 1, 1, 1, 1, 1]})
+    series = _with_rows(5, 0, 1, {0: [1, 2, 3], 1: [1, 1, 1, 1, 1, 1]})
     series.apply_factor([(1, 1, 1)])
     assert series.rows == {0: [1, 2, 3], 1: [1, 2, 3, 4, 1, 1]}
     # a short target takes only its own prefix of a long source
-    series = BivarSeries(5, 0, 1, {0: [1, 1, 1, 1, 1, 1], 1: [5, 5]})
+    series = _with_rows(5, 0, 1, {0: [1, 1, 1, 1, 1, 1], 1: [5, 5]})
     series.apply_factor([(1, 1, 2)])
     assert series.rows == {0: [1] * 6, 1: [5, 7]}
 
 
 def test_truncate_cuts_drops_and_shrinks_the_window():
-    series = BivarSeries(4, -3, 3, {z: [1] * 5 for z in range(-3, 4)})
+    series = _with_rows(4, -3, 3, {z: [1] * 5 for z in range(-3, 4)})
     series.truncate(lambda z: 5 - 2 * abs(z - 1))
     assert (series.zmin, series.zmax) == (-1, 3)
     assert series.rows == {-1: [1], 0: [1] * 3, 1: [1] * 5, 2: [1] * 3, 3: [1]}
@@ -528,7 +535,7 @@ def _chained_rows(draw):
     first = draw(st.integers(0, order - 2 * dq))
     rows = _rows(draw, order, (0, dz), first)
     c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
-    return BivarSeries(order, -4, 4, rows), (dz, dq, c)
+    return _with_rows(order, -4, 4, rows), (dz, dq, c)
 
 
 @settings(max_examples=100)
