@@ -18,8 +18,8 @@ _EXPORTS = {
     "exactring": ("CycInt", "cyclotomic_poly", "zeta_pow"),
     "qseries": (
         "BivarSeries", "ModRing", "NotUnitError", "ProductFactor", "ProductSpec",
-        "ProductSpecError", "RingMismatchError", "TruncSeries", "ZZ", "decimal_coefficients",
-        "euler_cube", "euler_product", "first_divergence", "jacobi_triple", "parse_product_spec",
+        "ProductSpecError", "RingMismatchError", "TruncSeries", "ZZ", "euler_cube",
+        "euler_product", "first_divergence", "jacobi_triple", "parse_product_spec",
         "product_from_spec",
     ),
     "frobenius": ("FrobeniusArray", "bivar_coefficient_series", "count_cphi", "count_phi",

@@ -103,13 +103,13 @@ def scan_congruences(series: TruncSeries, max_step: int, max_modulus: int,
     if min_witnesses < 1:
         raise ValueError("min_witnesses must be >= 1")
     moduli = _primes_up_to(max_modulus) if primes_only else list(range(2, max_modulus + 1))
-    for step in range(1, max_step + 1):
-        for offset in range(step):
-            available = len(range(offset, series.order + 1, step))
-            if available < min_witnesses:
-                raise ValueError(
-                    f"insufficient witnesses: A={step}, B={offset} has {available} "
-                    f"indices up to order {series.order}, need {min_witnesses}")
+    # cell (A, B) has floor((N - B)/A) + 1 indices, least at B = A - 1, where
+    # it is floor((N + 1)/A), which does not grow with A: the last is sparsest
+    available = len(range(max_step - 1, series.order + 1, max_step))
+    if available < min_witnesses:
+        raise ValueError(
+            f"insufficient witnesses: A={max_step}, B={max_step - 1} has {available} "
+            f"indices up to order {series.order}, need {min_witnesses}")
     proper_divisors = [[a for a in range(1, step) if step % a == 0] for step in range(max_step + 1)]
     claims, reported = [], set()
     # claims come in (M, A, B) order, so every coarser claim is known before a finer one

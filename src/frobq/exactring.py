@@ -149,18 +149,6 @@ class CycInt(FrozenValue):
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except ValueError:
-            return False
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    # defining __eq__ drops the inherited hash; it is the hash of (order, coeffs)
-    __hash__ = FrozenValue.__hash__
-
     def __repr__(self):
         return f"CycInt({self.order}, {list(self.coeffs)})"
 

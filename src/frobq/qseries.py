@@ -6,12 +6,14 @@ are already exact), which every route runs on, and the integers modulo m
 A ring is two operations: from_int, its reduction of an int (which refuses
 anything that is not an integer), and invert.
 
-A TruncSeries holds coefficients for q^0 .. q^N inclusive and nothing beyond;
-binary operations truncate at min(N_a, N_b) so precision loss is always
-explicit.  Arithmetic runs on plain ints and the constructor reduces every
+A TruncSeries is the immutable value every route returns: coefficients for
+q^0 .. q^N inclusive and nothing beyond.  The constructor reduces every
 coefficient through the ring's from_int, so two series over one ring are
-equal exactly when they denote the same series.  On top of the core ring
-operations this module provides:
+equal exactly when they denote the same series.  Its only arithmetic is the
+dense product `*` (by a series, truncated at min(N_a, N_b) so precision
+loss is always explicit, or by an int) and `inverse`, which the tests use as
+the reference the faster kernels are checked against.  The routes build
+their own coefficient lists; this module provides:
 
   * the Euler product (q;q) = prod (1 - q^n) and its cube as a theta-style sum,
   * a tiny product DSL: each factor (sign, period, residue, exponent) denotes
@@ -32,7 +34,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate, compress, count, repeat
 from math import isqrt
-from operator import add, index, mul, neg, sub
+from operator import add, index, mul, sub
 
 from ._value import FrozenValue
 
@@ -119,60 +121,17 @@ class TruncSeries(FrozenValue):
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "order", order)
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def zero(cls, ring, order: int) -> "TruncSeries":
         return cls(ring, [], order)
-
-    @classmethod
-    def one(cls, ring, order: int) -> "TruncSeries":
-        return cls(ring, [1], order)
-
-    @classmethod
-    def monomial(cls, ring, order: int, exponent: int, coeff: int = 1) -> "TruncSeries":
-        """coeff * q^exponent, silently zero when exponent exceeds the order."""
-        coeffs = [0] * (order + 1)
-        if 0 <= exponent <= order:
-            coeffs[exponent] = coeff
-        return cls(ring, coeffs, order)
-
-    # -- helpers -----------------------------------------------------------
-
-    def _check_ring(self, other: "TruncSeries"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"cannot combine {self.ring!r} and {other.ring!r} series")
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.ring, self.coeffs[: order + 1], order)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check_ring(other)
-        n = min(self.order, other.order)
-        return TruncSeries(self.ring, map(add, self.coeffs, other.coeffs), n)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check_ring(other)
-        n = min(self.order, other.order)
-        return TruncSeries(self.ring, map(sub, self.coeffs, other.coeffs), n)
-
-    def __neg__(self):
-        return TruncSeries(self.ring, map(neg, self.coeffs), self.order)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return TruncSeries(self.ring, map(mul, self.coeffs, repeat(other)), self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        self._check_ring(other)
+        if self.ring != other.ring:
+            raise RingMismatchError(f"cannot combine {self.ring!r} and {other.ring!r} series")
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         out = [0] * (n + 1)
@@ -187,18 +146,6 @@ class TruncSeries(FrozenValue):
         return TruncSeries(self.ring, out, n)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return (self ** (-e)).inverse()
-        result = TruncSeries.one(self.ring, self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse up to the truncation order.
@@ -235,11 +182,6 @@ def first_divergence(a: TruncSeries, b: TruncSeries) -> int | None:
         if a.coeffs[i] != b.coeffs[i]:
             return i
     return None
-
-
-def decimal_coefficients(series: TruncSeries) -> list[str]:
-    """Coefficients rendered as decimal strings (exact; no floats)."""
-    return [str(c) for c in series.coeffs]
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ def test_criterion_5_theta_vs_oracle_grid():
 
 def test_criterion_6_proof_identity_battery():
     started = time.perf_counter()
-    cube_ok = euler_cube(100) == euler_product(100) ** 3
+    euler = euler_product(100)
+    cube_ok = euler_cube(100) == euler * euler * euler
     product_side, theta_side = jacobi_triple(100)
     jacobi_ok = product_side == theta_side
     numerator = mod5_numerator_product(100)

@@ -144,8 +144,13 @@ def test_scan_sorted_by_modulus_step_offset():
 
 
 def test_scan_insufficient_witnesses():
-    with pytest.raises(ValueError, match="insufficient witnesses"):
-        scan_congruences(phi2m1_product(30), 8, 5, min_witnesses=20)
+    series = phi2m1_product(30)
+    # the sparsest cell is A = max_step, B = max_step - 1: indices 7, 15, 23
+    with pytest.raises(ValueError, match="A=8, B=7 has 3 indices up to order 30, need 20"):
+        scan_congruences(series, 8, 5, min_witnesses=20)
+    with pytest.raises(ValueError, match="A=8, B=7 has 3 indices up to order 30, need 4"):
+        scan_congruences(series, 8, 5, min_witnesses=4)
+    assert scan_congruences(series, 8, 5, min_witnesses=3)
 
 
 def test_scan_composite_moduli_flag():

@@ -128,6 +128,19 @@ def test_as_int():
     assert CycInt(3, (0, 1)).as_int() is None
 
 
+def test_equal_values_hash_equal_across_ints_and_cycints():
+    # a CycInt equals only a CycInt of its order and coordinates, never a
+    # plain int, so a set or dict never holds an int and its equal CycInt apart
+    values = [5, -1, 0, CycInt(3, [5]), CycInt(3, [5, 0]), CycInt(3, [-1]), CycInt(4, [5]),
+              CycInt(3, [0, 1]), zeta_pow(3, 2), CycInt(3, [-1, -1])]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert CycInt(3, [5]) != 5
+    assert {CycInt(3, [5]): 1}[CycInt(3, [5, 0])] == 1
+
+
 def test_order_two_behaves_like_integers():
     # Phi_2 = x + 1, so the generator is -1 and every element is rational
     rng = random.Random(11)

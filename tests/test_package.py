@@ -113,11 +113,11 @@ assert set(star) - {"__builtins__"} == set(frobq.__all__)
 print(json.dumps(homes))
 """
 
-PARENT_ALL = [
+EXPORTED = [
     "CycInt", "cyclotomic_poly", "zeta_pow",
     "BivarSeries", "ModRing", "NotUnitError", "ProductFactor", "ProductSpec",
-    "ProductSpecError", "RingMismatchError", "TruncSeries", "ZZ", "decimal_coefficients",
-    "euler_cube", "euler_product", "first_divergence", "jacobi_triple", "parse_product_spec",
+    "ProductSpecError", "RingMismatchError", "TruncSeries", "ZZ", "euler_cube",
+    "euler_product", "first_divergence", "jacobi_triple", "parse_product_spec",
     "product_from_spec",
     "FrobeniusArray", "bivar_coefficient_series", "count_cphi", "count_phi", "enumerate_arrays",
     "NonIntegralCoefficientError", "cphi2m1_product", "cphi_theta_series",
@@ -131,7 +131,7 @@ def test_every_exported_name_is_its_module_attribute_in_a_fresh_interpreter():
     proc = _fresh(_NAMESPACE)
     assert proc.returncode == 0, proc.stderr
     homes = json.loads(proc.stdout)
-    assert list(homes) == PARENT_ALL
+    assert list(homes) == EXPORTED
     assert set(homes.values()) == {f"frobq.{m}" for m in
                                    ("exactring", "qseries", "frobenius", "theorems", "congruence")}
 
@@ -146,6 +146,7 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         frobq.frobnicate
     assert not hasattr(frobq, "_apply_binomial")
+    assert not hasattr(frobq, "decimal_coefficients")
 
 
 def test_a_patched_module_attribute_is_seen_through_the_package(monkeypatch):
@@ -278,13 +279,18 @@ def test_replace_changes_only_the_named_fields():
     assert not claim.subsumed
 
 
-def _attribute_hooks(source):
-    """Names of the classes in `source`, FrozenValue aside, whose body
-    defines or assigns __setattr__ or __delattr__."""
-    hooks = {"__setattr__", "__delattr__"}
+# (hook names, exempt classes): FrozenValue owns immutability and value
+# equality, and the mutable BivarSeries compares by value but never hashes
+ATTRIBUTE_HOOKS = ({"__setattr__", "__delattr__"}, {"FrozenValue"})
+EQUALITY_HOOKS = ({"__eq__", "__hash__"}, {"FrozenValue", "BivarSeries"})
+
+
+def _hook_classes(source, hooks, exempt):
+    """Names of the classes in `source`, those in `exempt` aside, whose body
+    defines or assigns one of `hooks`."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and node.name != "FrozenValue":
+        if isinstance(node, ast.ClassDef) and node.name not in exempt:
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     names = {item.name}
@@ -295,12 +301,23 @@ def _attribute_hooks(source):
     return found
 
 
+def _package_hook_classes(hooks, exempt):
+    found = {path.name: _hook_classes(path.read_text(), hooks, exempt)
+             for path in sorted(SRC.glob("frobq/*.py"))}
+    assert len(found) >= 8
+    return {name: classes for name, classes in found.items() if classes}
+
+
 def test_only_frozen_value_guards_attributes():
     # every immutable value gets its immutability, and so its pickling and
     # copying, from FrozenValue
-    found = {path.name: _attribute_hooks(path.read_text()) for path in sorted(SRC.glob("frobq/*.py"))}
-    assert len(found) >= 8
-    assert {name: classes for name, classes in found.items() if classes} == {}
+    assert _package_hook_classes(*ATTRIBUTE_HOOKS) == {}
+
+
+def test_only_frozen_value_defines_value_equality():
+    # a class with its own __eq__ must keep __hash__ in step by hand; CycInt
+    # once equalled a plain int while hashing as (order, coeffs)
+    assert _package_hook_classes(*EQUALITY_HOOKS) == {}
 
 
 @pytest.mark.parametrize("source, classes", [
@@ -312,7 +329,21 @@ def test_only_frozen_value_guards_attributes():
     ("class A:\n    def __eq__(self, other):\n        return True", []),
 ])
 def test_the_attribute_hook_scan_flags_each_kind(source, classes):
-    assert _attribute_hooks(source) == classes
+    assert _hook_classes(source, *ATTRIBUTE_HOOKS) == classes
+
+
+@pytest.mark.parametrize("source, classes", [
+    ("class A:\n    def __eq__(self, other):\n        return True", ["A"]),
+    ("class A:\n    def __hash__(self):\n        return 0", ["A"]),
+    ("class A:\n    __hash__ = FrozenValue.__hash__", ["A"]),
+    ("class A:\n    __eq__ = object.__eq__", ["A"]),
+    ("class A:\n    class B:\n        __hash__ = None", ["B"]),
+    ("class FrozenValue:\n    def __eq__(self, other):\n        return True", []),
+    ("class BivarSeries:\n    __hash__ = None", []),
+    ("class A:\n    def __setattr__(self, name, value):\n        pass", []),
+])
+def test_the_equality_hook_scan_flags_each_kind(source, classes):
+    assert _hook_classes(source, *EQUALITY_HOOKS) == classes
 
 
 # ---------------------------------------------------------------------------

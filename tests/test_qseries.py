@@ -20,7 +20,6 @@ from frobq.qseries import (
     RingMismatchError,
     TruncSeries,
     _apply_binomial,
-    decimal_coefficients,
     euler_cube,
     euler_product,
     first_divergence,
@@ -63,20 +62,11 @@ def _pentagonal_coefficients(order):
 # core arithmetic
 # ---------------------------------------------------------------------------
 
-def test_add_examples():
-    one_plus_q = TruncSeries(ZZ, [1, 1])
-    one_minus_q = TruncSeries(ZZ, [1, -1])
-    assert (one_plus_q + one_minus_q).coeffs == (2, 0)
-    a = euler_product(10)
-    assert a + TruncSeries.zero(ZZ, 10) == a
-    assert (a + (-a)).coeffs == (0,) * 11
-
-
 def test_mul_examples():
     n = 12
     geo = TruncSeries(ZZ, [1] * (n + 1))
     one_minus_q = TruncSeries(ZZ, [1, -1], n)
-    assert (one_minus_q * geo) == TruncSeries.one(ZZ, n)
+    assert (one_minus_q * geo) == TruncSeries(ZZ, [1], n)
     one_plus_q = TruncSeries(ZZ, [1, 1], 2)
     assert (one_plus_q * one_plus_q).coeffs == (1, 2, 1)
 
@@ -85,7 +75,6 @@ def test_mul_truncates_to_min_order():
     a = TruncSeries(ZZ, [1, 1, 1, 1])
     b = TruncSeries(ZZ, [1, 2])
     assert (a * b).order == 1
-    assert (a + b).order == 1
 
 
 def test_ring_mismatch_rejected():
@@ -93,8 +82,6 @@ def test_ring_mismatch_rejected():
     b = TruncSeries(ModRing(5), [1, 2])
     with pytest.raises(RingMismatchError):
         a * b
-    with pytest.raises(RingMismatchError):
-        a + b
 
 
 def test_constructor_reduces_through_the_ring():
@@ -111,7 +98,7 @@ def test_constructor_reduces_through_the_ring():
 def test_inverse_examples():
     inv = TruncSeries(ZZ, [1, -1], 6).inverse()
     assert inv.coeffs == (1,) * 7
-    assert TruncSeries.one(ZZ, 5).inverse() == TruncSeries.one(ZZ, 5)
+    assert TruncSeries(ZZ, [1], 5).inverse() == TruncSeries(ZZ, [1], 5)
 
 
 def test_inverse_of_euler_counts_partitions():
@@ -133,10 +120,8 @@ def test_ring_axioms_on_series(xs, ys, zs):
     a = TruncSeries(ZZ, xs)
     b = TruncSeries(ZZ, ys)
     c = TruncSeries(ZZ, zs)
-    n = min(a.order, b.order, c.order)
-    assert (a * b).truncate(n) == (b * a).truncate(n)
-    assert ((a * b) * c).truncate(n) == (a * (b * c)).truncate(n)
-    assert (a * (b + c)).truncate(n) == ((a * b) + (a * c)).truncate(n)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
 
 
 @settings(max_examples=60)
@@ -144,18 +129,13 @@ def test_ring_axioms_on_series(xs, ys, zs):
        st.sampled_from([1, -1]))
 def test_inverse_times_self_is_one(tail, unit):
     series = TruncSeries(ZZ, [unit] + tail)
-    assert series * series.inverse() == TruncSeries.one(ZZ, series.order)
+    assert series * series.inverse() == TruncSeries(ZZ, [1], series.order)
 
 
 def test_inverse_over_mod_ring():
     ring = ModRing(5)
     series = TruncSeries(ring, [3, 1, 4, 1, 2])
-    assert series * series.inverse() == TruncSeries.one(ring, 4)
-
-
-def test_pow_negative_inverts():
-    a = TruncSeries(ZZ, [1, -1], 5)
-    assert a ** -2 == (a ** 2).inverse()
+    assert series * series.inverse() == TruncSeries(ring, [1], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +204,7 @@ def test_apply_binomial_property_rejects_flipped_sign(case, sign, ring, divide):
 
 def test_euler_product_small():
     assert euler_product(7).coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
-    assert euler_product(0) == TruncSeries.one(ZZ, 0)
+    assert euler_product(0) == TruncSeries(ZZ, [1], 0)
 
 
 def test_euler_product_pentagonal_to_200():
@@ -236,11 +216,12 @@ def test_euler_product_pentagonal_to_200():
 
 def test_euler_cube_small():
     assert euler_cube(6).coeffs == (1, -3, 0, 5, 0, 0, -7)
-    assert euler_cube(0) == TruncSeries.one(ZZ, 0)
+    assert euler_cube(0) == TruncSeries(ZZ, [1], 0)
 
 
 def test_euler_cube_is_cube_of_euler_product():
-    assert euler_cube(200) == euler_product(200) ** 3
+    e = euler_product(200)
+    assert euler_cube(200) == e * e * e
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +276,7 @@ def test_product_from_spec_known_expansions():
 
 
 def test_product_from_spec_empty_is_one():
-    assert product_from_spec(ProductSpec(()), 9) == TruncSeries.one(ZZ, 9)
+    assert product_from_spec(ProductSpec(()), 9) == TruncSeries(ZZ, [1], 9)
 
 
 def test_product_from_spec_mod_ring():
@@ -395,11 +376,6 @@ def test_large_constant_exponent_is_one_step(text, order, ring, want):
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def test_decimal_coefficients_are_exact_strings():
-    s = TruncSeries(ZZ, [10 ** 30, -1])
-    assert decimal_coefficients(s) == ["1" + "0" * 30, "-1"]
-
 
 def test_first_divergence():
     a = TruncSeries(ZZ, [1, 2, 3])
@@ -568,11 +544,11 @@ def test_jacobi_triple_basics():
     product, theta = jacobi_triple(12)
     assert product.z_slice(0).coeffs[0] == 1
     assert theta.z_slice(0).coeffs[0] == 1
-    assert theta.z_slice(1) == TruncSeries.monomial(ZZ, 12, 1)
+    assert theta.z_slice(1) == TruncSeries(ZZ, [0, 1], 12)
     # the window is exact: z^4 and z^-5 are the extreme terms, both at q^10
     assert (product.zmin, product.zmax) == (-5, 4)
     for z in (-5, 4):
-        assert product.z_slice(z) == theta.z_slice(z) == TruncSeries.monomial(ZZ, 12, 10)
+        assert product.z_slice(z) == theta.z_slice(z) == TruncSeries(ZZ, [0] * 10 + [1], 12)
 
 
 def test_jacobi_triple_agrees_to_50():
@@ -640,6 +616,5 @@ def test_rng_smoke_mod_series_matches_int_series():
         ys = [rng.randrange(-20, 21) for _ in range(8)]
         a, b = TruncSeries(ZZ, xs), TruncSeries(ZZ, ys)
         a7, b7 = TruncSeries(ring, xs), TruncSeries(ring, ys)
-        for over_z, over_mod in ((a * b, a7 * b7), (a + b, a7 + b7), (a - b, a7 - b7),
-                                 (-a, -a7), (a * -3, a7 * -3)):
+        for over_z, over_mod in ((a * b, a7 * b7), (a * -3, a7 * -3)):
             assert [c % 7 for c in over_z.coeffs] == list(over_mod.coeffs)
