@@ -32,6 +32,13 @@ from .qseries import (
     product_from_spec,
 )
 
+# The most arrays `enumerate --list` prints.  Encoding them as one JSON line
+# costs about 20 times what building them costs: on a 2-CPU x86 guest with
+# CPython 3.11.7, colored k=3, alpha=-2, n=16 (493,011 arrays) took 9.6 s and
+# peaked at 640 MiB, and colored k=4, alpha=-3, n=12 (680,108 arrays) 14.9 s
+# and 888 MiB.  So the limit is about 10 s and 700 MiB.
+MAX_LIST_ARRAYS = 500_000
+
 # `scan --builtin` names, each with its spec's name in `theorems`
 BUILTIN_SPECS = {
     "phi2m1": "PHI2M1_SPEC_TEXT",
@@ -84,7 +91,8 @@ def cmd_enumerate(args) -> int:
         "n": args.n,
     }
     if args.list:
-        arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n)
+        arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n,
+                                            limit=MAX_LIST_ARRAYS)
         out["count"] = str(len(arrays))
         out["arrays"] = [a.to_json_dict() for a in arrays]
     else:

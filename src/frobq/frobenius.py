@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import deque
 from math import comb, prod
 from operator import itemgetter
 
@@ -33,6 +34,12 @@ from .qseries import ZZ, BivarSeries, TruncSeries
 
 # Exhaustive enumeration is the oracle, not a production path; keep it honest.
 MAX_ENUM_WEIGHT = 30
+# The most arrays `enumerate_arrays` builds; it counts them first, in
+# milliseconds.  On a 2-CPU x86 guest with CPython 3.11.7 it builds an array
+# in 0.81-0.98 us and peaks at 57-67 bytes an array, from 2.0 million arrays
+# (colored k=3, alpha=-2, n=19: 1.65 s, 131 MiB) to 26.4 million (colored
+# k=6, alpha=0, n=12: 22.9 s, 1449 MiB).  The limit is about 9 s and 650 MiB.
+MAX_ENUM_ARRAYS = 10_000_000
 
 
 class FrobeniusArray(FrozenValue):
@@ -58,10 +65,18 @@ class FrobeniusArray(FrozenValue):
         return [e[0] if isinstance(e, tuple) else e for e in row]
 
     def to_json_dict(self) -> dict:
-        def encode(row):
-            return [list(e) if isinstance(e, tuple) else [e] for e in row]
+        # an array's entries are all (value, color) pairs or all ints
+        entries = self.top or self.bottom
+        if entries and isinstance(entries[0], tuple):
+            return {"top": list(map(list, self.top)), "bottom": list(map(list, self.bottom))}
+        return {"top": [[v] for v in self.top], "bottom": [[v] for v in self.bottom]}
 
-        return {"top": encode(self.top), "bottom": encode(self.bottom)}
+
+# enumeration fills the two slots of blank arrays through these, in C, with
+# no __init__ frame an array
+_new_array = FrobeniusArray.__new__
+_set_top = FrobeniusArray.top.__set__
+_set_bottom = FrobeniusArray.bottom.__set__
 
 
 def _min_row_sum(length: int, k: int) -> int:
@@ -95,15 +110,21 @@ def _colored_rows(total: int, length: int, max_part: int, k: int) -> tuple:
     """Canonical colored rows: distinct (value, color) pairs, colors 1..k,
     sorted by value descending then color descending.  Only enumeration
     builds them; `count_cphi` weights the repetition rows instead."""
+    # runs[v, j]: the colorings of a run of j entries equal to v, one tuple
+    # of (v, c) pairs per choice of j colors, colors descending.  The rows of
+    # one call share these tuples and the pairs in them.
+    pairs = [[(v, c) for c in range(k, 0, -1)] for v in range(max_part + 1)]
+    runs = {}
     rows = []
     for base in _bounded_rows(total, length, max_part, k):
-        groups = [(v, len(list(g))) for v, g in itertools.groupby(base)]
-        choices = [itertools.combinations(range(k, 0, -1), mult) for _, mult in groups]
-        for pick in itertools.product(*choices):
-            row = []
-            for (v, _), colors in zip(groups, pick):
-                row.extend((v, c) for c in colors)
-            rows.append(tuple(row))
+        choices = []
+        for v, g in itertools.groupby(base):
+            key = (v, len(list(g)))
+            if key not in runs:
+                runs[key] = list(itertools.combinations(pairs[v], key[1]))
+            choices.append(runs[key])
+        # one row per choice of a coloring for each run, joined in C
+        rows.extend(map(tuple, map(itertools.chain.from_iterable, itertools.product(*choices))))
     return tuple(rows)
 
 
@@ -148,23 +169,43 @@ def _row_pairs(rows_fn, k: int, alpha: int, n: int):
                 yield tops, bottoms
 
 
-def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[FrobeniusArray]:
+def enumerate_arrays(variant: str, k: int, alpha: int, n: int,
+                     limit: int = MAX_ENUM_ARRAYS) -> list[FrobeniusArray]:
     """Every array of the given variant, weight n, row difference alpha.
 
     Exhaustive and deterministic: the arrays come out sorted by (top,
     bottom).  No list of arrays is sorted; each split's bottom rows are
     sorted once and the distinct top rows once, and since a top row pairs
     with exactly the bottoms of its own split, concatenating gives the
-    canonical order.  Guarded: refuses weights above MAX_ENUM_WEIGHT.
+    canonical order.
+
+    The arrays are built in C, with no Python frame an array: the whole
+    list is allocated blank with `FrobeniusArray.__new__`, and the slot
+    descriptors' `__set__` fill `top` (each top row repeated once for each
+    of its bottoms) and `bottom` through `map`.  They are the values
+    `FrobeniusArray(top, bottom)` makes: the same fields, equality, hash
+    and pickling.
+
+    Guarded: refuses weights above MAX_ENUM_WEIGHT, and more than `limit`
+    arrays by `count_phi`/`count_cphi` before it builds any row.  The count
+    only decides whether to refuse; the arrays come from the search alone.
     """
     _check_enum_args(variant, k, n)
+    total = (count_phi if variant == "repetition" else count_cphi)(k, alpha, n)
+    if total > limit:
+        raise ValueError(f"enumeration guard: {total} arrays exceed the limit of {limit}")
     rows_fn = _bounded_rows if variant == "repetition" else _colored_rows
     by_top = []
     for tops, bottoms in _row_pairs(rows_fn, k, alpha, n):
         bottoms = sorted(bottoms)
         by_top.extend((top, bottoms) for top in tops)
     by_top.sort(key=itemgetter(0))
-    return [FrobeniusArray(top, bottom) for top, bottoms in by_top for bottom in bottoms]
+    lengths = [len(bottoms) for _, bottoms in by_top]
+    arrays = list(map(_new_array, itertools.repeat(FrobeniusArray, sum(lengths))))
+    tops = map(itertools.repeat, map(itemgetter(0), by_top), lengths)
+    deque(map(_set_top, arrays, itertools.chain.from_iterable(tops)), 0)
+    deque(map(_set_bottom, arrays, itertools.chain.from_iterable(map(itemgetter(1), by_top))), 0)
+    return arrays
 
 
 def count_phi(k: int, alpha: int, n: int) -> int:

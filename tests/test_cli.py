@@ -117,6 +117,24 @@ def test_enumerate_colored_count_at_k6_fits_in_one_gib():
     assert json_lines(proc.stdout)[0]["count"] == "9436609944"
 
 
+@pytest.mark.parametrize("k, alpha, n, count", [
+    # 9,436,609,944 arrays: enumerate_arrays refuses them at any limit
+    (6, 0, 20, 9436609944),
+    # 800,934 arrays: enumerate_arrays builds them in under a second, but
+    # --list would print about 67 MB of JSON
+    (3, -2, 17, 800934),
+])
+def test_enumerate_list_guard_exits_two_quickly(k, alpha, n, count):
+    # the count decides before any row is built, under the cap CI runs with
+    proc = _run_cli_process("enumerate", "--variant", "colored", "--k", str(k), "--alpha",
+                            str(alpha), "--n", str(n), "--list",
+                            preexec_fn=_one_gib_address_space)
+    assert proc.returncode == 2
+    assert f"enumeration guard: {count} arrays exceed the limit of {cli.MAX_LIST_ARRAYS}" \
+        in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_theorem_lattice_guard_exits_two_quickly():
     # k=9, N=60 would walk 21^8 lattice points; the guard refuses before walking
     proc = _run_cli_process("theorem", "--which", "1", "--k", "9", "--alpha", "0", "--N", "60")

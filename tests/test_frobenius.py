@@ -1,12 +1,16 @@
 """Enumeration oracle vs the bivariate product expansion."""
 
+import copy
 import dataclasses
+import itertools
 import math
+import pickle
 
 import pytest
 
 from frobq import frobenius
 from frobq.frobenius import (
+    MAX_ENUM_ARRAYS,
     MAX_ENUM_WEIGHT,
     FrobeniusArray,
     bivar_coefficient_series,
@@ -97,6 +101,28 @@ def test_enumeration_guard():
         enumerate_arrays("repetition", 2, -1, -1)
 
 
+def test_enumeration_guard_refuses_by_count_before_building_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rows built before the guard refused")
+
+    # 26,447,631 arrays at k=6, weight 12; 9,436,609,944 at weight 20
+    assert count_cphi(6, 0, 12) > MAX_ENUM_ARRAYS
+    monkeypatch.setattr(frobenius, "_colored_rows", refuse)
+    for n in (12, 20):
+        with pytest.raises(ValueError, match=f"enumeration guard: {count_cphi(6, 0, n)} arrays"):
+            enumerate_arrays("colored", 6, 0, n)
+
+
+def test_enumeration_guard_limit_is_inclusive():
+    # colored k=2, alpha=-1, weight 2 has 12 arrays
+    assert len(enumerate_arrays("colored", 2, -1, 2, limit=12)) == 12
+    with pytest.raises(ValueError, match="12 arrays exceed the limit of 11"):
+        enumerate_arrays("colored", 2, -1, 2, limit=11)
+    assert len(enumerate_arrays("repetition", 2, -1, 6, limit=count_phi(2, -1, 6))) > 0
+    with pytest.raises(ValueError, match="enumeration guard"):
+        enumerate_arrays("repetition", 2, -1, 6, limit=count_phi(2, -1, 6) - 1)
+
+
 @pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
 @pytest.mark.parametrize("k, n", [(0, 1), (2, -1), (2, MAX_ENUM_WEIGHT + 1)])
 def test_counts_refuse_what_enumeration_refuses(variant, count, k, n):
@@ -126,6 +152,68 @@ def test_array_is_slotted_frozen_and_hashable():
     rep = FrobeniusArray((3, 3, 0), (1,))
     assert (rep.weight, rep.row_difference) == (3 + 6 + 1, 2)
     assert rep.to_json_dict() == {"top": [[3], [3], [0]], "bottom": [[1]]}
+
+
+@pytest.mark.parametrize("variant, k, alpha, n", [
+    ("repetition", 2, -1, 7), ("repetition", 1, 0, 0), ("colored", 3, 1, 6), ("colored", 2, 0, 0),
+])
+def test_enumerated_arrays_are_constructed_values(variant, k, alpha, n):
+    # enumeration fills the slots of blank arrays; the values must be the
+    # ones the constructor makes
+    arrays = enumerate_arrays(variant, k, alpha, n)
+    assert arrays
+    for a in arrays:
+        b = FrobeniusArray(a.top, a.bottom)
+        assert type(a) is FrobeniusArray
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.to_json_dict() == b.to_json_dict()
+    assert pickle.loads(pickle.dumps(arrays)) == arrays
+    assert copy.deepcopy(arrays) == arrays
+    assert [copy.copy(a) for a in arrays] == arrays
+    assert len(set(arrays)) == len(arrays)
+    a = arrays[-1]
+    for name in ("top", "bottom"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, name)
+    assert a == FrobeniusArray(a.top, a.bottom)
+    assert not hasattr(a, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# colored rows
+# ---------------------------------------------------------------------------
+
+def _reference_colored_rows(total, length, max_part, k):
+    # one (value, color) pair at a time, run by run
+    rows = []
+    for base in frobenius._bounded_rows(total, length, max_part, k):
+        groups = [(v, len(list(g))) for v, g in itertools.groupby(base)]
+        choices = [itertools.combinations(range(k, 0, -1), mult) for _, mult in groups]
+        for pick in itertools.product(*choices):
+            row = []
+            for (v, _), colors in zip(groups, pick):
+                row.extend((v, c) for c in colors)
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_colored_rows_match_the_per_pair_reference(k):
+    for total in range(11):
+        for length in range(total + k + 2):
+            for max_part in {total // 2, total}:
+                args = (total, length, max_part, k)
+                assert frobenius._colored_rows(*args) == _reference_colored_rows(*args), args
+
+
+def test_colored_rows_share_their_pairs():
+    # one object for each distinct (value, color) pair of a call's rows
+    rows = frobenius._colored_rows(8, 6, 8, 3)
+    pairs = [e for row in rows for e in row]
+    assert len(pairs) > 3 * len(set(pairs))
+    assert len({id(e) for e in pairs}) == len(set(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +305,12 @@ def test_json_serialization_shape():
     assert rep.to_json_dict() == {"top": [], "bottom": [[2]]}
     col = enumerate_arrays("colored", 2, -1, 0)[0]
     assert col.to_json_dict() == {"top": [], "bottom": [[0, 1]]}
+    assert FrobeniusArray((), ()).to_json_dict() == {"top": [], "bottom": []}
+    assert FrobeniusArray(((1, 2),), ()).to_json_dict() == {"top": [[1, 2]], "bottom": []}
+    for variant in ("repetition", "colored"):
+        for a in enumerate_arrays(variant, 2, 0, 5):
+            for row, encoded in zip((a.top, a.bottom), a.to_json_dict().values()):
+                assert [tuple(e) if variant == "colored" else e[0] for e in encoded] == list(row)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +337,38 @@ def test_bivar_window_edges():
             assert not any(bivar_coefficient_series(variant, 2, alpha, order).coeffs)
 
 
-@pytest.mark.parametrize("variant", ["repetition", "colored"])
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_oracle_agrees_with_bivariate(variant, k):
+def _oracle_mismatches(variant, k):
+    # route 2 against the counts to weight 12, and against the number of
+    # arrays route 1 builds to weight 6
     count = count_phi if variant == "repetition" else count_cphi
+    mismatches = []
     for alpha in range(-2, 3):
         series = bivar_coefficient_series(variant, k, alpha, 12)
         for n in range(13):
-            assert series.coeffs[n] == count(k, alpha, n), (variant, k, alpha, n)
+            if series.coeffs[n] != count(k, alpha, n):
+                mismatches.append(("count", alpha, n))
+            if n <= 6 and series.coeffs[n] != len(enumerate_arrays(variant, k, alpha, n)):
+                mismatches.append(("enumerate", alpha, n))
+    return mismatches
+
+
+@pytest.mark.parametrize("variant", ["repetition", "colored"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_oracle_agrees_with_bivariate(variant, k):
+    assert _oracle_mismatches(variant, k) == []
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_oracle_catches_colored_rows_missing_a_run(monkeypatch, k):
+    def without_one_run(total, length, max_part, k, rows_fn=frobenius._colored_rows):
+        # drop the coloring ((0, 1),) of a single zero entry
+        return tuple(row for row in rows_fn(total, length, max_part, k)
+                     if [e for e in row if e[0] == 0] != [(0, 1)])
+
+    monkeypatch.setattr(frobenius, "_colored_rows", without_one_run)
+    mismatches = _oracle_mismatches("colored", k)
+    assert ("enumerate", -1, 0) in mismatches
+    assert not [m for m in mismatches if m[0] == "count"]
 
 
 def _uncut_product(variant, k, order):
