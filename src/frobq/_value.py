@@ -32,10 +32,6 @@ class FrozenValue:
     def __reduce__(self):
         return self.__class__, self._fields()
 
-    def replace(self, **changes):
-        """A copy with the named fields changed."""
-        return self.__class__(**dict(zip(self.__slots__, self._fields()), **changes))
-
     def __setattr__(self, name, value):
         # imported here: dataclasses pulls in inspect, too costly at start-up
         from dataclasses import FrozenInstanceError

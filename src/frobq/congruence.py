@@ -2,8 +2,8 @@
 
 `verify_congruence` checks a single claim "coefficient(A*n + B) = 0 mod M"
 against every index the truncation provides.  `scan_congruences` searches the
-whole (A, B, M) box and reports every claim that survives with enough
-witnesses, flagging claims that are implied by a coarser reported one.
+whole (A, B, M) box from one gcd per progression and reports every claim
+that holds with enough witnesses, flagging claims implied by a coarser one.
 `residue_argument_check` and `progression_exponent_check` mechanize the
 finite residue computations that turn such observations into proofs for the
 5n+4 pattern: a contribution to q^(5n+4) forces
@@ -11,6 +11,8 @@ finite residue computations that turn such observations into proofs for the
 """
 
 from __future__ import annotations
+
+import math
 
 from ._value import FrozenValue
 from .qseries import ModRing, TruncSeries
@@ -84,6 +86,14 @@ def _primes_up_to(n: int) -> list[int]:
     return out
 
 
+# Refuse scans above this many (M, A, B) triples.  In the worst case, the
+# zero series with every modulus, each triple is a claim: at the limit that
+# takes 8.6-9.1 s and at most 254 MiB on a 2-CPU x86 guest, however A and M
+# share the triples.  `frobq scan` prints such claims as JSON in about 3x
+# that: `-,1,0,1` at N = maxA = 1731, maxM 2 gives 1.39M lines in 28 s.
+MAX_SCAN_TRIPLES = 1_500_000
+
+
 def scan_congruences(series: TruncSeries, max_step: int, max_modulus: int,
                      min_witnesses: int = 20, primes_only: bool = True) -> list[CongruenceClaim]:
     """All (A, B, M) with A <= max_step, M <= max_modulus that hold on every index.
@@ -91,10 +101,15 @@ def scan_congruences(series: TruncSeries, max_step: int, max_modulus: int,
     Moduli are primes by default (composites are redundant for discovery);
     primes_only=False widens to every modulus >= 2.  Every scanned (A, B)
     cell must offer at least `min_witnesses` indices within the truncation,
-    otherwise the scan refuses (short series breed vacuous claims).  A
+    otherwise the scan refuses (short series breed vacuous claims).  A claim
+    holds exactly when M divides the gcd of the coefficients at B, B + A, ...,
+    so one gcd per (A, B) decides every modulus; a ModRing(m) series refuses
+    a modulus that does not divide m, as `verify_congruence` does.  A
     reported claim whose index set is contained in a coarser reported claim
-    with the same modulus is flagged subsumed, never dropped.  Output is
-    sorted by (M, A, B) and is deterministic.
+    with the same modulus is flagged subsumed, never dropped.  Guarded:
+    raises ValueError before the prime sieve when the count of (M, A, B)
+    triples exceeds MAX_SCAN_TRIPLES.  Output is sorted by (M, A, B) and is
+    deterministic.
     """
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
@@ -102,7 +117,6 @@ def scan_congruences(series: TruncSeries, max_step: int, max_modulus: int,
         raise ValueError("max_modulus must be >= 2")
     if min_witnesses < 1:
         raise ValueError("min_witnesses must be >= 1")
-    moduli = _primes_up_to(max_modulus) if primes_only else list(range(2, max_modulus + 1))
     # cell (A, B) has floor((N - B)/A) + 1 indices, least at B = A - 1, where
     # it is floor((N + 1)/A), which does not grow with A: the last is sparsest
     available = len(range(max_step - 1, series.order + 1, max_step))
@@ -110,19 +124,32 @@ def scan_congruences(series: TruncSeries, max_step: int, max_modulus: int,
         raise ValueError(
             f"insufficient witnesses: A={max_step}, B={max_step - 1} has {available} "
             f"indices up to order {series.order}, need {min_witnesses}")
+    triples = (max_modulus - 1) * max_step * (max_step + 1) // 2
+    if triples > MAX_SCAN_TRIPLES:
+        raise ValueError(f"scan guard: {triples} (M, A, B) triples exceed "
+                         f"MAX_SCAN_TRIPLES={MAX_SCAN_TRIPLES}")
+    moduli = _primes_up_to(max_modulus) if primes_only else range(2, max_modulus + 1)
+    if isinstance(series.ring, ModRing):
+        # the gcd of residues mod m would answer for moduli they cannot decide
+        for modulus in moduli:
+            if series.ring.modulus % modulus:
+                raise ValueError(f"a {series.ring!r} series cannot decide residues mod {modulus}")
+    coeffs, order = series.coeffs, series.order
+    gcds = [[math.gcd(*coeffs[offset::step]) for offset in range(step)]
+            for step in range(max_step + 1)]
     proper_divisors = [[a for a in range(1, step) if step % a == 0] for step in range(max_step + 1)]
-    claims, reported = [], set()
-    # claims come in (M, A, B) order, so every coarser claim is known before a finer one
+    claims = []
     for modulus in moduli:
         for step in range(1, max_step + 1):
-            for offset in range(step):
-                claim = verify_congruence(series, step, offset, modulus)
-                if claim.status != "verified":
+            divisors = proper_divisors[step]
+            for offset, gcd in enumerate(gcds[step]):
+                if gcd % modulus:
                     continue
-                if any((modulus, a, offset % a) in reported for a in proper_divisors[step]):
-                    claim = claim.replace(subsumed=True)
-                reported.add((modulus, step, offset))
-                claims.append(claim)
+                indices = range(offset, order + 1, step)
+                subsumed = any(gcds[a][offset % a] % modulus == 0 for a in divisors)
+                claims.append(CongruenceClaim(step, offset, modulus, verified_up_to=indices[-1],
+                                              status="verified", witnesses=len(indices),
+                                              subsumed=subsumed))
     return claims
 
 

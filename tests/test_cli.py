@@ -135,6 +135,21 @@ def test_enumerate_list_guard_exits_two_quickly(k, alpha, n, count):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("extra", [
+    ("--maxA", "8", "--maxM", "1000000000"),
+    ("--maxA", "20", "--maxM", "3000000", "--all-moduli"),
+    ("--maxA", "20", "--maxM", "300000"),
+])
+def test_scan_guard_exits_two_quickly(extra):
+    # the triple count refuses before the prime sieve, which alone would
+    # take O(maxM) time and memory
+    proc = _run_cli_process("scan", "--spec=-,1,0,1", "--N", "400", *extra,
+                            preexec_fn=_one_gib_address_space)
+    assert proc.returncode == 2
+    assert "scan guard" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_theorem_lattice_guard_exits_two_quickly():
     # k=9, N=60 would walk 21^8 lattice points; the guard refuses before walking
     proc = _run_cli_process("theorem", "--which", "1", "--k", "9", "--alpha", "0", "--N", "60")

@@ -4,15 +4,22 @@ import dataclasses
 
 import pytest
 
+import frobq.congruence as congruence
 from frobq.congruence import (
+    CongruenceClaim,
     progression_exponent_check,
     residue_argument_check,
     scan_congruences,
     verify_congruence,
 )
 from frobq.frobenius import bivar_coefficient_series
-from frobq.qseries import ZZ, ModRing, TruncSeries
-from frobq.theorems import cphi2m1_product, phi2m1_product, phi_theta_series
+from frobq.qseries import ZZ, ModRing, TruncSeries, parse_product_spec, product_from_spec
+from frobq.theorems import (
+    PHI2M1_SPEC_TEXT,
+    cphi2m1_product,
+    phi2m1_product,
+    phi_theta_series,
+)
 
 
 def test_verify_phi2m1_progression():
@@ -159,6 +166,99 @@ def test_scan_composite_moduli_flag():
     assert {c.modulus for c in primes_only} == {2, 3, 5, 7}
     widened = scan_congruences(zero, 1, 9, min_witnesses=10, primes_only=False)
     assert {c.modulus for c in widened} == set(range(2, 10))
+
+
+def _scan_by_verify(series, max_step, max_modulus, primes_only):
+    """The scan as one verify_congruence call per (M, A, B), in (M, A, B) order."""
+    moduli = [m for m in range(2, max_modulus + 1)
+              if not primes_only or all(m % d for d in range(2, m))]
+    claims, held = [], set()
+    for m in moduli:
+        for a in range(1, max_step + 1):
+            for b in range(a):
+                claim = verify_congruence(series, a, b, m)
+                if claim.status != "verified":
+                    continue
+                held.add((m, a, b))
+                subsumed = any((m, d, b % d) in held for d in range(1, a) if a % d == 0)
+                claims.append(CongruenceClaim(a, b, m, claim.verified_up_to, "verified",
+                                              witnesses=claim.witnesses, subsumed=subsumed))
+    return claims
+
+
+SCAN_CASES = {
+    "phi2m1": (lambda: phi2m1_product(204), 12, 12, 17),
+    "cphi2m1": (lambda: cphi2m1_product(204), 12, 12, 17),
+    "zero": (lambda: TruncSeries.zero(ZZ, 120), 6, 12, 20),
+    "holes": (lambda: TruncSeries(ZZ, [int(n % 2 != 0 and n % 3 != 0) for n in range(121)]),
+              12, 12, 10),
+    "euler": (lambda: product_from_spec(parse_product_spec("-,1,0,1"), 120), 40, 7, 1),
+    "mod210": (lambda: product_from_spec(parse_product_spec(PHI2M1_SPEC_TEXT), 204,
+                                         ModRing(210)), 12, 7, 17),
+}
+
+
+@pytest.mark.parametrize("primes_only", [True, False])
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scan_equals_a_verify_congruence_per_claim(case, primes_only):
+    make, max_step, max_modulus, min_witnesses = SCAN_CASES[case]
+    if case == "mod210" and not primes_only:
+        # every modulus tried must divide 210: 4 does not
+        max_modulus = 3
+    series = make()
+    claims = scan_congruences(series, max_step, max_modulus, min_witnesses=min_witnesses,
+                              primes_only=primes_only)
+    assert claims == _scan_by_verify(series, max_step, max_modulus, primes_only)
+    assert any(c.subsumed for c in claims) and any(not c.subsumed for c in claims)
+
+
+def test_scan_refuses_a_modulus_the_ring_cannot_decide():
+    series = TruncSeries(ModRing(10), [n % 10 for n in range(121)])
+    # mod 10 decides residues mod 2 and 5 but not mod 3, the first prime after 2
+    for max_modulus, primes_only in ((3, True), (7, True), (3, False), (12, False)):
+        with pytest.raises(ValueError, match=r"^a ModRing\(10\) series cannot decide "
+                                             r"residues mod 3$"):
+            scan_congruences(series, 4, max_modulus, min_witnesses=10, primes_only=primes_only)
+    assert scan_congruences(series, 4, 2, min_witnesses=10)
+    # too few witnesses is refused first, whatever the moduli
+    with pytest.raises(ValueError, match="A=20, B=19 has 6 indices up to order 120, need 10"):
+        scan_congruences(series, 20, 7, min_witnesses=10)
+
+
+def test_scan_guard_counts_every_triple_inclusively(monkeypatch):
+    zero = TruncSeries.zero(ZZ, 120)
+    # (7 - 1) moduli candidates times 8 * 9 / 2 cells: 216 triples
+    monkeypatch.setattr(congruence, "MAX_SCAN_TRIPLES", 216)
+    assert len(scan_congruences(zero, 8, 7, min_witnesses=10, primes_only=False)) == 216
+    with pytest.raises(ValueError, match=r"^scan guard: 252 \(M, A, B\) triples exceed "
+                                         r"MAX_SCAN_TRIPLES=216$"):
+        scan_congruences(zero, 8, 8, min_witnesses=10)
+    with pytest.raises(ValueError, match="scan guard: 225 "):
+        scan_congruences(zero, 9, 6, min_witnesses=10)
+    monkeypatch.setattr(congruence, "MAX_SCAN_TRIPLES", 215)
+    with pytest.raises(ValueError, match="scan guard: 216 "):
+        scan_congruences(zero, 8, 7, min_witnesses=10)
+
+
+@pytest.mark.parametrize("max_step, max_modulus, primes_only, triples", [
+    (8, 1_000_000_000, True, 35_999_999_964),
+    (20, 3_000_000, False, 629_999_790),
+    (20, 300_000, True, 62_999_790),
+])
+def test_scan_guard_refuses_before_the_sieve(monkeypatch, max_step, max_modulus, primes_only,
+                                             triples):
+    def no_sieve(n):
+        raise AssertionError("the sieve ran")
+
+    monkeypatch.setattr(congruence, "_primes_up_to", no_sieve)
+    series = product_from_spec(parse_product_spec("-,1,0,1"), 400)
+    with pytest.raises(ValueError, match=f"scan guard: {triples} \\(M, A, B\\) triples exceed "
+                                         f"MAX_SCAN_TRIPLES={congruence.MAX_SCAN_TRIPLES}"):
+        scan_congruences(series, max_step, max_modulus, primes_only=primes_only)
+    # the witness refusal still comes first
+    with pytest.raises(ValueError, match="insufficient witnesses"):
+        scan_congruences(series, max_step, max_modulus, min_witnesses=51,
+                         primes_only=primes_only)
 
 
 def test_claim_json_shape():

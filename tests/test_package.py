@@ -272,13 +272,6 @@ def test_array_is_as_small_as_the_slotted_dataclass():
     assert sys.getsizeof(FrobeniusArray((), ())) == sys.getsizeof(Reference((), ()))
 
 
-def test_replace_changes_only_the_named_fields():
-    claim = CongruenceClaim(5, 4, 5, 99, "verified", witnesses=20)
-    flagged = claim.replace(subsumed=True)
-    assert flagged == CongruenceClaim(5, 4, 5, 99, "verified", witnesses=20, subsumed=True)
-    assert not claim.subsumed
-
-
 # (hook names, exempt classes): FrozenValue owns immutability and value
 # equality, and the mutable BivarSeries compares by value but never hashes
 ATTRIBUTE_HOOKS = ({"__setattr__", "__delattr__"}, {"FrozenValue"})
