@@ -4,15 +4,27 @@
 class FrozenValue:
     """A value whose fields are its class's __slots__, in constructor order.
 
-    Instances compare and hash by their field values, and only with
-    instances of the same class.  The repr reads like a constructor call
-    with keyword arguments.  Assignment and deletion raise
-    dataclasses.FrozenInstanceError, so a subclass's __init__ sets each
-    field once with object.__setattr__.  Pickling and copying go through the
-    constructor.
+    The constructor binds its arguments to the fields, by position or by
+    keyword, and is the only code that writes one: a subclass that checks or
+    normalises its arguments ends in one super().__init__(...), and no
+    subclass calls object.__setattr__.  Instances compare and hash by their
+    field values, and only with instances of the same class.  The repr reads
+    like a constructor call with keyword arguments.  Assignment and deletion
+    raise dataclasses.FrozenInstanceError.  Pickling and copying go through
+    the constructor.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{self.__class__.__qualname__} takes each of its fields "
+                            f"({', '.join(names)}) exactly once")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -27,14 +27,9 @@ class CongruenceClaim(FrozenValue):
     def __init__(self, step: int, offset: int, modulus: int, verified_up_to: int,
                  status: str, first_violation: int | None = None, witnesses: int = 0,
                  subsumed: bool = False):
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "verified_up_to", verified_up_to)
-        object.__setattr__(self, "status", status)  # "verified" or "violated"
-        object.__setattr__(self, "first_violation", first_violation)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "subsumed", subsumed)
+        # status is "verified" or "violated"
+        super().__init__(step, offset, modulus, verified_up_to, status, first_violation,
+                         witnesses, subsumed)
 
     def to_json_dict(self) -> dict:
         out = {

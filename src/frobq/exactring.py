@@ -103,8 +103,7 @@ class CycInt(FrozenValue):
         coeffs = tuple(coeffs)
         if len(coeffs) > deg:
             raise ValueError(f"at most {deg} coordinates for order {order}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs + (0,) * (deg - len(coeffs)))
+        super().__init__(order, coeffs + (0,) * (deg - len(coeffs)))
 
     @classmethod
     def _from_poly(cls, order: int, poly) -> "CycInt":

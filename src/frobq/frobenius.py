@@ -48,10 +48,6 @@ class FrobeniusArray(FrozenValue):
     # two slots and no __dict__: 48 bytes an array on CPython 3.11
     __slots__ = ("top", "bottom")
 
-    def __init__(self, top: tuple, bottom: tuple):
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
-
     @property
     def weight(self) -> int:
         return len(self.top) + sum(self._values(self.top)) + sum(self._values(self.bottom))
@@ -112,8 +108,9 @@ def _colored_rows(total: int, length: int, max_part: int, k: int) -> tuple:
     builds them; `count_cphi` weights the repetition rows instead."""
     # runs[v, j]: the colorings of a run of j entries equal to v, one tuple
     # of (v, c) pairs per choice of j colors, colors descending.  The rows of
-    # one call share these tuples and the pairs in them.
-    pairs = [[(v, c) for c in range(k, 0, -1)] for v in range(max_part + 1)]
+    # one call share these tuples and the pairs in them, which are built for
+    # a value when a run of it is first met.
+    pairs = {}
     runs = {}
     rows = []
     for base in _bounded_rows(total, length, max_part, k):
@@ -121,6 +118,8 @@ def _colored_rows(total: int, length: int, max_part: int, k: int) -> tuple:
         for v, g in itertools.groupby(base):
             key = (v, len(list(g)))
             if key not in runs:
+                if v not in pairs:
+                    pairs[v] = [(v, c) for c in range(k, 0, -1)]
                 runs[key] = list(itertools.combinations(pairs[v], key[1]))
             choices.append(runs[key])
         # one row per choice of a coloring for each run, joined in C

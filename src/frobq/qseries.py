@@ -70,7 +70,7 @@ class ModRing(FrozenValue):
     def __init__(self, modulus: int):
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        object.__setattr__(self, "modulus", modulus)
+        super().__init__(modulus)
 
     def from_int(self, n: int) -> int:
         return index(n) % self.modulus
@@ -117,9 +117,7 @@ class TruncSeries(FrozenValue):
             raise ValueError("truncation order must be >= 0")
         del coeffs[order + 1:]
         coeffs += [0] * (order + 1 - len(coeffs))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "order", order)
+        super().__init__(ring, tuple(coeffs), order)
 
     @classmethod
     def zero(cls, ring, order: int) -> "TruncSeries":
@@ -267,12 +265,6 @@ class ProductFactor(FrozenValue):
 
     __slots__ = ("sign", "period", "residue", "exponent")
 
-    def __init__(self, sign: int, period: int, residue: int, exponent: int):
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "exponent", exponent)
-
     def validate(self, position: int | None = None) -> None:
         if self.sign not in (1, -1):
             raise ProductSpecError("sign must be + or -", position)
@@ -293,10 +285,7 @@ class ProductFactor(FrozenValue):
 class ProductSpec(FrozenValue):
     """A parsed list of infinite-product factor families."""
 
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[ProductFactor, ...]):
-        object.__setattr__(self, "factors", factors)
+    __slots__ = ("factors",)  # a tuple of ProductFactor
 
     def render(self) -> str:
         return "; ".join(f.render() for f in self.factors)
@@ -334,12 +323,7 @@ def parse_product_spec(text: str) -> ProductSpec:
         for name, idx in (("period", 1), ("residue", 2), ("exponent", 3)):
             if not _INT_TOKEN.match(fields[idx]):
                 raise ProductSpecError(f"expected integer {name}, got {fields[idx]!r}", offs[idx])
-        factor = ProductFactor(
-            sign=1 if fields[0] == "+" else -1,
-            period=int(fields[1]),
-            residue=int(fields[2]),
-            exponent=int(fields[3]),
-        )
+        factor = ProductFactor(1 if fields[0] == "+" else -1, *map(int, fields[1:]))
         factor.validate(start)
         factors.append(factor)
     return ProductSpec(tuple(factors))
@@ -599,6 +583,8 @@ def jacobi_work(order: int) -> int:
     most L(L+1)/2 coefficients, and q^n and z q^n for n = 1..order over at
     most L(L-1)/2 each: L(3L-1)/2 in all.  Rows m >= 0 and -m-1 start alike,
     so each m >= 0 counts twice."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     total = 0
     for m in range(_triangular_root(order) + 1):
         rest = order + 1 - m * (m + 1) // 2
@@ -624,8 +610,6 @@ def jacobi_triple(order: int):
     `order` no term is ever clipped.
     Guarded: `jacobi_guard` refuses before anything is expanded.
     """
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
     jacobi_guard(order)
     up = _triangular_root(order)
     zmin, zmax = -(up + 1), up

@@ -32,9 +32,16 @@ from .qseries import ZZ, TruncSeries, parse_product_spec, product_from_spec
 
 
 # Refuse lattices too large to walk in seconds.  The estimate is the box
-# (2*isqrt(2N+|alpha|)+1)^(k-1) that contains every kept point; the walk
-# itself visits only kept points, but at k=9, N=60 even those are too many.
+# (2*isqrt(2N+|alpha|)+1)^(k-1) that contains every kept point, each side
+# counted as at least 2; the walk itself visits only kept points, but at k=9,
+# N=60 even those are too many.
 MAX_LATTICE_BOX = 5_000_000
+
+# Refuse divisions by (q;q)^k above this many coefficient updates.  The
+# largest accepted ones take 8-10 s on a 2-CPU x86 guest, 140-160 ns an
+# update as the coefficients grow past a thousand bits: k=1, N=145055 in
+# 9.5 s; k=2, N=91417 in 8.3 s; k=3, N=69784 in 9.4 s.
+MAX_DIVISION_WORK = 60_000_000
 
 
 class NonIntegralCoefficientError(ArithmeticError):
@@ -92,9 +99,13 @@ def _lattice_table(k: int, alpha: int, order: int, shift: int = 0) -> list[int]:
     # sum m_i^2 + (S - alpha)^2 <= 2*order - alpha, and the walk keeps the
     # running square sum P, c = S - alpha and the exponent, in which
     # coordinate i carries weight i+1-k, i.e. minus its count of free ones.
-    bound = isqrt(2 * order + abs(alpha))
-    box = (2 * bound + 1) ** (k - 1)
-    if box > MAX_LATTICE_BOX:
+    # The walk recurses once a coordinate, so each counts as at least 2
+    # values.  From k - 1 = the limit's bit length on, 2^(k-1) alone exceeds
+    # the limit: the box is then named as a power, not built.
+    side = max(2 * isqrt(2 * order + abs(alpha)) + 1, 2)
+    huge = k - 1 >= MAX_LATTICE_BOX.bit_length()
+    box = f"{side}^{k - 1}" if huge else side ** (k - 1)
+    if huge or box > MAX_LATTICE_BOX:
         raise ValueError(f"lattice guard: box of {box} points exceeds "
                          f"MAX_LATTICE_BOX={MAX_LATTICE_BOX}")
     width = k + 1
@@ -150,11 +161,30 @@ def _divide_by_euler(coeffs: list[int], times: int) -> None:
             coeffs[n] = acc
 
 
+def division_work(k: int, order: int) -> int:
+    """Coefficient updates `_divide_by_euler` makes dividing by (q;q)^k.
+
+    Each generalized pentagonal g <= order updates the order + 1 - g
+    coefficients from q^g up, once a division.  The g are j(3j-1)/2 for
+    j = 1..a and j(3j+1)/2 for j = 1..b, a and b the largest j that keep
+    g <= order; they sum to a^2(a+1)/2 and b(b+1)^2/2, so the count takes
+    no time at any order.
+    """
+    s = isqrt(24 * order + 1)
+    a, b = (s + 1) // 6, (s - 1) // 6
+    return k * ((a + b) * (order + 1) - a * a * (a + 1) // 2 - b * (b + 1) ** 2 // 2)
+
+
 def _check_args(k: int, order: int) -> None:
+    # refuses before the lattice is walked or its table allocated
     if k < 1:
         raise ValueError("k must be >= 1")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
+    work = division_work(k, order)
+    if work > MAX_DIVISION_WORK:
+        raise ValueError(f"division guard: {work} coefficient updates exceed "
+                         f"MAX_DIVISION_WORK={MAX_DIVISION_WORK}")
 
 
 def cphi_theta_series(k: int, alpha: int, order: int) -> TruncSeries:

@@ -158,6 +158,34 @@ def test_theorem_lattice_guard_exits_two_quickly():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # the walk recursed k - 1 deep: RecursionError
+    (("theorem", "--which", "2", "--k", "2000", "--alpha", "0", "--N", "0"), 2,
+     "lattice guard: box of 2^1999 points"),
+    (("theorem", "--which", "1", "--k", "1500", "--alpha", "0", "--N", "0"), 2,
+     "lattice guard: box of 2^1499 points"),
+    # the guard built 3^999999999 to compare it with the limit
+    (("theorem", "--which", "2", "--k", "1000000000", "--alpha", "0", "--N", "1"), 2,
+     "division guard"),
+    # the division by (q;q)^2 ran unguarded for minutes
+    (("theorem", "--which", "2", "--k", "2", "--alpha", "0", "--N", "200000"), 2,
+     "division guard: 194347208 coefficient updates"),
+    # the (value, color) pairs of all 10^8 colors were built before any row
+    (("enumerate", "--variant", "colored", "--k", "100000000", "--alpha", "0", "--n", "0",
+      "--list"), 0, None),
+    # jacobi_work took the isqrt of a negative number
+    (("identities", "--N", "-1"), 2, "error: truncation order must be >= 0"),
+])
+def test_large_or_negative_sizes_exit_quickly_without_a_traceback(argv, code, message):
+    proc = _run_cli_process(*argv, preexec_fn=_one_gib_address_space)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if message is None:
+        assert json_lines(proc.stdout)[0]["arrays"] == [{"bottom": [], "top": []}]
+    else:
+        assert message in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("expand", "--spec=-,1,0,-1", "--N", "1000000"),
     ("expand", "--spec=-,1,0,-1", "--N", "1000000", "--mod", "7"),

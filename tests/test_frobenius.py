@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,18 @@ def test_colored_rows_canonical_and_distinct():
             assert list(row) == sorted(row, reverse=True)
             assert all(1 <= c <= 2 for _, c in row)
         assert arr.weight == 4
+
+
+def test_colored_rows_build_pairs_only_for_values_met():
+    # weight 0 has one empty row: no value, so no (value, color) pair at any k
+    tracemalloc.start()
+    try:
+        assert frobenius._colored_rows.__wrapped__(0, 0, 0, 10**6) == ((),)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert enumerate_arrays("colored", 10**6, 0, 0) == [FrobeniusArray((), ())]
 
 
 def test_enumeration_is_sorted_and_duplicate_free():

@@ -233,6 +233,63 @@ def test_slotted_and_frozen(cls, slots):
     assert copy.deepcopy(value) == value
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_class_builds_alike_by_position_and_by_keyword():
+    values = _values()
+    # every FrozenValue class in the package has a sample, IntegerRing aside
+    assert {type(v) for v in values} | {type(ZZ)} == {
+        cls for cls in _subclasses(FrozenValue) if cls.__module__.startswith("frobq.")}
+    for value in values:
+        cls, fields = type(value), value._fields()
+        by_name = dict(zip(cls.__slots__, fields))
+        assert cls(*fields) == value
+        assert cls(**by_name) == value
+        assert cls(fields[0], **dict(list(by_name.items())[1:])) == value
+        assert cls(**dict(reversed(by_name.items()))) == value
+    assert ProductFactor(1, 12, exponent=3, residue=8) == parse_product_spec("+,12,8,3").factors[0]
+    assert type(ZZ)() == ZZ
+
+
+@pytest.mark.parametrize("cls", [ProductFactor, ProductSpec, FrobeniusArray])
+def test_plain_value_classes_take_the_base_constructor(cls):
+    assert "__init__" not in vars(cls)
+    assert cls.__init__ is FrozenValue.__init__
+
+
+def test_repr_evaluates_to_an_equal_value():
+    names = {cls.__name__: cls
+             for cls in (ProductFactor, ProductSpec, FrobeniusArray, CongruenceClaim)}
+    values = [v for v in _values() if type(v).__name__ in names]
+    values.append(ProductFactor(sign=1, period=3, residue=0, exponent=-1))
+    assert {type(v) for v in values} == set(names.values())
+    for value in values:
+        assert eval(repr(value), names) == value
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ProductFactor(1, 2, 3),                         # missing
+    lambda: ProductFactor(1, 2, exponent=4),                # missing between
+    lambda: ProductFactor(1, 2, 3, 4, 5),                   # extra
+    lambda: ProductFactor(1, 2, 3, 4, sign=1),              # repeated, and extra
+    lambda: ProductFactor(1, 2, 3, sign=1),                 # repeated
+    lambda: ProductFactor(1, 2, 3, 4, colour=5),            # unknown
+    lambda: ProductFactor(1, 2, 3, expo=4),                 # unknown for a missing one
+    lambda: ProductSpec(),
+    lambda: FrobeniusArray((), (), ()),
+    lambda: FrobeniusArray((), bottom=(), top=()),
+])
+def test_a_wrong_field_set_raises_type_error_naming_the_fields(build):
+    with pytest.raises(TypeError, match=r"(ProductFactor|ProductSpec|FrobeniusArray) takes each "
+                                        r"of its fields \((sign, period, residue, exponent"
+                                        r"|factors|top, bottom)\) exactly once"):
+        build()
+
+
 def test_integer_ring_pickles_and_copies_to_an_equal_ring():
     assert isinstance(ZZ, FrozenValue) and ZZ.__slots__ == () and not hasattr(ZZ, "__dict__")
     for twin in (pickle.loads(pickle.dumps(ZZ)), copy.copy(ZZ), copy.deepcopy(ZZ)):
@@ -382,3 +439,31 @@ def test_the_package_has_no_float():
 def test_the_float_scan_flags_each_kind(source, what):
     assert [w for _, w in _float_uses(source)] == [what]
     assert _float_uses("from math import isqrt\nx = isqrt(y) // 2 + 3") == []
+
+
+# ---------------------------------------------------------------------------
+# one writer: FrozenValue's constructor binds every frozen field
+# ---------------------------------------------------------------------------
+
+def _object_setattr_uses(source):
+    """Line numbers where `source` reads `object.__setattr__`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"]
+
+
+def test_only_the_value_base_calls_object_setattr():
+    found = {path.name: _object_setattr_uses(path.read_text())
+             for path in sorted(SRC.glob("frobq/*.py"))}
+    assert len(found) >= 8
+    assert [name for name, lines in found.items() if lines] == ["_value.py"]
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("class A:\n    def __init__(self, x):\n        object.__setattr__(self, 'x', x)", [3]),
+    ("write = object.__setattr__", [1]),
+    ("class A:\n    def __init__(self, x):\n        super().__init__(x)", []),
+    ("class A:\n    def __setattr__(self, name, value):\n        pass", []),
+])
+def test_the_setattr_scan_flags_each_kind(source, lines):
+    assert _object_setattr_uses(source) == lines

@@ -23,6 +23,7 @@ from frobq.qseries import (
     euler_cube,
     euler_product,
     first_divergence,
+    jacobi_guard,
     jacobi_triple,
     jacobi_work,
     parse_product_spec,
@@ -605,6 +606,13 @@ def test_jacobi_guard_refuses_before_expanding(monkeypatch):
     monkeypatch.setattr(BivarSeries, "apply_factor", no_expansion)
     with pytest.raises(ValueError, match="triple product guard"):
         jacobi_triple(5000)
+
+
+def test_jacobi_work_refuses_a_negative_order():
+    # the message jacobi_triple and the verify targets give
+    for fn in (jacobi_work, jacobi_guard, jacobi_triple):
+        with pytest.raises(ValueError, match="^truncation order must be >= 0$"):
+            fn(-1)
 
 
 def test_rng_smoke_mod_series_matches_int_series():

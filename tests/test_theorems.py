@@ -21,12 +21,15 @@ from frobq.qseries import (
     product_work,
 )
 from frobq.theorems import (
+    MAX_DIVISION_WORK,
     MAX_LATTICE_BOX,
     NonIntegralCoefficientError,
     _divide_by_euler,
     _lattice_table,
+    _pentagonal_exponents,
     cphi2m1_product,
     cphi_theta_series,
+    division_work,
     mod5_numerator_product,
     mod5_numerator_signed,
     mod5_numerator_theta,
@@ -237,6 +240,65 @@ def test_lattice_guard_refuses_oversized_box():
     assert 11 ** 5 <= MAX_LATTICE_BOX
     series = cphi_theta_series(6, -2, 14)
     assert series.coeffs[:4] == tuple(count_cphi(6, -2, n) for n in range(4))
+
+
+def test_lattice_guard_counts_each_coordinate_as_two_values():
+    # at N=0, alpha=0 the box is one point, but the walk recurses once a
+    # coordinate: 2^22 <= MAX_LATTICE_BOX < 2^23
+    assert cphi_theta_series(23, 0, 0).coeffs == (1,)
+    for fn in (phi_theta_series, cphi_theta_series):
+        with pytest.raises(ValueError, match=r"lattice guard: box of 2\^23 points"):
+            fn(24, 0, 0)
+        with pytest.raises(ValueError, match=r"lattice guard: box of 2\^1999 points"):
+            fn(2000, 0, 0)
+
+
+def test_lattice_guard_names_a_huge_box_without_building_it():
+    # 3^(10^9 - 1) would take minutes to build; N=0 keeps the division free
+    with pytest.raises(ValueError, match=r"box of 3\^999999999 points"):
+        cphi_theta_series(10**9, 1, 0)
+
+
+def test_division_work_closed_form_matches_literal_sum():
+    for order in range(400):
+        odd, even = _pentagonal_exponents(order)
+        assert division_work(3, order) == 3 * sum(order + 1 - g for g in odd + even)
+    # the updates the division loops make, counted at one order
+    odd, even = _pentagonal_exponents(60)
+    assert division_work(1, 60) == sum(1 for n in range(1, 61) for g in odd + even if g <= n)
+
+
+def test_division_guard_limit_is_inclusive(monkeypatch):
+    work = division_work(2, 50)
+    monkeypatch.setattr(theorems, "MAX_DIVISION_WORK", work)
+    series = cphi_theta_series(2, 0, 50)
+    assert series.coeffs[:4] == tuple(count_cphi(2, 0, n) for n in range(4))
+    monkeypatch.setattr(theorems, "MAX_DIVISION_WORK", work - 1)
+    for fn in (phi_theta_series, cphi_theta_series):
+        with pytest.raises(ValueError, match=f"division guard: {work} coefficient updates exceed "
+                                             f"MAX_DIVISION_WORK={work - 1}"):
+            fn(2, 0, 50)
+
+
+def test_division_guard_refuses_before_the_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked the lattice before refusing")
+
+    monkeypatch.setattr(theorems, "_lattice_table", no_walk)
+    for fn in (phi_theta_series, cphi_theta_series):
+        with pytest.raises(ValueError, match="division guard"):
+            fn(2, 0, 200_000)
+        with pytest.raises(ValueError, match="division guard"):
+            fn(1, 0, 10**30)
+
+
+def test_division_guard_admits_every_size_the_routes_run():
+    # the benchmark's theta sizes, and the largest orders the product guard
+    # lets cor1 (phi2m1, N=13692) and cor2 (cphi2m1, N=8450) reach
+    for k, order in ((2, 800), (3, 400), (2, 13692)):
+        assert division_work(k, order) <= MAX_DIVISION_WORK
+    phi2m1 = parse_product_spec(theorems.PHI2M1_SPEC_TEXT)
+    assert product_work(phi2m1, 13692) <= MAX_PRODUCT_WORK < product_work(phi2m1, 13693)
 
 
 def test_phi_theta_integrality_holds_on_grid():
