@@ -14,6 +14,7 @@ runs, so a call loads only what it computes with.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -32,12 +33,17 @@ from .qseries import (
     product_from_spec,
 )
 
-# The most arrays `enumerate --list` prints.  Encoding them as one JSON line
-# costs about 20 times what building them costs: on a 2-CPU x86 guest with
-# CPython 3.11.7, colored k=3, alpha=-2, n=16 (493,011 arrays) took 9.6 s and
-# peaked at 640 MiB, and colored k=4, alpha=-3, n=12 (680,108 arrays) 14.9 s
-# and 888 MiB.  So the limit is about 10 s and 700 MiB.
-MAX_LIST_ARRAYS = 500_000
+# The most arrays `enumerate --list` prints.  The line is written a few
+# thousand arrays at a time, so memory holds the arrays, not their JSON, and
+# encoding an array costs about 7 times what building it costs.  On a 2-CPU
+# x86 guest with CPython 3.11.7, best of 3 runs to /dev/null: colored k=3,
+# alpha=-2, n=17 (800,934 arrays) took 5.6 s and peaked at 62 MiB, k=4,
+# alpha=-3, n=12 (680,108) 4.5 s and 56 MiB, and k=10, alpha=-5, n=4
+# (1,566,600) 10.2 s and 111 MiB: 6.5-6.9 us an array.  Runs on the loaded
+# guest took up to 1.4 times as long, so the limit is 8-10 s and 90 MiB.
+MAX_LIST_ARRAYS = 1_200_000
+# how many pieces, arrays and separators, `enumerate --list` writes at once
+_LIST_CHUNK = 4096
 
 # `scan --builtin` names, each with its spec's name in `theorems`
 BUILTIN_SPECS = {
@@ -46,8 +52,12 @@ BUILTIN_SPECS = {
 }
 
 
+# `json.dumps(obj, sort_keys=True)` with its encoder built once, not per line
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(_encode(obj))
 
 
 def _emit_csv(header: str, rows) -> None:
@@ -90,15 +100,29 @@ def cmd_enumerate(args) -> int:
         "alpha": args.alpha,
         "n": args.n,
     }
-    if args.list:
-        arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n,
-                                            limit=MAX_LIST_ARRAYS)
-        out["count"] = str(len(arrays))
-        out["arrays"] = [a.to_json_dict() for a in arrays]
-    else:
+    if not args.list:
         count = frobenius.count_phi if args.variant == "repetition" else frobenius.count_cphi
         out["count"] = str(count(args.k, args.alpha, args.n))
-    _emit(out)
+        _emit(out)
+        return 0
+    # built before anything is written, so a refusal prints nothing
+    arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n,
+                                        limit=MAX_LIST_ARRAYS)
+    out["count"] = str(len(arrays))
+    # the line `_emit` would print with out["arrays"], written array by
+    # array: with sorted keys "arrays" follows "alpha" and precedes the rest
+    alpha = _encode({"alpha": out.pop("alpha")})
+    rest = _encode(out)
+    separators = itertools.chain([""], itertools.repeat(", "))
+    encoded = map(_encode, map(frobenius.FrobeniusArray.to_json_dict, arrays))
+    pieces = itertools.chain.from_iterable(zip(separators, encoded))
+    write = sys.stdout.write
+    write(alpha[:-1] + ', "arrays": [')
+    # a few thousand pieces a write: a write a piece made a small --list
+    # call about a third slower through a pipe
+    while chunk := "".join(itertools.islice(pieces, _LIST_CHUNK)):
+        write(chunk)
+    write("], " + rest[1:] + "\n")
     return 0
 
 

@@ -23,6 +23,7 @@ and read off the coefficient of z^alpha.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 from collections import deque
 from math import comb, prod
@@ -185,26 +186,41 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int,
     `FrobeniusArray(top, bottom)` makes: the same fields, equality, hash
     and pickling.
 
+    The rows are built and the arrays filled with the cyclic garbage
+    collector paused; it is switched back on afterwards only if it was on.
+    The build makes only acyclic tuples, lists and arrays, which reference
+    counting frees, so a collection during it would free nothing and only
+    walk the growing heap of arrays.  Any cycle left behind, such as a
+    raised exception's traceback, is collected by the first collection
+    after the call.
+
     Guarded: refuses weights above MAX_ENUM_WEIGHT, and more than `limit`
     arrays by `count_phi`/`count_cphi` before it builds any row.  The count
     only decides whether to refuse; the arrays come from the search alone.
     """
     _check_enum_args(variant, k, n)
-    total = (count_phi if variant == "repetition" else count_cphi)(k, alpha, n)
-    if total > limit:
-        raise ValueError(f"enumeration guard: {total} arrays exceed the limit of {limit}")
-    rows_fn = _bounded_rows if variant == "repetition" else _colored_rows
-    by_top = []
-    for tops, bottoms in _row_pairs(rows_fn, k, alpha, n):
-        bottoms = sorted(bottoms)
-        by_top.extend((top, bottoms) for top in tops)
-    by_top.sort(key=itemgetter(0))
-    lengths = [len(bottoms) for _, bottoms in by_top]
-    arrays = list(map(_new_array, itertools.repeat(FrobeniusArray, sum(lengths))))
-    tops = map(itertools.repeat, map(itemgetter(0), by_top), lengths)
-    deque(map(_set_top, arrays, itertools.chain.from_iterable(tops)), 0)
-    deque(map(_set_bottom, arrays, itertools.chain.from_iterable(map(itemgetter(1), by_top))), 0)
-    return arrays
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        total = (count_phi if variant == "repetition" else count_cphi)(k, alpha, n)
+        if total > limit:
+            raise ValueError(f"enumeration guard: {total} arrays exceed the limit of {limit}")
+        rows_fn = _bounded_rows if variant == "repetition" else _colored_rows
+        by_top = []
+        for tops, bottoms in _row_pairs(rows_fn, k, alpha, n):
+            bottoms = sorted(bottoms)
+            by_top.extend((top, bottoms) for top in tops)
+        by_top.sort(key=itemgetter(0))
+        lengths = [len(bottoms) for _, bottoms in by_top]
+        arrays = list(map(_new_array, itertools.repeat(FrobeniusArray, sum(lengths))))
+        tops = map(itertools.repeat, map(itemgetter(0), by_top), lengths)
+        deque(map(_set_top, arrays, itertools.chain.from_iterable(tops)), 0)
+        bottoms = itertools.chain.from_iterable(map(itemgetter(1), by_top))
+        deque(map(_set_bottom, arrays, bottoms), 0)
+        return arrays
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def count_phi(k: int, alpha: int, n: int) -> int:

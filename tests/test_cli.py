@@ -1,6 +1,7 @@
 """CLI surface: flags, output shapes, exit codes, determinism."""
 
 import functools
+import hashlib
 import importlib
 import json
 import os
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from frobq import cli, qseries, theorems
+from frobq import cli, frobenius, qseries, theorems
+from frobq.congruence import CongruenceClaim
 from frobq.qseries import ZZ, TruncSeries, first_divergence
 
 
@@ -80,6 +82,40 @@ def test_enumerate_list_shape(capsys):
     assert json_lines(out)[0]["arrays"] == [{"top": [], "bottom": [[0]]}]
 
 
+@pytest.mark.parametrize("variant, k, alpha, n", [
+    ("colored", 2, 9, 3),  # no array
+    ("repetition", 2, -1, 0),  # one array
+    ("colored", 1, 0, 0),
+    ("repetition", 1, 0, 6),
+    ("colored", 1, -2, 7),
+    ("repetition", 3, 2, 8),
+    ("colored", 3, -2, 6),
+])
+def test_enumerate_list_streams_the_line_it_used_to_build(capsys, variant, k, alpha, n):
+    arrays = frobenius.enumerate_arrays(variant, k, alpha, n)
+    old = {"command": "enumerate", "variant": variant, "k": k, "alpha": alpha, "n": n,
+           "count": str(len(arrays)), "arrays": [a.to_json_dict() for a in arrays]}
+    code, out, _ = run_cli(capsys, "enumerate", "--variant", variant, "--k", str(k),
+                           "--alpha", str(alpha), "--n", str(n), "--list")
+    assert code == 0
+    assert out == json.dumps(old, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    # a claim as `scan` prints it, and one with a violation
+    CongruenceClaim(5, 4, 5, 1200, "verified", witnesses=240).to_json_dict(),
+    CongruenceClaim(5, 3, 5, 1200, "violated", first_violation=3).to_json_dict(),
+    # a `verify` detail with a non-ASCII character
+    {"command": "verify", "target": "thm3", "N": 104, "identity": "phi_{2,-1}",
+     "status": "pass", "report": "phi_{2,-1}(5n+4) ≡ 0 mod 5, 21 witnesses"},
+    # nested lists and dicts
+    {"z": [[1, [2, [3, []]]], {"b": [0.5, -1], "a": "x"}], "y": [], "x": {}},
+])
+def test_emit_prints_what_json_dumps_prints(capsys, obj):
+    cli._emit(obj)
+    assert capsys.readouterr().out == json.dumps(obj, sort_keys=True) + "\n"
+
+
 def test_enumerate_guard_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--variant", "repetition",
                            "--k", "2", "--alpha", "-1", "--n", "31")
@@ -120,9 +156,9 @@ def test_enumerate_colored_count_at_k6_fits_in_one_gib():
 @pytest.mark.parametrize("k, alpha, n, count", [
     # 9,436,609,944 arrays: enumerate_arrays refuses them at any limit
     (6, 0, 20, 9436609944),
-    # 800,934 arrays: enumerate_arrays builds them in under a second, but
-    # --list would print about 67 MB of JSON
-    (3, -2, 17, 800934),
+    # 2,039,583 arrays: enumerate_arrays builds them in about 2 s, but
+    # --list would print about 180 MB of JSON in some 16 s
+    (3, -2, 19, 2039583),
 ])
 def test_enumerate_list_guard_exits_two_quickly(k, alpha, n, count):
     # the count decides before any row is built, under the cap CI runs with
@@ -133,6 +169,26 @@ def test_enumerate_list_guard_exits_two_quickly(k, alpha, n, count):
     assert f"enumeration guard: {count} arrays exceed the limit of {cli.MAX_LIST_ARRAYS}" \
         in proc.stderr
     assert proc.stdout == ""
+
+
+def _quarter_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+
+def test_enumerate_list_streams_under_a_quarter_gib():
+    # the line is written a few thousand arrays at a time: holding every
+    # array's JSON dict and the whole line peaked near 390 MiB and ran out
+    # of memory here
+    proc = _run_cli_process("enumerate", "--variant", "colored", "--k", "3", "--alpha", "-2",
+                            "--n", "15", "--list", timeout=20,
+                            preexec_fn=_quarter_gib_address_space)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.endswith('], "command": "enumerate", "count": "299325", "k": 3, '
+                                '"n": 15, "variant": "colored"}\n')
+    assert proc.stdout.count('{"bottom": ') == 299325
+    # the digest of the line the whole-line encoder printed
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "1575807894a30d481912475dc2de1da87fc0a279f65fe0291087c9ab6ec727e4"
 
 
 @pytest.mark.parametrize("extra", [

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import itertools
 import math
 import pickle
@@ -134,6 +135,57 @@ def test_enumeration_guard_limit_is_inclusive():
     assert len(enumerate_arrays("repetition", 2, -1, 6, limit=count_phi(2, -1, 6))) > 0
     with pytest.raises(ValueError, match="enumeration guard"):
         enumerate_arrays("repetition", 2, -1, 6, limit=count_phi(2, -1, 6) - 1)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector switched on or off for the test, and restored after it."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("variant", ["repetition", "colored"])
+def test_enumeration_leaves_the_collector_as_it_found_it(collector, variant):
+    assert enumerate_arrays(variant, 2, -1, 7)
+    assert gc.isenabled() is collector
+    with pytest.raises(ValueError, match="enumeration guard"):
+        enumerate_arrays(variant, 2, -1, 7, limit=0)
+    assert gc.isenabled() is collector
+
+
+def test_enumeration_restores_the_collector_when_the_build_raises(collector, monkeypatch):
+    seen = []
+
+    def fail(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("row build failed")
+
+    monkeypatch.setattr(frobenius, "_colored_rows", fail)
+    with pytest.raises(RuntimeError, match="row build failed"):
+        enumerate_arrays("colored", 2, -1, 7)
+    # the rows are built with the collector paused, and its state comes back
+    assert seen == [False]
+    assert gc.isenabled() is collector
+
+
+def test_row_caches_stay_small_after_a_large_enumeration():
+    # the row caches outlive the call, the arrays do not: 800,934 arrays
+    # take some 50 MiB, the rows they share about 3.3 MiB
+    frobenius._bounded_rows.cache_clear()
+    frobenius._colored_rows.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert len(enumerate_arrays("colored", 3, -2, 17)) == 800_934
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert frobenius._colored_rows.cache_info().currsize > 0
+    assert held < 16 << 20
 
 
 @pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
