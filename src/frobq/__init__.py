@@ -18,14 +18,14 @@ _EXPORTS = {
     "exactring": ("CycInt", "cyclotomic_poly", "zeta_pow"),
     "qseries": (
         "BivarSeries", "ModRing", "NotUnitError", "ProductFactor", "ProductSpec",
-        "ProductSpecError", "RingMismatchError", "TruncSeries", "ZZ", "euler_cube",
-        "euler_product", "first_divergence", "jacobi_triple", "parse_product_spec",
-        "product_from_spec",
+        "ProductSpecError", "RingMismatchError", "TruncSeries", "ZZ", "euler_product",
+        "first_divergence", "parse_product_spec", "product_from_spec",
     ),
     "frobenius": ("FrobeniusArray", "bivar_coefficient_series", "count_cphi", "count_phi",
                   "enumerate_arrays"),
     "theorems": ("NonIntegralCoefficientError", "cphi2m1_product", "cphi_theta_series",
-                 "phi2m1_product", "phi_theta_series", "quad_exponent"),
+                 "euler_cube", "jacobi_triple", "phi2m1_product", "phi_theta_series",
+                 "quad_exponent"),
     "congruence": ("CongruenceClaim", "progression_exponent_check", "residue_argument_check",
                    "scan_congruences", "verify_congruence"),
 }

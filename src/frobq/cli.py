@@ -5,7 +5,7 @@ JSON lines by default (integers as decimal strings, since coefficients
 outgrow 64 bits quickly), CSV on request for the tabular commands.
 
 Exit codes: 0 success/verified, 1 mathematical disagreement (with location),
-2 usage error or violated input guard.
+2 usage error, violated input guard or exhausted memory.
 
 Each subcommand, and each named check, imports the modules it calls when it
 runs, so a call loads only what it computes with.
@@ -24,11 +24,8 @@ from .qseries import (
     ModRing,
     NotUnitError,
     ProductSpecError,
-    euler_cube,
     euler_product,
     first_divergence,
-    jacobi_guard,
-    jacobi_triple,
     parse_product_spec,
     product_from_spec,
 )
@@ -163,13 +160,19 @@ def _series_comparison(name, lhs, rhs):
     }
 
 
+def _theorems():
+    from . import theorems
+
+    return theorems
+
+
 def _euler_cube_comparison(order):
     e = euler_product(order)
-    return _series_comparison("euler_cube", euler_cube(order), e * e * e)
+    return _series_comparison("euler_cube", _theorems().euler_cube(order), e * e * e)
 
 
 def _jacobi_comparison(order):
-    product, theta = jacobi_triple(order)
+    product, theta = _theorems().jacobi_triple(order)
     for z in sorted(set(product.rows) | set(theta.rows)):
         d = first_divergence(product.z_slice(z), theta.z_slice(z))
         if d is not None:
@@ -183,12 +186,6 @@ def _theta_vs_product(name, theta, product, order):
     # before the theta side's division runs
     rhs = product(order)
     return _series_comparison(name, theta(2, -1, order), rhs)
-
-
-def _theorems():
-    from . import theorems
-
-    return theorems
 
 
 def _mod5_numerator_comparison(order):
@@ -275,7 +272,7 @@ def cmd_identities(args) -> int:
     # the triple product is the battery's costliest check, so its guard
     # refuses first; every check runs before printing, so a refused one
     # leaves stdout empty
-    jacobi_guard(args.N)
+    _theorems().jacobi_guard(args.N)
     results = []
     for _, name, check in CHECKS:
         if name:
@@ -365,9 +362,12 @@ def main(argv=None) -> int:
         return _fail_usage(f"non-invertible constant term: {exc}")
     except ValueError as exc:
         return _fail_usage(str(exc))
+    except MemoryError:
+        pass  # reported below, once the exception and the frames it holds are freed
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
+    return _fail_usage("out of memory")
 
 
 if __name__ == "__main__":

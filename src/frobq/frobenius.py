@@ -263,11 +263,13 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
 
     Every term of every partial product that survives the q truncation is an
     array of weight <= order whose row difference is its z-exponent, so the
-    z window starts as [-M2, M1]: M1 is the longest top row that fits in
+    z window lies in [-M2, M1]: M1 is the longest top row that fits in
     weight `order` (each entry costs its value plus 1) and M2 the longest
     bottom row (each entry costs its value).  An alpha outside it gives the
-    zero series at once.  The product is expanded in place, one
-    `BivarSeries.apply_factor` per (k+1)-term factor.
+    zero series at once.  A row below alpha - order needs more than `order`
+    top entries to reach alpha, so the window starts at max(-M2, alpha -
+    order).  The product is expanded in place, one `apply_factor` per factor,
+    whose terms z^j stop at the window's width, as a wider one leaves it.
 
     Only what can still reach z^alpha is expanded.  Once both factors of
     lam = L are applied, a term at (z, w) can end in z^alpha q^(<= order)
@@ -304,10 +306,13 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
         m2 += 1
     if not -m2 <= alpha <= m1:
         return TruncSeries.zero(ZZ, order)
-    weight = (lambda j: 1) if variant == "repetition" else (lambda j: comb(k, j))
-    acc = BivarSeries.one(order, -m2, m1)
+    zmin = max(-m2, alpha - order)
+    width = min(k, m1 - zmin)
+    weights = [1] * width if variant == "repetition" else [comb(k, j) for j in range(1, width + 1)]
+    acc = BivarSeries.one(order, zmin, m1)
     for lam in range(order + 1):
-        acc.apply_factor([(j, j * (lam + 1), weight(j)) for j in range(1, k + 1)])
-        acc.apply_factor([(-j, j * lam, weight(j)) for j in range(1, k + 1)])
+        reach = list(enumerate(weights[:acc.zmax - acc.zmin], 1))
+        acc.apply_factor([(j, j * (lam + 1), w) for j, w in reach])
+        acc.apply_factor([(-j, j * lam, w) for j, w in reach])
         acc.truncate(lambda z: order + 1 - _reach_cost(z, alpha, lam))
     return acc.z_slice(alpha)

@@ -15,16 +15,12 @@ loss is always explicit, or by an int) and `inverse`, which the tests use as
 the reference the faster kernels are checked against.  The routes build
 their own coefficient lists; this module provides:
 
-  * the Euler product (q;q) = prod (1 - q^n) and its cube as a theta-style sum,
   * a tiny product DSL: each factor (sign, period, residue, exponent) denotes
-    prod_{n>=1} (1 + sign * q^(period*n - residue))^exponent,
+    prod_{n>=1} (1 + sign * q^(period*n - residue))^exponent, and the Euler
+    product (q;q) = prod (1 - q^n) as one such spec,
   * BivarSeries, a two-variable series over ZZ truncated in q and confined to
     a window of z-exponents, expanded in place factor by factor and used to
-    slice out fixed-row-difference coefficients,
-  * both sides of the Jacobi triple product identity
-        prod_{n>=1} (1 - q^n)(1 + z q^n)(1 + z^{-1} q^{n-1})
-            = sum_m z^m q^(m(m+1)/2)
-    as bivariate series for equality testing.
+    slice out fixed-row-difference coefficients.
 
 Everything is pure and exact; there are no floats anywhere.
 """
@@ -33,7 +29,6 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, compress, count, repeat
-from math import isqrt
 from operator import add, index, mul, sub
 
 from ._value import FrozenValue
@@ -221,38 +216,18 @@ def _apply_binomial(coeffs: list, sign: int, e: int, divide: bool = False) -> No
 
 def _constant_factor(times: int, ring, divide: bool) -> int:
     """(1 + q^0)^times = 2^times in the ring, or its inverse when `divide`;
-    raises NotUnitError when 2 has no inverse.  Squares and reduces bit by
-    bit, so a ModRing power stays small however large `times` is."""
-    base = ring.from_int(2)
-    if divide:
-        base = ring.invert(base)
-    result = ring.from_int(1)
-    for bit in bin(times)[2:]:
-        result = ring.from_int(result * result)
-        if bit == "1":
-            result = ring.from_int(result * base)
-    return result
+    raises NotUnitError when 2 has no inverse.  Over ModRing it is the
+    builtin modular pow, so the power stays small however large `times` is."""
+    base = ring.invert(ring.from_int(2)) if divide else 2
+    if isinstance(ring, ModRing):
+        return pow(base, times, ring.modulus)
+    return base ** times
 
 
 def euler_product(order: int) -> TruncSeries:
     """prod_{n=1..N} (1 - q^n) truncated at N, as the product-DSL spec -,1,0,1;
     guarded like every DSL expansion."""
     return product_from_spec(parse_product_spec("-,1,0,1"), order)
-
-
-def _triangular_root(order: int) -> int:
-    # the largest m >= 0 with m(m+1)/2 <= order, that is (2m+1)^2 <= 8*order+1
-    return (isqrt(8 * order + 1) - 1) // 2
-
-
-def euler_cube(order: int) -> TruncSeries:
-    """sum_{j>=0} (-1)^j (2j+1) q^(j(j+1)/2), the cube of the Euler product."""
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    coeffs = [0] * (order + 1)
-    for j in range(_triangular_root(order) + 1):
-        coeffs[j * (j + 1) // 2] = -(2 * j + 1) if j % 2 else 2 * j + 1
-    return TruncSeries(ZZ, coeffs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +381,10 @@ class BivarSeries:
     A row may be shorter than order + 1: `truncate` cuts each row to a live
     length, for a caller that reads only some coefficients and has shown
     that the ones cut cannot reach them.  `apply_factor` keeps every row's
-    length, so a cut row holds only its live prefix.  `jacobi_triple` never
-    cuts: its window holds every term of every partial product.
-    `bivar_coefficient_series` cuts after each pair of factors, and its
-    docstring proves that the prefixes it keeps are exact.
+    length, so a cut row holds only its live prefix.
+    `theorems.jacobi_triple` never cuts: its window holds every term of every
+    partial product.  `bivar_coefficient_series` cuts after each pair of
+    factors, and its docstring proves that the prefixes it keeps are exact.
     """
 
     __slots__ = ("order", "zmin", "zmax", "rows")
@@ -567,58 +542,3 @@ class BivarSeries:
         support = sorted(z for z, row in self.rows.items() if any(row))
         return (f"BivarSeries(N={self.order}, "
                 f"window=[{self.zmin},{self.zmax}], z-support={support})")
-
-
-# Refuse triple products above this many coefficient updates: about 10 s on
-# a 2-CPU x86 guest over ZZ (137-183 ns an update at orders 300-1000); the
-# largest accepted order is 961.
-MAX_JACOBI_WORK = 65_000_000
-
-
-def jacobi_work(order: int) -> int:
-    """Coefficient updates `jacobi_triple` performs on its product side, at most.
-
-    Row z^m starts no lower than q^(m(m+1)/2).  With L = order + 1 -
-    m(m+1)/2, the factors z^-1 q^(n-1) for n = 1..order+1 update it over at
-    most L(L+1)/2 coefficients, and q^n and z q^n for n = 1..order over at
-    most L(L-1)/2 each: L(3L-1)/2 in all.  Rows m >= 0 and -m-1 start alike,
-    so each m >= 0 counts twice."""
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    total = 0
-    for m in range(_triangular_root(order) + 1):
-        rest = order + 1 - m * (m + 1) // 2
-        total += rest * (3 * rest - 1)
-    return total
-
-
-def jacobi_guard(order: int) -> None:
-    """Raise ValueError when `jacobi_work(order)` exceeds MAX_JACOBI_WORK."""
-    work = jacobi_work(order)
-    if work > MAX_JACOBI_WORK:
-        raise ValueError(f"triple product guard: {work} coefficient updates exceed "
-                         f"MAX_JACOBI_WORK={MAX_JACOBI_WORK}")
-
-
-def jacobi_triple(order: int):
-    """Both sides of the triple product identity, for equality testing.
-
-    Product side: prod_{n>=1} (1 - q^n)(1 + z q^n)(1 + z^{-1} q^{n-1});
-    sum side: sum_m z^m q^(m(m+1)/2).  The z window [-(up+1), up] is exact:
-    z^m costs at least q^(m(m+1)/2) on both sides, which is the same for m
-    and -m-1, so with up the largest m >= 0 whose cost fits in q-degree
-    `order` no term is ever clipped.
-    Guarded: `jacobi_guard` refuses before anything is expanded.
-    """
-    jacobi_guard(order)
-    up = _triangular_root(order)
-    zmin, zmax = -(up + 1), up
-    product = BivarSeries.one(order, zmin, zmax)
-    for n in range(1, order + 2):
-        product.apply_factor([(-1, n - 1, 1)])
-        if n <= order:
-            product.apply_factor([(0, n, -1)])
-            product.apply_factor([(1, n, 1)])
-    theta = BivarSeries.from_terms(order, zmin, zmax,
-                                   ((m, m * (m + 1) // 2, 1) for m in range(zmin, zmax + 1)))
-    return product, theta

@@ -21,14 +21,15 @@ product formulas and the enumeration oracle pin down.
 For k=2, alpha=-1 both families collapse to infinite products (phi2m1 and
 cphi2m1 below), and the module also exposes the intermediate product
 identities used on the way to the mod-5 divisibility pattern of their
-5n+4 coefficients.
+5n+4 coefficients, and the battery's two classical identities: Euler's cube
+and Jacobi's triple product.  Every closed-form sum is built by `_sparse_sum`.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from .qseries import ZZ, TruncSeries, parse_product_spec, product_from_spec
+from .qseries import ZZ, BivarSeries, TruncSeries, parse_product_spec, product_from_spec
 
 
 # Refuse lattices too large to walk in seconds.  The estimate is the box
@@ -287,23 +288,94 @@ def mod5_numerator_product(order: int) -> TruncSeries:
 
 def mod5_numerator_theta(order: int) -> TruncSeries:
     """sum_m q^(9m^2 - 3m) - q^(9m^2 + 9m + 2) over all integers m."""
-    coeffs = [0] * (order + 1)
-    bound = isqrt(order) + 2
-    for m in range(-bound, bound + 1):
-        e = 9 * m * m - 3 * m
-        if 0 <= e <= order:
-            coeffs[e] += 1
-        e = 9 * m * m + 9 * m + 2
-        if 0 <= e <= order:
-            coeffs[e] -= 1
-    return TruncSeries(ZZ, coeffs, order)
+    t = _triangular_root(order)
+    return _sparse_sum(order, ((e, c) for m in range(-t, t + 1)
+                               for e, c in ((9 * m * m - 3 * m, 1), (9 * m * m + 9 * m + 2, -1))))
 
 
 def mod5_numerator_signed(order: int) -> TruncSeries:
     """sum_{j>=0} a_j q^(j^2 + j) with a_j = 1 for j = 0,2 mod 3 and -2 for j = 1 mod 3."""
+    return _sparse_sum(order, ((j * j + j, -2 if j % 3 == 1 else 1)
+                               for j in range(_triangular_root(order) + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form sums, Euler's cube and Jacobi's triple product
+# ---------------------------------------------------------------------------
+
+
+def _triangular_root(order: int) -> int:
+    # the largest t >= 0 with t(t+1)/2 <= order, that is (2t+1)^2 <= 8*order+1
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    return (isqrt(8 * order + 1) - 1) // 2
+
+
+def _sparse_sum(order: int, terms) -> TruncSeries:
+    # sum c q^e over the (e, c) in `terms`, every e >= 0, dropping e > order.
+    # Each caller runs its index j over |j| <= _triangular_root(order): all
+    # its exponents are at least |j|(|j|+1)/2, so it skips no term kept here.
     coeffs = [0] * (order + 1)
-    j = 0
-    while j * j + j <= order:
-        coeffs[j * j + j] += 1 if j % 3 in (0, 2) else -2
-        j += 1
+    for e, c in terms:
+        if e <= order:
+            coeffs[e] += c
     return TruncSeries(ZZ, coeffs, order)
+
+
+def euler_cube(order: int) -> TruncSeries:
+    """sum_{j>=0} (-1)^j (2j+1) q^(j(j+1)/2), the cube of the Euler product."""
+    return _sparse_sum(order, ((j * (j + 1) // 2, -(2 * j + 1) if j % 2 else 2 * j + 1)
+                               for j in range(_triangular_root(order) + 1)))
+
+
+# Refuse triple products above this many coefficient updates: about 10 s on
+# a 2-CPU x86 guest over ZZ (137-183 ns an update at orders 300-1000); the
+# largest accepted order is 961.
+MAX_JACOBI_WORK = 65_000_000
+
+
+def jacobi_work(order: int) -> int:
+    """Coefficient updates `jacobi_triple` performs on its product side, at most.
+
+    Row z^m starts no lower than q^(m(m+1)/2).  With L = order + 1 -
+    m(m+1)/2, the factors z^-1 q^(n-1) for n = 1..order+1 update it over at
+    most L(L+1)/2 coefficients, and q^n and z q^n for n = 1..order over at
+    most L(L-1)/2 each: L(3L-1)/2 in all.  Rows m >= 0 and -m-1 start alike,
+    so each m >= 0 counts twice."""
+    total = 0
+    for m in range(_triangular_root(order) + 1):
+        rest = order + 1 - m * (m + 1) // 2
+        total += rest * (3 * rest - 1)
+    return total
+
+
+def jacobi_guard(order: int) -> None:
+    """Raise ValueError when `jacobi_work(order)` exceeds MAX_JACOBI_WORK."""
+    work = jacobi_work(order)
+    if work > MAX_JACOBI_WORK:
+        raise ValueError(f"triple product guard: {work} coefficient updates exceed "
+                         f"MAX_JACOBI_WORK={MAX_JACOBI_WORK}")
+
+
+def jacobi_triple(order: int):
+    """Both sides of the triple product identity, for equality testing.
+
+    Product side: prod_{n>=1} (1 - q^n)(1 + z q^n)(1 + z^{-1} q^{n-1});
+    sum side: sum_m z^m q^(m(m+1)/2).  The z window [-(up+1), up] is exact:
+    z^m costs at least q^(m(m+1)/2) on both sides, which is the same for m
+    and -m-1, so with up the largest m >= 0 whose cost fits in q-degree
+    `order` no term is ever clipped.
+    Guarded: `jacobi_guard` refuses before anything is expanded.
+    """
+    jacobi_guard(order)
+    up = _triangular_root(order)
+    zmin, zmax = -(up + 1), up
+    product = BivarSeries.one(order, zmin, zmax)
+    for n in range(1, order + 2):
+        product.apply_factor([(-1, n - 1, 1)])
+        if n <= order:
+            product.apply_factor([(0, n, -1)])
+            product.apply_factor([(1, n, 1)])
+    theta = BivarSeries.from_terms(order, zmin, zmax,
+                                   ((m, m * (m + 1) // 2, 1) for m in range(zmin, zmax + 1)))
+    return product, theta

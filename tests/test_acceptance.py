@@ -13,11 +13,13 @@ import pytest
 from frobq import cli
 from frobq.congruence import residue_argument_check, verify_congruence
 from frobq.frobenius import bivar_coefficient_series, count_cphi, count_phi
-from frobq.qseries import euler_cube, euler_product, jacobi_triple
+from frobq.qseries import euler_product
 from frobq.theorems import (
     NonIntegralCoefficientError,
     cphi2m1_product,
     cphi_theta_series,
+    euler_cube,
+    jacobi_triple,
     mod5_numerator_product,
     mod5_numerator_signed,
     mod5_numerator_theta,

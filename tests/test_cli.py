@@ -191,6 +191,39 @@ def test_enumerate_list_streams_under_a_quarter_gib():
         "1575807894a30d481912475dc2de1da87fc0a279f65fe0291087c9ab6ec727e4"
 
 
+def _eighth_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))
+
+
+def test_out_of_memory_exits_two_with_one_error_line():
+    # the scan guard accepts this scan, which peaks near 240 MiB; under a
+    # 128 MiB cap its MemoryError exited 1 with "lost sys.stderr"
+    proc = _run_cli_process("scan", "--spec=-,1,0,1", "--N", "1731", "--maxA", "1731",
+                            "--maxM", "2", "--all-moduli", "--min-witnesses", "1",
+                            timeout=30, preexec_fn=_eighth_gib_address_space)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: out of memory\n"
+    assert proc.stdout == ""
+
+
+def test_out_of_memory_is_reported_once_the_exception_is_cleared(capsys, monkeypatch):
+    # the frames that filled memory are freed before the line is printed
+    def exhaust(args):
+        raise MemoryError
+
+    reported = []
+
+    def fail_usage(message, real=cli._fail_usage):
+        reported.append(sys.exc_info())
+        return real(message)
+
+    monkeypatch.setattr(cli, "cmd_expand", exhaust)
+    monkeypatch.setattr(cli, "_fail_usage", fail_usage)
+    code, out, err = run_cli(capsys, "expand", "--spec=-,1,0,1", "--N", "3")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert reported == [(None, None, None)]
+
+
 @pytest.mark.parametrize("extra", [
     ("--maxA", "8", "--maxM", "1000000000"),
     ("--maxA", "20", "--maxM", "3000000", "--all-moduli"),
@@ -390,14 +423,14 @@ def test_verify_thm4_violation_exits_one(capsys, monkeypatch):
 
 
 def test_verify_jtp_divergence_exits_one(capsys, monkeypatch):
-    real = cli.jacobi_triple
+    real = theorems.jacobi_triple
 
     def broken(order):
         product, theta = real(order)
         theta.rows[1][5] = 7
         return product, theta
 
-    monkeypatch.setattr(cli, "jacobi_triple", broken)
+    monkeypatch.setattr(theorems, "jacobi_triple", broken)
     code, out, _ = run_cli(capsys, "verify", "--target", "jtp", "--N", "30")
     assert code == 1
     payload = json_lines(out)[0]

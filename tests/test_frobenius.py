@@ -6,6 +6,7 @@ import gc
 import itertools
 import math
 import pickle
+import time
 import tracemalloc
 
 import pytest
@@ -478,6 +479,20 @@ def test_cut_bound_has_teeth(monkeypatch, variant, count):
     assert list(bivar_coefficient_series(variant, 2, -1, order).coeffs) == counts
     monkeypatch.setattr(frobenius, "_reach_cost", overcharged)
     assert list(bivar_coefficient_series(variant, 2, -1, order).coeffs) != counts
+
+
+@pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
+def test_bivar_at_large_k_and_small_order_is_quick(variant, count):
+    # the window spanned the 2000 rows that bottom rows of zeros reach, and
+    # every factor had 2000 terms: a colored call took over a second, most
+    # of it C(k, j) for terms that no row in the window could use
+    elapsed = 0.0
+    for alpha in (-3, 0, 3):
+        started = time.perf_counter()
+        series = bivar_coefficient_series(variant, 2000, alpha, 3)
+        elapsed += time.perf_counter() - started
+        assert list(series.coeffs) == [count(2000, alpha, n) for n in range(4)]
+    assert elapsed < 0.15
 
 
 # ---------------------------------------------------------------------------

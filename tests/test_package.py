@@ -70,6 +70,8 @@ README_CALLS = [
                  {"exactring", "frobenius", "congruence"}, set(), id="theorem-colored"),
     pytest.param(("verify", "--target", "thm3", "--N", "104"), {"exactring", "frobenius"}, set(),
                  id="verify"),
+    pytest.param(("verify", "--target", "jtp", "--N", "40"),
+                 {"exactring", "frobenius", "congruence"}, {"theorems"}, id="verify-jtp"),
     pytest.param(("scan", "--builtin", "phi2m1", "--N", "204", "--maxA", "8", "--maxM", "7"),
                  {"exactring", "frobenius"}, set(), id="scan"),
     pytest.param(("identities", "--N", "100"), {"frobenius"}, set(), id="identities"),
@@ -116,12 +118,11 @@ print(json.dumps(homes))
 EXPORTED = [
     "CycInt", "cyclotomic_poly", "zeta_pow",
     "BivarSeries", "ModRing", "NotUnitError", "ProductFactor", "ProductSpec",
-    "ProductSpecError", "RingMismatchError", "TruncSeries", "ZZ", "euler_cube",
-    "euler_product", "first_divergence", "jacobi_triple", "parse_product_spec",
-    "product_from_spec",
+    "ProductSpecError", "RingMismatchError", "TruncSeries", "ZZ", "euler_product",
+    "first_divergence", "parse_product_spec", "product_from_spec",
     "FrobeniusArray", "bivar_coefficient_series", "count_cphi", "count_phi", "enumerate_arrays",
     "NonIntegralCoefficientError", "cphi2m1_product", "cphi_theta_series",
-    "phi2m1_product", "phi_theta_series", "quad_exponent",
+    "euler_cube", "jacobi_triple", "phi2m1_product", "phi_theta_series", "quad_exponent",
     "CongruenceClaim", "progression_exponent_check", "residue_argument_check",
     "scan_congruences", "verify_congruence",
 ]

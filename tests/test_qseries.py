@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobq.qseries import (
-    MAX_JACOBI_WORK,
     MAX_PRODUCT_WORK,
     ZZ,
     BivarSeries,
@@ -20,17 +19,22 @@ from frobq.qseries import (
     RingMismatchError,
     TruncSeries,
     _apply_binomial,
-    euler_cube,
     euler_product,
     first_divergence,
-    jacobi_guard,
-    jacobi_triple,
-    jacobi_work,
     parse_product_spec,
     product_from_spec,
     product_work,
 )
-from frobq.theorems import PHI2M1_SPEC_TEXT
+from frobq.theorems import (
+    MAX_JACOBI_WORK,
+    PHI2M1_SPEC_TEXT,
+    euler_cube,
+    jacobi_guard,
+    jacobi_triple,
+    jacobi_work,
+    mod5_numerator_signed,
+    mod5_numerator_theta,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +613,11 @@ def test_jacobi_guard_refuses_before_expanding(monkeypatch):
 
 
 def test_jacobi_work_refuses_a_negative_order():
-    # the message jacobi_triple and the verify targets give
-    for fn in (jacobi_work, jacobi_guard, jacobi_triple):
+    # the message jacobi_triple and the verify targets give; the closed-form
+    # sums bound their index the same way, and mod5_numerator_theta gave an
+    # isqrt error
+    for fn in (jacobi_work, jacobi_guard, jacobi_triple, euler_cube, mod5_numerator_theta,
+               mod5_numerator_signed):
         with pytest.raises(ValueError, match="^truncation order must be >= 0$"):
             fn(-1)
 
