@@ -5,7 +5,7 @@ JSON lines by default (integers as decimal strings, since coefficients
 outgrow 64 bits quickly), CSV on request for the tabular commands.
 
 Exit codes: 0 success/verified, 1 mathematical disagreement (with location),
-2 usage error, violated input guard or exhausted memory.
+2 usage error, violated input guard, exhausted memory or a closed stdout.
 
 Each subcommand, and each named check, imports the modules it calls when it
 runs, so a call loads only what it computes with.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from . import VARIANTS
@@ -39,8 +40,9 @@ from .qseries import (
 # (1,566,600) 10.2 s and 111 MiB: 6.5-6.9 us an array.  Runs on the loaded
 # guest took up to 1.4 times as long, so the limit is 8-10 s and 90 MiB.
 MAX_LIST_ARRAYS = 1_200_000
-# how many pieces, arrays and separators, `enumerate --list` writes at once
-_LIST_CHUNK = 4096
+# how many pieces `_write` joins into one write: a write a piece made a
+# small `enumerate --list` call about a third slower through a pipe
+_WRITE_CHUNK = 4096
 
 # `scan --builtin` names, each with its spec's name in `theorems`
 BUILTIN_SPECS = {
@@ -53,14 +55,20 @@ BUILTIN_SPECS = {
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
+def _write(pieces) -> None:
+    # every byte of stdout goes through here, a few thousand strings a
+    # write, each read from `pieces` only when its chunk is written
+    pieces = iter(pieces)
+    for first in pieces:
+        sys.stdout.write(first + "".join(itertools.islice(pieces, _WRITE_CHUNK - 1)))
+
+
 def _emit(obj) -> None:
-    print(_encode(obj))
+    _write([_encode(obj) + "\n"])
 
 
 def _emit_csv(header: str, rows) -> None:
-    print(header)
-    for row in rows:
-        print(",".join(map(str, row)))
+    _write(itertools.chain([header + "\n"], (",".join(map(str, row)) + "\n" for row in rows)))
 
 
 def _fail_usage(message: str) -> int:
@@ -106,20 +114,13 @@ def cmd_enumerate(args) -> int:
     arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n,
                                         limit=MAX_LIST_ARRAYS)
     out["count"] = str(len(arrays))
-    # the line `_emit` would print with out["arrays"], written array by
-    # array: with sorted keys "arrays" follows "alpha" and precedes the rest
-    alpha = _encode({"alpha": out.pop("alpha")})
-    rest = _encode(out)
+    # the line `_emit` would print with out["arrays"], each array encoded
+    # only when it is written: the envelope's one "[]" is where they go
+    head, tail = _encode(dict(out, arrays=[])).split("[]")
     separators = itertools.chain([""], itertools.repeat(", "))
     encoded = map(_encode, map(frobenius.FrobeniusArray.to_json_dict, arrays))
     pieces = itertools.chain.from_iterable(zip(separators, encoded))
-    write = sys.stdout.write
-    write(alpha[:-1] + ', "arrays": [')
-    # a few thousand pieces a write: a write a piece made a small --list
-    # call about a third slower through a pipe
-    while chunk := "".join(itertools.islice(pieces, _LIST_CHUNK)):
-        write(chunk)
-    write("], " + rest[1:] + "\n")
+    _write(itertools.chain([head + "["], pieces, ["]" + tail + "\n"]))
     return 0
 
 
@@ -263,8 +264,7 @@ def cmd_scan(args) -> int:
                   ((c.step, c.offset, c.modulus, c.verified_up_to, c.status, c.subsumed)
                    for c in claims))
     else:
-        for c in claims:
-            _emit(c.to_json_dict())
+        _write(_encode(c.to_json_dict()) + "\n" for c in claims)
     return 0
 
 
@@ -273,16 +273,15 @@ def cmd_identities(args) -> int:
     # refuses first; every check runs before printing, so a refused one
     # leaves stdout empty
     _theorems().jacobi_guard(args.N)
-    results = []
+    details, failures = [], 0
     for _, name, check in CHECKS:
         if name:
             ok, detail = check(args.N)
             detail.update(command="identities", name=name, N=args.N)
-            results.append((ok, detail))
-    for _, detail in results:
-        _emit(detail)
-    failures = sum(not ok for ok, _ in results)
-    _emit({"command": "identities", "N": args.N, "checks": len(results), "failures": failures})
+            details.append(detail)
+            failures += not ok
+    details.append(dict(command="identities", N=args.N, checks=len(details), failures=failures))
+    _write(_encode(detail) + "\n" for detail in details)
     return 0 if failures == 0 else 1
 
 
@@ -355,7 +354,13 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail_usage("stdout closed")
     except ProductSpecError as exc:
         return _fail_usage(f"bad product spec: {exc}")
     except NotUnitError as exc:

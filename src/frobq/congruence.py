@@ -83,9 +83,9 @@ def _primes_up_to(n: int) -> list[int]:
 
 # Refuse scans above this many (M, A, B) triples.  In the worst case, the
 # zero series with every modulus, each triple is a claim: at the limit that
-# takes 8.6-9.1 s and at most 254 MiB on a 2-CPU x86 guest, however A and M
-# share the triples.  `frobq scan` prints such claims as JSON in about 3x
-# that: `-,1,0,1` at N = maxA = 1731, maxM 2 gives 1.39M lines in 28 s.
+# takes 9-13 s and at most 254 MiB on a 2-CPU x86 guest, however A and M
+# share the triples.  `frobq scan` writes them as JSON in 6.5-7.5 s more:
+# `-,1,0,1` at N = maxA = 1731, maxM 2 gives 1.39M lines in 13-21 s.
 MAX_SCAN_TRIPLES = 1_500_000
 
 

@@ -261,14 +261,14 @@ def _reach_cost(z: int, alpha: int, lam: int) -> int:
 def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> TruncSeries:
     """Coefficient of z^alpha in the variant's two-variable product, as a q-series.
 
-    Every term of every partial product that survives the q truncation is an
-    array of weight <= order whose row difference is its z-exponent, so the
-    z window lies in [-M2, M1]: M1 is the longest top row that fits in
-    weight `order` (each entry costs its value plus 1) and M2 the longest
-    bottom row (each entry costs its value).  An alpha outside it gives the
-    zero series at once.  A row below alpha - order needs more than `order`
-    top entries to reach alpha, so the window starts at max(-M2, alpha -
-    order).  The product is expanded in place, one `apply_factor` per factor,
+    The z window comes from the factors' own q-costs.  A top factor's term
+    z^j q^(j(lam+1)) costs at least 1 a unit of z, and so does a bottom
+    factor's z^-j q^(j lam), except in the lam = 0 bottom factor, whose k
+    terms cost nothing.  So no term within q^order lies above z^order or
+    below z^(-order - k), and a row below alpha - order needs more than
+    `order` top units to reach alpha: the window is [max(alpha - order,
+    -order - k), order], and an alpha outside it gives the zero series at
+    once.  The product is expanded in place, one `apply_factor` per factor,
     whose terms z^j stop at the window's width, as a wider one leaves it.
 
     Only what can still reach z^alpha is expanded.  Once both factors of
@@ -299,17 +299,12 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
         raise ValueError("k must be >= 1")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    m1 = m2 = 0
-    while m1 + 1 + _min_row_sum(m1 + 1, k) <= order:
-        m1 += 1
-    while _min_row_sum(m2 + 1, k) <= order:
-        m2 += 1
-    if not -m2 <= alpha <= m1:
+    zmin = max(alpha - order, -order - k)
+    if not zmin <= alpha <= order:
         return TruncSeries.zero(ZZ, order)
-    zmin = max(-m2, alpha - order)
-    width = min(k, m1 - zmin)
+    width = min(k, order - zmin)
     weights = [1] * width if variant == "repetition" else [comb(k, j) for j in range(1, width + 1)]
-    acc = BivarSeries.one(order, zmin, m1)
+    acc = BivarSeries.one(order, zmin, order)
     for lam in range(order + 1):
         reach = list(enumerate(weights[:acc.zmax - acc.zmin], 1))
         acc.apply_factor([(j, j * (lam + 1), w) for j, w in reach])

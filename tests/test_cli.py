@@ -132,12 +132,18 @@ def test_theorem_one_reports_integrality(capsys):
     assert payload["coefficients"] == ["1", "2", "3", "6", "10", "16", "26"]
 
 
-def _run_cli_process(*argv, timeout=1, preexec_fn=None):
+def _cli_env():
+    # stdout block-buffered, as a shell pipeline runs `frobq`
     src = str(Path(theorems.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _run_cli_process(*argv, timeout=1, preexec_fn=None):
     return subprocess.run([sys.executable, "-m", "frobq.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=timeout, preexec_fn=preexec_fn)
+                          text=True, env=_cli_env(), timeout=timeout, preexec_fn=preexec_fn)
 
 
 def _one_gib_address_space():
@@ -222,6 +228,39 @@ def test_out_of_memory_is_reported_once_the_exception_is_cleared(capsys, monkeyp
     code, out, err = run_cli(capsys, "expand", "--spec=-,1,0,1", "--N", "3")
     assert (code, out, err) == (2, "", "error: out of memory\n")
     assert reported == [(None, None, None)]
+
+
+@pytest.mark.parametrize("argv", [
+    # some 6.5 MB of claims
+    ("scan", "--spec=-,1,0,1", "--N", "600", "--maxA", "300", "--maxM", "3", "--all-moduli",
+     "--min-witnesses", "1"),
+    # some 1.4 MB and 0.2 MB: both more than a pipe holds
+    ("enumerate", "--variant", "colored", "--k", "3", "--alpha", "-2", "--n", "10", "--list"),
+    ("expand", "--spec=-,1,0,-1", "--N", "4000", "--csv"),
+])
+def test_a_reader_that_stops_early_gets_exit_two_and_one_line(argv):
+    # as `| head` does: these exited 1, the code of a mathematical
+    # disagreement, with a BrokenPipeError traceback
+    proc = subprocess.Popen([sys.executable, "-m", "frobq.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_cli_env())
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=30)
+    assert (proc.returncode, err) == (2, b"error: stdout closed\n")
+
+
+def test_one_line_into_a_closed_pipe_exits_two():
+    # the buffered line reached the pipe only in the flush at exit, which
+    # printed "Exception ignored" and exited 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "frobq.cli", "verify", "--target", "thm3",
+                               "--N", "104"], stdout=write_end, stderr=subprocess.PIPE,
+                              env=_cli_env(), timeout=30)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"error: stdout closed\n")
 
 
 @pytest.mark.parametrize("extra", [

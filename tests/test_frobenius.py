@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from frobq import frobenius
+from frobq import VARIANTS, frobenius
 from frobq.frobenius import (
     MAX_ENUM_ARRAYS,
     MAX_ENUM_WEIGHT,
@@ -399,7 +399,7 @@ def test_bivar_window_edges():
             series = bivar_coefficient_series(variant, 2, alpha, order)
             assert list(series.coeffs) == [count(2, alpha, n) for n in range(order + 1)]
             assert series.coeffs[order] > 0
-        for alpha in (m1 + 1, -m2 - 1):
+        for alpha in (m1 + 1, -m2 - 1, 10**9, -10**9):
             assert not any(bivar_coefficient_series(variant, 2, alpha, order).coeffs)
 
 
@@ -422,6 +422,23 @@ def _oracle_mismatches(variant, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_oracle_agrees_with_bivariate(variant, k):
     assert _oracle_mismatches(variant, k) == []
+
+
+def test_route_two_reads_no_row_bound_of_route_one(monkeypatch):
+    # route 1 overstating the least entry sum of a row longer than 2 skips
+    # splits that do hold arrays; the route that checks it must not move
+    def overstated(length, k, real=frobenius._min_row_sum):
+        return real(length, k) + (length > 2)
+
+    def route_two():
+        return {(variant, alpha): bivar_coefficient_series(variant, 2, alpha, 12).coeffs
+                for variant in VARIANTS for alpha in range(-9, 8)}
+
+    expected = route_two()
+    monkeypatch.setattr(frobenius, "_min_row_sum", overstated)
+    assert route_two() == expected
+    for variant in VARIANTS:
+        assert [m for m in _oracle_mismatches(variant, 2) if m[0] == "count"]
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -481,17 +498,19 @@ def test_cut_bound_has_teeth(monkeypatch, variant, count):
     assert list(bivar_coefficient_series(variant, 2, -1, order).coeffs) != counts
 
 
+@pytest.mark.parametrize("k", [2000, 10**6, 10**8])
 @pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
-def test_bivar_at_large_k_and_small_order_is_quick(variant, count):
-    # the window spanned the 2000 rows that bottom rows of zeros reach, and
-    # every factor had 2000 terms: a colored call took over a second, most
-    # of it C(k, j) for terms that no row in the window could use
+def test_bivar_at_large_k_and_small_order_is_quick(variant, count, k):
+    # the window spanned the k rows that bottom rows of zeros reach, and
+    # every factor had k terms: a colored call at k = 2000 took over a
+    # second, most of it C(k, j) for terms that no row in the window could
+    # use; a search for the longest bottom row then still took k steps
     elapsed = 0.0
     for alpha in (-3, 0, 3):
         started = time.perf_counter()
-        series = bivar_coefficient_series(variant, 2000, alpha, 3)
+        series = bivar_coefficient_series(variant, k, alpha, 3)
         elapsed += time.perf_counter() - started
-        assert list(series.coeffs) == [count(2000, alpha, n) for n in range(4)]
+        assert list(series.coeffs) == [count(k, alpha, n) for n in range(4)]
     assert elapsed < 0.15
 
 
