@@ -41,6 +41,18 @@ MAX_ENUM_WEIGHT = 30
 # (colored k=3, alpha=-2, n=19: 1.65 s, 131 MiB) to 26.4 million (colored
 # k=6, alpha=0, n=12: 22.9 s, 1449 MiB).  The limit is about 9 s and 650 MiB.
 MAX_ENUM_ARRAYS = 10_000_000
+# The most entries a row of route 1 may hold.  Every row is built, and the
+# row caches keep them for the life of the process.  On the same guest, at
+# k=1000, n=30, a longest row of 60/100/200/400/500 entries peaked at
+# 86/152/314/637/798 MiB (0.2-2.0 s): the limit is about the 650 MiB above.
+MAX_ENUM_ROW = 400
+# The most slice entries route 2 makes, counted by `bivar_work`.  On the
+# same guest a counted entry took 22-65 ns with k <= 100, and the largest
+# accepted orders took 3.3-9.8 s: repetition k=2, N=2169 in 3.6 s, colored
+# k=2, N=2169 in 6.4 s, colored k=4, N=1613 in 7.9 s and colored k=100,
+# N=488 in 9.8 s.  Colored coefficients of larger k outgrow a machine word:
+# colored k=1000, N=357 took 52 s, 347 ns an entry.
+MAX_BIVAR_WORK = 150_000_000
 
 
 class FrobeniusArray(FrozenValue):
@@ -134,7 +146,7 @@ def _colored_count(rows, k: int) -> int:
     return sum(prod(comb(k, len(list(g))) for _, g in itertools.groupby(row)) for row in rows)
 
 
-def _check_enum_args(variant: str, k: int, n: int) -> None:
+def _check_enum_args(variant: str, k: int, alpha: int, n: int) -> None:
     # the argument checks shared by `enumerate_arrays` and the counts
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -144,6 +156,12 @@ def _check_enum_args(variant: str, k: int, n: int) -> None:
         raise ValueError("weight must be >= 0")
     if n > MAX_ENUM_WEIGHT:
         raise ValueError(f"enumeration guard: weight {n} exceeds MAX_ENUM_WEIGHT={MAX_ENUM_WEIGHT}")
+    # a top row holds at most n entries, a bottom row n - alpha, and no row
+    # more than k zeros and n nonzero entries
+    row = max(n, min(n - alpha, n + k))
+    if row > MAX_ENUM_ROW:
+        raise ValueError(f"enumeration guard: rows of up to {row} entries exceed "
+                         f"MAX_ENUM_ROW={MAX_ENUM_ROW}")
 
 
 def _row_pairs(rows_fn, k: int, alpha: int, n: int):
@@ -194,11 +212,12 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int,
     raised exception's traceback, is collected by the first collection
     after the call.
 
-    Guarded: refuses weights above MAX_ENUM_WEIGHT, and more than `limit`
+    Guarded: refuses weights above MAX_ENUM_WEIGHT, rows longer than
+    MAX_ENUM_ROW, and more than `limit`
     arrays by `count_phi`/`count_cphi` before it builds any row.  The count
     only decides whether to refuse; the arrays come from the search alone.
     """
-    _check_enum_args(variant, k, n)
+    _check_enum_args(variant, k, alpha, n)
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -230,7 +249,7 @@ def count_phi(k: int, alpha: int, n: int) -> int:
     from the same exhaustive row lists, but multiplies the top and bottom
     row counts of each split instead of building the arrays.
     """
-    _check_enum_args("repetition", k, n)
+    _check_enum_args("repetition", k, alpha, n)
     pairs = _row_pairs(_bounded_rows, k, alpha, n)
     return sum(len(tops) * len(bottoms) for tops, bottoms in pairs)
 
@@ -243,55 +262,69 @@ def count_cphi(k: int, alpha: int, n: int) -> int:
     counts each list of repetition rows by the colored rows over it
     (`_colored_count`).
     """
-    _check_enum_args("colored", k, n)
+    _check_enum_args("colored", k, alpha, n)
     pairs = _row_pairs(_bounded_rows, k, alpha, n)
     return sum(_colored_count(tops, k) * _colored_count(bottoms, k) for tops, bottoms in pairs)
 
 
 def _reach_cost(z: int, alpha: int, lam: int) -> int:
-    """Least q-weight the factors after `lam` can add to move z^z to z^alpha.
+    """Least q-weight the factors after step `lam` can add to move z^z to z^alpha:
+    each of their terms costs at least lam + 2 a unit of z, either way."""
+    return abs(z - alpha) * (lam + 2)
 
-    Those factors have lam' >= lam + 1: a top entry raises z by one at a
-    cost of at least lam + 2, a bottom entry lowers it by one at a cost of
-    at least lam + 1.
+
+def bivar_work(k: int, order: int) -> int:
+    """Slice entries `bivar_coefficient_series` makes, at most.
+
+    Step L reads rows cut by cost_(L-1), so rows with |z - alpha| <= D =
+    order // (L+1), which hold at most (2D+1)(order+1) - (L+1)D(D+1)
+    coefficients, and each of its two factors has min(k, D) terms.  The
+    starting rows and the rows a sweep creates are uncut, but on every
+    input tried the count was 1.6-3.6 times the most entries an alpha made.
+    The sum stops once it passes MAX_BIVAR_WORK, so a huge order is refused
+    at once.
     """
-    return (alpha - z) * (lam + 2) if z < alpha else (z - alpha) * (lam + 1)
+    total = 0
+    for lam in range(order + 1):
+        d = order // (lam + 1)
+        total += 2 * min(k, d) * ((2 * d + 1) * (order + 1) - (lam + 1) * d * (d + 1))
+        if total > MAX_BIVAR_WORK:
+            break
+    return total
 
 
 def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> TruncSeries:
     """Coefficient of z^alpha in the variant's two-variable product, as a q-series.
 
-    The z window comes from the factors' own q-costs.  A top factor's term
-    z^j q^(j(lam+1)) costs at least 1 a unit of z, and so does a bottom
-    factor's z^-j q^(j lam), except in the lam = 0 bottom factor, whose k
-    terms cost nothing.  So no term within q^order lies above z^order or
-    below z^(-order - k), and a row below alpha - order needs more than
-    `order` top units to reach alpha: the window is [max(alpha - order,
-    -order - k), order], and an alpha outside it gives the zero series at
-    once.  The product is expanded in place, one `apply_factor` per factor,
-    whose terms z^j stop at the window's width, as a wider one leaves it.
+    The lam = 0 bottom factor sum_j w_j z^-j (w_j = 1, or C(k, j) when
+    colored) costs nothing in q, so it is applied first, as the starting
+    rows.  Step lam then applies the top factor of lam and the bottom factor
+    of lam + 1, whose terms are z^(+-j) q^(j(lam+1)), one `apply_factor`
+    each; a term with j(lam+1) > order passes q^order and is left out.
+    Every factor after the first costs at least 1 a unit of z, so only rows
+    in [alpha - order, alpha + order] can reach z^alpha: that is the
+    window, and only the starting rows z^-j in it are built, at most
+    2 order + 1 whatever k is.  With none the series is zero.
 
-    Only what can still reach z^alpha is expanded.  Once both factors of
-    lam = L are applied, a term at (z, w) can end in z^alpha q^(<= order)
-    only if w + cost_L(z) <= order, where cost_L = `_reach_cost(., alpha,
-    L)`.  So after each lam, `BivarSeries.truncate` keeps the first
-    order + 1 - cost_L(z) coefficients of row z and drops the row when that
-    count is <= 0; the window shrinks to the rows left.  Row alpha has cost
-    0 and is never cut.
+    Only what can still reach z^alpha is expanded.  After step L, a term at
+    (z, w) can end in z^alpha q^(<= order) only if w + cost_L(z) <= order,
+    where cost_L = `_reach_cost(., alpha, L)`.  So after each step,
+    `BivarSeries.truncate` keeps the first order + 1 - cost_L(z)
+    coefficients of row z and drops the row when that count is <= 0; the
+    window shrinks to the rows left.  Row alpha has cost 0 and is never cut.
 
     The cut is exact: every kept coefficient is the true one.  cost_L is
-    nondecreasing in L, and it obeys the triangle inequality for moves that
-    cost L + 2 a step up and L + 1 a step down.  The sweeps of lam = L read
-    rows cut by cost_(L-1), or uncut for L = 0; a row a sweep creates is
-    uncut.  A term (dz, dq) feeds (z, w) from (z - dz, w - dq), and under
-    cost_(L-1) that move costs exactly dq (dq = dz(L+1) for a top entry,
-    |dz| L for a bottom one), so cost_(L-1)(z - dz) <= dq + cost_(L-1)(z).
-    Hence a coefficient in the cost_(L-1) prefix of its row reads only
-    coefficients in the cost_(L-1) prefixes of theirs, in both sweeps of
-    lam = L, and those prefixes stay exact.  The truncation after them
-    keeps the cost_L prefixes, which are no longer.  The work is about
-    k order^2 log(order) slice entries, against k order^2 times the
-    window's row count without the cut.
+    nondecreasing in L and obeys the triangle inequality.  Step L reads
+    rows cut by cost_(L-1), or the uncut starting rows for L = 0; a row a
+    sweep creates is uncut.  A term (dz, dq) feeds (z, w) from (z - dz,
+    w - dq), and under cost_(L-1) that move costs exactly dq = |dz|(L+1),
+    so cost_(L-1)(z - dz) <= dq + cost_(L-1)(z).  Hence a coefficient in
+    the cost_(L-1) prefix of its row reads only coefficients in the
+    cost_(L-1) prefixes of theirs, in both sweeps of step L, and those
+    prefixes stay exact.  The truncation after them keeps the cost_L
+    prefixes, which are no longer.
+
+    Guarded: refuses more than MAX_BIVAR_WORK entries by `bivar_work`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -299,15 +332,20 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
         raise ValueError("k must be >= 1")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    zmin = max(alpha - order, -order - k)
-    if not zmin <= alpha <= order:
+    work = bivar_work(k, order)
+    if work > MAX_BIVAR_WORK:
+        raise ValueError(f"bivariate guard: {work} slice entries counted, above "
+                         f"MAX_BIVAR_WORK={MAX_BIVAR_WORK}")
+    first, last = max(0, -alpha - order), min(k, order - alpha)
+    if first > last:
         return TruncSeries.zero(ZZ, order)
-    width = min(k, order - zmin)
-    weights = [1] * width if variant == "repetition" else [comb(k, j) for j in range(1, width + 1)]
-    acc = BivarSeries.one(order, zmin, order)
+    weight = (lambda j: 1) if variant == "repetition" else functools.partial(comb, k)
+    acc = BivarSeries.from_terms(order, alpha - order, alpha + order,
+                                 ((-j, 0, weight(j)) for j in range(first, last + 1)))
+    weights = list(map(weight, range(1, min(k, order) + 1)))
     for lam in range(order + 1):
-        reach = list(enumerate(weights[:acc.zmax - acc.zmin], 1))
-        acc.apply_factor([(j, j * (lam + 1), w) for j, w in reach])
-        acc.apply_factor([(-j, j * lam, w) for j, w in reach])
+        reach = list(enumerate(weights[:order // (lam + 1)], 1))
+        for sign in (1, -1):
+            acc.apply_factor([(sign * j, j * (lam + 1), w) for j, w in reach])
         acc.truncate(lambda z: order + 1 - _reach_cost(z, alpha, lam))
     return acc.z_slice(alpha)

@@ -303,6 +303,9 @@ def test_theorem_lattice_guard_exits_two_quickly():
       "--list"), 0, None),
     # jacobi_work took the isqrt of a negative number
     (("identities", "--N", "-1"), 2, "error: truncation order must be >= 0"),
+    # route 1 built a bottom row of 10^8 zeros and ran out of memory
+    (("enumerate", "--variant", "repetition", "--k", "100000000", "--alpha", "-100000000",
+      "--n", "3"), 2, "enumeration guard: rows of up to 100000003 entries exceed MAX_ENUM_ROW"),
 ])
 def test_large_or_negative_sizes_exit_quickly_without_a_traceback(argv, code, message):
     proc = _run_cli_process(*argv, preexec_fn=_one_gib_address_space)

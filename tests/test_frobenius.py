@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import gc
 import itertools
 import math
@@ -11,12 +12,15 @@ import tracemalloc
 
 import pytest
 
-from frobq import VARIANTS, frobenius
+from frobq import VARIANTS, frobenius, qseries
 from frobq.frobenius import (
+    MAX_BIVAR_WORK,
     MAX_ENUM_ARRAYS,
+    MAX_ENUM_ROW,
     MAX_ENUM_WEIGHT,
     FrobeniusArray,
     bivar_coefficient_series,
+    bivar_work,
     count_cphi,
     count_phi,
     enumerate_arrays,
@@ -197,6 +201,48 @@ def test_counts_refuse_what_enumeration_refuses(variant, count, k, n):
     with pytest.raises(ValueError) as got:
         count(k, -1, n)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
+@pytest.mark.parametrize("k, alpha, n", [(10**7, -10**7, 3), (10**6, -999995, 8),
+                                         (10**8, -10**8, 3), (1000, -371, 30)])
+def test_route_one_refuses_long_rows_at_once(variant, count, k, alpha, n):
+    # every row is built and cached: the first call kept 1006 MiB of rows
+    # of 10^7 zeros for the life of the process, the second peaked at 1.8 GiB
+    row = max(n, min(n - alpha, n + k))
+    for call in (count, functools.partial(enumerate_arrays, variant)):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"enumeration guard: rows of up to {row} entries "
+                                             f"exceed MAX_ENUM_ROW={MAX_ENUM_ROW}"):
+            call(k, alpha, n)
+        assert time.perf_counter() - started < 0.1
+
+
+def test_route_one_row_limit_is_inclusive():
+    # weight 0 is one bottom row of -alpha zeros
+    assert count_phi(1000, -MAX_ENUM_ROW, 0) == 1
+    with pytest.raises(ValueError, match="MAX_ENUM_ROW"):
+        count_phi(1000, -MAX_ENUM_ROW - 1, 0)
+    # past k zeros a bottom row needs nonzero entries, which weight 3 caps
+    assert count_phi(2, -10**9, 3) == 0
+
+
+def test_route_one_builds_no_row_longer_than_its_guard_allows(monkeypatch):
+    lengths = []
+
+    def recorded(total, length, max_part, k, rows_fn=frobenius._bounded_rows):
+        lengths.append(length)
+        return rows_fn(total, length, max_part, k)
+
+    monkeypatch.setattr(frobenius, "_bounded_rows", recorded)
+    for k, alpha, n in itertools.product((1, 2, 5, 40), (-45, -9, -2, 0, 3), (0, 4, 9)):
+        lengths.clear()
+        count_phi(k, alpha, n)
+        bound = max(n, min(n - alpha, n + k))
+        assert max(lengths, default=0) <= bound, (k, alpha, n)
+        if k >= max(n, n - alpha) and n >= alpha:
+            # a top row of n zeros pairs with a bottom row of n - alpha zeros
+            assert max(lengths) == bound, (k, alpha, n)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +545,16 @@ def test_cut_bound_has_teeth(monkeypatch, variant, count):
 
 
 def _assert_bivar_small_order_is_quick(variant, count, k):
+    # X_{k,alpha} = X_{k,-k-alpha}: the rows near alpha = -k are checked
+    # against the counts at alpha, whose rows are short
     elapsed = 0.0
     for alpha in (-3, 0, 3):
-        started = time.perf_counter()
-        series = bivar_coefficient_series(variant, k, alpha, 3)
-        elapsed += time.perf_counter() - started
-        assert list(series.coeffs) == [count(k, alpha, n) for n in range(4)]
+        counts = [count(k, alpha, n) for n in range(4)]
+        for at in (alpha, -k - alpha):
+            started = time.perf_counter()
+            series = bivar_coefficient_series(variant, k, at, 3)
+            elapsed += time.perf_counter() - started
+            assert list(series.coeffs) == counts, at
     assert elapsed < 0.15
 
 
@@ -512,7 +562,9 @@ def _assert_bivar_small_order_is_quick(variant, count, k):
 def test_bivar_at_large_k_and_small_order_is_quick(variant, count):
     # the window spanned the 2000 rows that bottom rows of zeros reach, and
     # every factor had 2000 terms: a colored call took over a second, most
-    # of it C(k, j) for terms that no row in the window could use
+    # of it C(k, j) for terms that no row in the window could use.  Near
+    # alpha = -k the free bottom factor kept k rows alive until it started
+    # the expansion: 1.5 s colored, 0.9 s repetition.
     _assert_bivar_small_order_is_quick(variant, count, 2000)
 
 
@@ -522,6 +574,45 @@ def test_bivar_at_huge_k_and_small_order_is_quick(variant, count, k):
     # a search for the longest bottom row took k steps even after the
     # window and the factors stopped growing with k
     _assert_bivar_small_order_is_quick(variant, count, k)
+
+
+@pytest.mark.parametrize("order", [10**6, 10**9])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_bivar_guard_refuses_huge_orders_at_once(variant, order):
+    # alpha = 2 order + 1 has the zero series, whose list alone would hold
+    # order + 1 entries
+    for k, alpha in ((2, -1), (10**8, -10**8), (2, 2 * order + 1)):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="bivariate guard: .* slice entries counted, "
+                                             f"above MAX_BIVAR_WORK={MAX_BIVAR_WORK}"):
+            bivar_coefficient_series(variant, k, alpha, order)
+        assert time.perf_counter() - started < 0.1
+
+
+def test_bivar_guard_limit():
+    # colored k=2 at order 2169 took 6.4 s on a 2-CPU x86 guest
+    assert bivar_work(2, 2169) <= MAX_BIVAR_WORK < bivar_work(2, 2170)
+    with pytest.raises(ValueError, match="bivariate guard"):
+        bivar_coefficient_series("colored", 2, -1, 2170)
+
+
+def test_bivar_work_bounds_the_entries_made(monkeypatch):
+    # every slice entry a sweep makes is one call of qseries.add
+    made = [0]
+
+    def counted(a, b):
+        made[0] += 1
+        return a + b
+
+    monkeypatch.setattr(qseries, "add", counted)
+    for variant, k, order in itertools.product(VARIANTS, (1, 2, 3, 7, 30), (0, 1, 4, 13, 24)):
+        most = 0
+        for alpha in range(-k - order - 1, order + 2):
+            made[0] = 0
+            bivar_coefficient_series(variant, k, alpha, order)
+            most = max(most, made[0])
+        work = bivar_work(k, order)
+        assert most <= work < 4 * most or most == work == 0, (variant, k, order)
 
 
 # ---------------------------------------------------------------------------

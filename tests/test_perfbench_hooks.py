@@ -1,9 +1,10 @@
 """The benchmark still finds every frobq name it uses: the traced mode
 (perfbench/tracing.py) wraps them and the setup probe (perfbench/child.py)
-warms each workload through them."""
+warms each workload through them.  The guards accept every task it runs."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,8 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up by name while it is built
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -72,3 +75,16 @@ def test_hooks_trace_product_psi2_and_bivar_then_uninstall():
     assert metrics["frobenius.bivar.zwindow"] == 0
     # the theta route walks the lattice without calling quad_exponent per point
     assert metrics["theorems.lattice.visited"] == 0
+
+
+def test_guards_accept_every_arrays_task():
+    # routes 1 and 2 refuse by counts that take no time, so a task they
+    # refused would fail the workload rather than time it
+    tasks = _load("workloads").universe("arrays")
+    assert {t.kind for t in tasks} == {"bivar", "enumerate", "count"}
+    for task in tasks:
+        variant, k, alpha, n = task.params
+        if task.kind == "bivar":
+            assert frobenius.bivar_work(k, n) <= frobenius.MAX_BIVAR_WORK
+        else:
+            frobenius._check_enum_args(variant, k, alpha, n)
