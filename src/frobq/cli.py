@@ -44,12 +44,6 @@ MAX_LIST_ARRAYS = 1_200_000
 # small `enumerate --list` call about a third slower through a pipe
 _WRITE_CHUNK = 4096
 
-# `scan --builtin` names, each with its spec's name in `theorems`
-BUILTIN_SPECS = {
-    "phi2m1": "PHI2M1_SPEC_TEXT",
-    "cphi2m1": "CPHI2M1_SPEC_TEXT",
-}
-
 
 # `json.dumps(obj, sort_keys=True)` with its encoder built once, not per line
 _encode = json.JSONEncoder(sort_keys=True).encode
@@ -148,56 +142,23 @@ def cmd_theorem(args) -> int:
     return 0
 
 
-def _series_comparison(name, lhs, rhs):
-    d = first_divergence(lhs, rhs)
-    if d is None:
-        return True, {"identity": name, "status": "pass"}
-    return False, {
-        "identity": name,
-        "status": "fail",
-        "first_divergence": d,
-        "lhs": str(lhs.coeffs[d]),
-        "rhs": str(rhs.coeffs[d]),
-    }
-
-
 def _theorems():
     from . import theorems
 
     return theorems
 
 
-def _euler_cube_comparison(order):
-    e = euler_product(order)
-    return _series_comparison("euler_cube", _theorems().euler_cube(order), e * e * e)
-
-
-def _jacobi_comparison(order):
-    product, theta = _theorems().jacobi_triple(order)
-    for z in sorted(set(product.rows) | set(theta.rows)):
-        d = first_divergence(product.z_slice(z), theta.z_slice(z))
-        if d is not None:
-            return False, {"identity": "jacobi_triple", "status": "fail",
-                           "z": z, "first_divergence": d}
-    return True, {"identity": "jacobi_triple", "status": "pass"}
-
-
-def _theta_vs_product(name, theta, product, order):
-    # the guarded product side first, so an oversized order is refused
-    # before the theta side's division runs
-    rhs = product(order)
-    return _series_comparison(name, theta(2, -1, order), rhs)
-
-
-def _mod5_numerator_comparison(order):
-    theorems = _theorems()
-    product = theorems.mod5_numerator_product(order)
-    theta = theorems.mod5_numerator_theta(order)
-    signed = theorems.mod5_numerator_signed(order)
-    ok, detail = _series_comparison("mod5_numerator(product,theta)", product, theta)
-    if not ok:
-        return ok, detail
-    return _series_comparison("mod5_numerator(product,signed)", product, signed)
+def _compare(identity, lhs, rhs, **where):
+    # (ok, detail) for two series: a pass, or the first index where they
+    # differ with `where` (the row of a bivariate identity) or, without it,
+    # the two coefficients there
+    d = first_divergence(lhs, rhs)
+    if d is None:
+        return True, {"identity": identity, "status": "pass"}
+    detail = {"identity": identity, "status": "fail", "first_divergence": d, **where}
+    if not where:
+        detail.update(lhs=str(lhs.coeffs[d]), rhs=str(rhs.coeffs[d]))
+    return False, detail
 
 
 def _congruence_report(label, series, step, offset, modulus):
@@ -215,33 +176,63 @@ def _congruence_report(label, series, step, offset, modulus):
     return ok, out
 
 
+def _euler_cube(order):
+    e = euler_product(order)
+    yield _compare("euler_cube", _theorems().euler_cube(order), e * e * e)
+
+
+def _jacobi_triple(order):
+    product, theta = _theorems().jacobi_triple(order)
+    for z in sorted(set(product.rows) | set(theta.rows)):
+        yield _compare("jacobi_triple", product.z_slice(z), theta.z_slice(z), z=z)
+
+
+def _mod5_numerator(order):
+    theorems = _theorems()
+    product = theorems.mod5_numerator_product(order)
+    yield _compare("mod5_numerator(product,theta)", product,
+                   theorems.mod5_numerator_theta(order))
+    yield _compare("mod5_numerator(product,signed)", product,
+                   theorems.mod5_numerator_signed(order))
+
+
+def _run(check, order):
+    # the check's first failing comparison, or its last one when all pass
+    for ok, detail in check(order):
+        if not ok:
+            break
+    return ok, detail
+
+
 # Every named check, once: its `verify --target` name, its `identities`
-# name (None where it has none) and the check, order -> (ok, detail).
-# `identities` runs the named ones in this order.  Each check imports
-# `theorems` and looks its series functions up when it runs, so a patched
-# module attribute is seen.
+# name (None where it has none) and the check, order -> its comparisons,
+# each (ok, detail), which `_run` reads in turn.  `identities` runs the
+# named ones in this order.  Each check imports `theorems` and looks its
+# series functions up when it runs, so a patched module attribute is seen.
 CHECKS = (
-    ("thm3", None, lambda order: _congruence_report(
-        "phi_{2,-1}", _theorems().phi2m1_product(order), 5, 4, 5)),
-    ("thm4", None, lambda order: _congruence_report(
-        "cphi_{2,-1}", _theorems().cphi2m1_product(order), 5, 4, 5)),
-    (None, "euler_cube", _euler_cube_comparison),
-    ("jtp", "jacobi_triple", _jacobi_comparison),
-    ("thm3numerator", "mod5_numerator", _mod5_numerator_comparison),
-    ("psi2", "psi2", lambda order: _series_comparison(
-        "psi2_product", _theorems().psi2_product(order), _theorems().phi2m1_product(order))),
-    ("cor1", "phi2m1_theta_vs_product", lambda order: _theta_vs_product(
-        "phi2m1(theta,product)", _theorems().phi_theta_series, _theorems().phi2m1_product,
-        order)),
-    ("cor2", "cphi2m1_theta_vs_product", lambda order: _theta_vs_product(
-        "cphi2m1(theta,product)", _theorems().cphi_theta_series, _theorems().cphi2m1_product,
-        order)),
+    ("thm3", None, lambda order: [_congruence_report(
+        "phi_{2,-1}", _theorems().phi2m1_product(order), 5, 4, 5)]),
+    ("thm4", None, lambda order: [_congruence_report(
+        "cphi_{2,-1}", _theorems().cphi2m1_product(order), 5, 4, 5)]),
+    (None, "euler_cube", _euler_cube),
+    ("jtp", "jacobi_triple", _jacobi_triple),
+    ("thm3numerator", "mod5_numerator", _mod5_numerator),
+    ("psi2", "psi2", lambda order: [_compare(
+        "psi2_product", _theorems().psi2_product(order), _theorems().phi2m1_product(order))]),
+    # keyword arguments run as written: the guarded product side first, so
+    # an oversized order is refused before the theta side divides
+    ("cor1", "phi2m1_theta_vs_product", lambda order: [_compare(
+        "phi2m1(theta,product)", rhs=_theorems().phi2m1_product(order),
+        lhs=_theorems().phi_theta_series(2, -1, order))]),
+    ("cor2", "cphi2m1_theta_vs_product", lambda order: [_compare(
+        "cphi2m1(theta,product)", rhs=_theorems().cphi2m1_product(order),
+        lhs=_theorems().cphi_theta_series(2, -1, order))]),
 )
 VERIFY_TARGETS = {target: check for target, _, check in CHECKS if target}
 
 
 def cmd_verify(args) -> int:
-    ok, detail = VERIFY_TARGETS[args.target](args.N)
+    ok, detail = _run(VERIFY_TARGETS[args.target], args.N)
     detail.update(command="verify", target=args.target, N=args.N)
     _emit(detail)
     return 0 if ok else 1
@@ -251,10 +242,9 @@ def cmd_scan(args) -> int:
     from .congruence import scan_congruences
 
     if args.builtin:
-        spec = parse_product_spec(getattr(_theorems(), BUILTIN_SPECS[args.builtin]))
+        series = getattr(_theorems(), f"{args.builtin}_product")(args.N)
     else:
-        spec = parse_product_spec(args.spec)
-    series = product_from_spec(spec, args.N)
+        series = product_from_spec(parse_product_spec(args.spec), args.N)
     claims = scan_congruences(
         series, args.maxA, args.maxM,
         min_witnesses=args.min_witnesses,
@@ -276,7 +266,7 @@ def cmd_identities(args) -> int:
     details, failures = [], 0
     for _, name, check in CHECKS:
         if name:
-            ok, detail = check(args.N)
+            ok, detail = _run(check, args.N)
             detail.update(command="identities", name=name, N=args.N)
             details.append(detail)
             failures += not ok
@@ -327,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="search for arithmetic-progression congruences")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec", help="product-DSL spec for the series to scan")
-    src.add_argument("--builtin", choices=sorted(BUILTIN_SPECS))
+    src.add_argument("--builtin", choices=("cphi2m1", "phi2m1"))
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--maxA", type=int, required=True)
     p.add_argument("--maxM", type=int, required=True)

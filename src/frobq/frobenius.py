@@ -46,12 +46,15 @@ MAX_ENUM_ARRAYS = 10_000_000
 # k=1000, n=30, a longest row of 60/100/200/400/500 entries peaked at
 # 86/152/314/637/798 MiB (0.2-2.0 s): the limit is about the 650 MiB above.
 MAX_ENUM_ROW = 400
-# The most slice entries route 2 makes, counted by `bivar_work`.  On the
-# same guest a counted entry took 22-65 ns with k <= 100, and the largest
-# accepted orders took 3.3-9.8 s: repetition k=2, N=2169 in 3.6 s, colored
-# k=2, N=2169 in 6.4 s, colored k=4, N=1613 in 7.9 s and colored k=100,
-# N=488 in 9.8 s.  Colored coefficients of larger k outgrow a machine word:
-# colored k=1000, N=357 took 52 s, 347 ns an entry.
+# The most slice entries route 2 makes, counted by `bivar_work` and, when
+# colored, weighted by the machine words of the largest starting weight
+# C(k, j).  On the same guest a counted entry took 22-65 ns with k <= 100,
+# and the largest accepted orders took 3.6-7.9 s: repetition k=2, N=2169 in
+# 3.6 s, colored k=2, N=2169 in 6.4 s, colored k=4, N=1613 in 7.9 s and
+# colored k=100 (two-word weights), alpha=-50, N=362 in 5.0 s.  C(k, j)
+# itself costs about w^2 word steps for w words: C(10^5, 50000), 1563
+# words, took 0.15 s, and colored k=10^5, alpha=-50000 took 3.2 s at N=10
+# (accepted) and 10.9 s at N=30 (refused).
 MAX_BIVAR_WORK = 150_000_000
 
 
@@ -282,7 +285,7 @@ def bivar_work(k: int, order: int) -> int:
     starting rows and the rows a sweep creates are uncut, but on every
     input tried the count was 1.6-3.6 times the most entries an alpha made.
     The sum stops once it passes MAX_BIVAR_WORK, so a huge order is refused
-    at once.
+    at once.  It counts entries, not words: see `_weight_words`.
     """
     total = 0
     for lam in range(order + 1):
@@ -291,6 +294,13 @@ def bivar_work(k: int, order: int) -> int:
         if total > MAX_BIVAR_WORK:
             break
     return total
+
+
+def _weight_words(k: int, first: int, last: int) -> int:
+    """64-bit words of the largest C(k, j) with first <= j <= last, bounded
+    without computing it: C(k, j) = C(k, k - j) < 2^k, and < k^j."""
+    j = min(max(first, k // 2), last)  # the j in range closest to k/2
+    return max(1, -(-min(k, min(j, k - j) * k.bit_length()) // 64))
 
 
 def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> TruncSeries:
@@ -324,7 +334,11 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     prefixes stay exact.  The truncation after them keeps the cost_L
     prefixes, which are no longer.
 
-    Guarded: refuses more than MAX_BIVAR_WORK entries by `bivar_work`.
+    Guarded: refuses, before any C(k, j) is computed, more than
+    MAX_BIVAR_WORK entries by `bivar_work` when the starting weights fit in
+    a machine word.  Colored starting weights of w > 1 words (`_weight_words`)
+    make every entry cost about w times as much, and each costs about w^2
+    word steps to compute, so the count is then w * (entries + rows * (w - 1)).
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -332,12 +346,14 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
         raise ValueError("k must be >= 1")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    work = bivar_work(k, order)
+    first, last = max(0, -alpha - order), min(k, order - alpha)
+    rows = max(0, last - first + 1)
+    words = _weight_words(k, first, last) if variant == "colored" and rows else 1
+    work = words * (bivar_work(k, order) + rows * (words - 1))
     if work > MAX_BIVAR_WORK:
         raise ValueError(f"bivariate guard: {work} slice entries counted, above "
                          f"MAX_BIVAR_WORK={MAX_BIVAR_WORK}")
-    first, last = max(0, -alpha - order), min(k, order - alpha)
-    if first > last:
+    if not rows:
         return TruncSeries.zero(ZZ, order)
     weight = (lambda j: 1) if variant == "repetition" else functools.partial(comb, k)
     acc = BivarSeries.from_terms(order, alpha - order, alpha + order,

@@ -375,8 +375,8 @@ class BivarSeries:
     when a nonzero term lands in it.  Multiplication drops any product term
     whose z-exponent leaves [zmin, zmax].  Unlike TruncSeries this is a
     mutable working object: `apply_factor` multiplies it in place by a
-    sparse factor, which is how the products in this package are expanded;
-    `*` is the general product.
+    sparse factor whose terms all move z the same way, which is how the
+    products in this package are expanded; `*` is the general product.
 
     A row may be shorter than order + 1: `truncate` cuts each row to a live
     length, for a caller that reads only some coefficients and has shown
@@ -398,13 +398,6 @@ class BivarSeries:
         self.zmin = zmin
         self.zmax = zmax
         self.rows = {}
-
-    @classmethod
-    def one(cls, order: int, zmin: int, zmax: int) -> "BivarSeries":
-        out = cls(order, zmin, zmax)
-        if zmin <= 0 <= zmax:
-            out.rows[0] = [1] + [0] * order
-        return out
 
     @classmethod
     def from_terms(cls, order: int, zmin: int, zmax: int, terms) -> "BivarSeries":
@@ -442,17 +435,16 @@ class BivarSeries:
     def apply_factor(self, terms) -> None:
         """Multiply in place by 1 + sum c * z^dz * q^dq over (dz, dq, c) in `terms`.
 
-        The coefficients c are ints.  All nonzero dz must have one sign, and
-        the constant term is the implicit 1, so a (0, 0) term or a mix of
-        positive and negative dz raises ValueError.
+        The coefficients c are ints.  Every dz must be nonzero and all of
+        one sign, so a dz = 0 term or a mix of positive and negative dz
+        raises ValueError.
         The result equals `self * factor` under the same window and
         truncation rules, without allocating a series for the factor.
 
         Sweep-order invariant: every row is read as a source before it is
-        written.  Rows are visited by z descending when some dz > 0 and
-        ascending when some dz < 0, so the rows z - dz a row reads are still
-        unchanged; a dz = 0 term reads a copy of its own row taken before any
-        term adds to it.  Each term is one slice update of the target row,
+        written.  Rows are visited by z descending when dz > 0 and
+        ascending when dz < 0, so the rows z - dz a row reads are still
+        unchanged.  Each term is one slice update of the target row,
         starting where the source row's first nonzero coefficient lands and
         ending at the end of the target or of the source, whichever comes
         first.  A row keeps its length; a row created by the sweep has
@@ -462,12 +454,10 @@ class BivarSeries:
         source rows z - dz.
         """
         factor = list(terms)
-        if any(dz == 0 and dq == 0 for dz, dq, _ in factor):
-            raise ValueError("a (0, 0) term would change the factor's constant 1")
-        up = any(dz > 0 for dz, _, _ in factor)
-        if up and any(dz < 0 for dz, _, _ in factor):
-            raise ValueError("factor mixes positive and negative z-exponents")
-        self._sweep(factor, descending=up)
+        signs = {(dz > 0) - (dz < 0) for dz, _, _ in factor}
+        if 0 in signs or len(signs) > 1:
+            raise ValueError("factor z-exponents must be nonzero and of one sign")
+        self._sweep(factor, descending=1 in signs)
 
     def _sweep(self, factor, descending: bool) -> None:
         # apply_factor's row loop; `descending` must be the direction the
@@ -482,12 +472,10 @@ class BivarSeries:
             if first is not None:
                 low[z] = first
         targets = {z + dz for z in low for dz, _, _ in factor}
-        flat = any(dz == 0 for dz, _, _ in factor)
         for z in sorted(targets, reverse=descending):
             if not self.zmin <= z <= self.zmax:
                 continue
             row = rows.get(z)
-            own = row[:] if flat and z in low else None
             for dz, dq, c in factor:
                 lo = low.get(z - dz)
                 if lo is None:
@@ -497,7 +485,7 @@ class BivarSeries:
                     continue
                 if row is None:
                     row = rows[z] = [0] * n
-                part = (own if dz == 0 else rows[z - dz])[lo:end]
+                part = rows[z - dz][lo:end]
                 a = lo + dq
                 b = a + len(part)
                 if c != 1:

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .qseries import ZZ, BivarSeries, TruncSeries, parse_product_spec, product_from_spec
+from .qseries import (ZZ, BivarSeries, TruncSeries, euler_product, parse_product_spec,
+                      product_from_spec)
 
 
 # Refuse lattices too large to walk in seconds.  The estimate is the box
-# (2*isqrt(2N+|alpha|)+1)^(k-1) that contains every kept point, each side
-# counted as at least 2; the walk itself visits only kept points, but at k=9,
-# N=60 even those are too many.
+# that contains every kept point, the walk's first interval to the power
+# k - 1, each side counted as at least 2; the walk itself visits only kept
+# points, but at k=9, N=60 even those are too many.
 MAX_LATTICE_BOX = 5_000_000
 
 # Refuse divisions by (q;q)^k above this many coefficient updates.  The
@@ -94,21 +95,32 @@ def _interval(free: int, budget: int, c: int) -> tuple[int, int]:
     return -((c + s) // (free + 1)), (s - c) // (free + 1)
 
 
+def _lattice_guard(k: int, alpha: int, order: int) -> bool:
+    # Whether any lattice point has Q <= order, after refusing a box above
+    # MAX_LATTICE_BOX.  Q is symmetric in m_1..m_(k-1), so every coordinate
+    # of a kept point lies in the walk's first interval, and an empty one
+    # means an empty lattice.  The walk recurses once a coordinate, so each
+    # counts as at least 2 values.  From k - 1 = the limit's bit length on,
+    # 2^(k-1) alone exceeds the limit: the box is then named as a power,
+    # not built.
+    lo, hi = _interval(k - 1, 2 * order - alpha, -alpha)
+    if lo > hi:
+        return False
+    side = max(hi - lo + 1, 2)
+    huge = k - 1 >= MAX_LATTICE_BOX.bit_length()
+    box = f"{side}^{k - 1}" if huge else side ** (k - 1)
+    if huge or box > MAX_LATTICE_BOX:
+        raise ValueError(f"lattice guard: box of {box} points exceeds "
+                         f"MAX_LATTICE_BOX={MAX_LATTICE_BOX}")
+    return True
+
+
 def _lattice_table(k: int, alpha: int, order: int, shift: int = 0) -> list[int]:
     # Counts of the lattice points with Q <= order, flat by (Q, zeta exponent
     # mod k+1): entry Q*(k+1) + e.  Q <= order is
     # sum m_i^2 + (S - alpha)^2 <= 2*order - alpha, and the walk keeps the
     # running square sum P, c = S - alpha and the exponent, in which
     # coordinate i carries weight i+1-k, i.e. minus its count of free ones.
-    # The walk recurses once a coordinate, so each counts as at least 2
-    # values.  From k - 1 = the limit's bit length on, 2^(k-1) alone exceeds
-    # the limit: the box is then named as a power, not built.
-    side = max(2 * isqrt(2 * order + abs(alpha)) + 1, 2)
-    huge = k - 1 >= MAX_LATTICE_BOX.bit_length()
-    box = f"{side}^{k - 1}" if huge else side ** (k - 1)
-    if huge or box > MAX_LATTICE_BOX:
-        raise ValueError(f"lattice guard: box of {box} points exceeds "
-                         f"MAX_LATTICE_BOX={MAX_LATTICE_BOX}")
     width = k + 1
     table = [0] * ((order + 1) * width)
     limit = 2 * order - alpha
@@ -191,6 +203,8 @@ def _check_args(k: int, order: int) -> None:
 def cphi_theta_series(k: int, alpha: int, order: int) -> TruncSeries:
     """Colored-count generating function: (sum over the lattice of q^Q) / (q;q)^k."""
     _check_args(k, order)
+    if not _lattice_guard(k, alpha, order):
+        return TruncSeries.zero(ZZ, order)
     table = _lattice_table(k, alpha, order)
     width = k + 1
     coeffs = [sum(table[q * width:(q + 1) * width]) for q in range(order + 1)]
@@ -214,6 +228,8 @@ def phi_theta_series(k: int, alpha: int, order: int, *,
     from .exactring import CycInt, _power_basis_rows
 
     _check_args(k, order)
+    if not _lattice_guard(k, alpha, order):
+        return TruncSeries.zero(ZZ, order)
     table = _lattice_table(k, alpha, order, zeta_exponent_shift)
     width = k + 1
     basis = _power_basis_rows(width)
@@ -328,10 +344,9 @@ def euler_cube(order: int) -> TruncSeries:
                                for j in range(_triangular_root(order) + 1)))
 
 
-# Refuse triple products above this many coefficient updates: about 10 s on
-# a 2-CPU x86 guest over ZZ (137-183 ns an update at orders 300-1000); the
-# largest accepted order is 961.
-MAX_JACOBI_WORK = 65_000_000
+# Refuse triple products above this many coefficient updates: about 3 s on
+# a 2-CPU x86 guest over ZZ; the largest accepted order is 961.
+MAX_JACOBI_WORK = 43_400_000
 
 
 def jacobi_work(order: int) -> int:
@@ -339,14 +354,11 @@ def jacobi_work(order: int) -> int:
 
     Row z^m starts no lower than q^(m(m+1)/2).  With L = order + 1 -
     m(m+1)/2, the factors z^-1 q^(n-1) for n = 1..order+1 update it over at
-    most L(L+1)/2 coefficients, and q^n and z q^n for n = 1..order over at
-    most L(L-1)/2 each: L(3L-1)/2 in all.  Rows m >= 0 and -m-1 start alike,
-    so each m >= 0 counts twice."""
-    total = 0
-    for m in range(_triangular_root(order) + 1):
-        rest = order + 1 - m * (m + 1) // 2
-        total += rest * (3 * rest - 1)
-    return total
+    most L(L+1)/2 coefficients and z q^n for n = 1..order over at most
+    L(L-1)/2: L^2 in all.  Rows m >= 0 and -m-1 start alike, so each m >= 0
+    counts twice."""
+    return sum(2 * (order + 1 - m * (m + 1) // 2) ** 2
+               for m in range(_triangular_root(order) + 1))
 
 
 def jacobi_guard(order: int) -> None:
@@ -360,21 +372,22 @@ def jacobi_guard(order: int) -> None:
 def jacobi_triple(order: int):
     """Both sides of the triple product identity, for equality testing.
 
-    Product side: prod_{n>=1} (1 - q^n)(1 + z q^n)(1 + z^{-1} q^{n-1});
-    sum side: sum_m z^m q^(m(m+1)/2).  The z window [-(up+1), up] is exact:
-    z^m costs at least q^(m(m+1)/2) on both sides, which is the same for m
-    and -m-1, so with up the largest m >= 0 whose cost fits in q-degree
-    `order` no term is ever clipped.
+    Product side: prod_{n>=1} (1 - q^n)(1 + z q^n)(1 + z^{-1} q^{n-1}),
+    started from row z^0 = (q;q), the Euler product, with the two z factors
+    of each n applied to it; sum side: sum_m z^m q^(m(m+1)/2).  The z window
+    [-(up+1), up] is exact: z^m costs at least q^(m(m+1)/2) on both sides,
+    which is the same for m and -m-1, so with up the largest m >= 0 whose
+    cost fits in q-degree `order` no term is ever clipped.
     Guarded: `jacobi_guard` refuses before anything is expanded.
     """
     jacobi_guard(order)
     up = _triangular_root(order)
     zmin, zmax = -(up + 1), up
-    product = BivarSeries.one(order, zmin, zmax)
+    euler = euler_product(order).coeffs
+    product = BivarSeries.from_terms(order, zmin, zmax, ((0, e, c) for e, c in enumerate(euler)))
     for n in range(1, order + 2):
         product.apply_factor([(-1, n - 1, 1)])
         if n <= order:
-            product.apply_factor([(0, n, -1)])
             product.apply_factor([(1, n, 1)])
     theta = BivarSeries.from_terms(order, zmin, zmax,
                                    ((m, m * (m + 1) // 2, 1) for m in range(zmin, zmax + 1)))

@@ -306,6 +306,12 @@ def test_theorem_lattice_guard_exits_two_quickly():
     # route 1 built a bottom row of 10^8 zeros and ran out of memory
     (("enumerate", "--variant", "repetition", "--k", "100000000", "--alpha", "-100000000",
       "--n", "3"), 2, "enumeration guard: rows of up to 100000003 entries exceed MAX_ENUM_ROW"),
+    # an empty lattice: the box of 63247^9999999 points was refused, and
+    # the table and the power basis would each hold 10^7 entries
+    (("theorem", "--which", "1", "--k", "10000000", "--alpha", "1000000000", "--N", "1"), 0,
+     '"coefficients": ["0", "0"]'),
+    (("theorem", "--which", "2", "--k", "3", "--alpha", "100000000", "--N", "10"), 0,
+     '"coefficients": [' + ", ".join(['"0"'] * 11) + "]"),
 ])
 def test_large_or_negative_sizes_exit_quickly_without_a_traceback(argv, code, message):
     proc = _run_cli_process(*argv, preexec_fn=_one_gib_address_space)
@@ -313,6 +319,8 @@ def test_large_or_negative_sizes_exit_quickly_without_a_traceback(argv, code, me
     assert "Traceback" not in proc.stderr
     if message is None:
         assert json_lines(proc.stdout)[0]["arrays"] == [{"bottom": [], "top": []}]
+    elif code == 0:
+        assert message in proc.stdout
     else:
         assert message in proc.stderr and proc.stdout == ""
 
@@ -478,6 +486,24 @@ def test_verify_jtp_divergence_exits_one(capsys, monkeypatch):
     payload = json_lines(out)[0]
     assert payload["status"] == "fail"
     assert (payload["z"], payload["first_divergence"]) == (1, 5)
+
+
+def test_verify_jtp_catches_a_flipped_pentagonal_sign(capsys, monkeypatch):
+    # the product side starts from (q;q); a wrong sign at q^5 first shows in
+    # the lowest row it reaches, z^-7 (reached at q^21 from z^0) at q^26
+    real = theorems.euler_product
+
+    def flipped(order):
+        coeffs = list(real(order).coeffs)
+        coeffs[5] = -coeffs[5]
+        return TruncSeries(ZZ, coeffs, order)
+
+    monkeypatch.setattr(theorems, "euler_product", flipped)
+    code, out, _ = run_cli(capsys, "verify", "--target", "jtp", "--N", "30")
+    assert code == 1
+    payload = json_lines(out)[0]
+    assert payload["status"] == "fail"
+    assert (payload["z"], payload["first_divergence"]) == (-7, 26)
 
 
 @pytest.mark.parametrize("stage", ["theta", "signed"])

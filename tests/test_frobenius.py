@@ -504,7 +504,7 @@ def _uncut_product(variant, k, order):
     # the whole product, no row ever cut: a top row fits at most `order`
     # entries and a bottom row at most order + k (k zero entries cost
     # nothing), so the window [-order - k, order] clips nothing
-    acc = BivarSeries.one(order, -order - k, order)
+    acc = BivarSeries.from_terms(order, -order - k, order, [(0, 0, 1)])
     for lam in range(order + 1):
         for sign, shift in ((1, 1), (-1, 0)):
             acc.apply_factor([(sign * j, j * (lam + shift),
@@ -594,6 +594,35 @@ def test_bivar_guard_limit():
     assert bivar_work(2, 2169) <= MAX_BIVAR_WORK < bivar_work(2, 2170)
     with pytest.raises(ValueError, match="bivariate guard"):
         bivar_coefficient_series("colored", 2, -1, 2170)
+
+
+def test_weight_words_bound_the_largest_starting_weight():
+    for k in range(1, 160):
+        for first in range(0, k + 1, 7):
+            for last in range(first, k + 1, 5):
+                biggest = max(math.comb(k, j) for j in range(first, last + 1))
+                assert frobenius._weight_words(k, first, last) >= -(-biggest.bit_length() // 64)
+    # one word up to 64 bits, so k <= 64 counts as before
+    assert frobenius._weight_words(64, 0, 64) == 1
+    assert frobenius._weight_words(10**5, 49970, 50030) == 1563
+
+
+@pytest.mark.parametrize("k, alpha, order", [
+    (10**5, -50000, 30), (10**5, -50000, 60), (10**6, -500000, 1), (10**6, -500000, 100),
+    (1000, -500, 357)])
+def test_bivar_guard_weighs_big_starting_weights(monkeypatch, k, alpha, order):
+    # C(10^5, 50000) has 99,992 bits: 61 of them took 9 s at N = 30, where
+    # the entry count was 0.06% of the limit; C(10^6, 500000) alone took
+    # 11.6 s.  The guard refuses before it computes any C(k, j).
+    def no_comb(*args):
+        raise AssertionError("computed a weight before refusing")
+
+    monkeypatch.setattr(frobenius, "comb", no_comb)
+    assert bivar_work(k, order) <= MAX_BIVAR_WORK
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="bivariate guard"):
+        bivar_coefficient_series("colored", k, alpha, order)
+    assert time.perf_counter() - started < 0.1
 
 
 def test_bivar_work_bounds_the_entries_made(monkeypatch):

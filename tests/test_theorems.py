@@ -1,6 +1,7 @@
 """Closed-form series against the oracle, and the proof-identity battery."""
 
 import itertools
+import time
 from collections import Counter
 from math import isqrt
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frobq.exactring as exactring
 import frobq.theorems as theorems
 from frobq.exactring import CycInt, cyclotomic_poly
-from frobq.frobenius import count_cphi, count_phi
+from frobq.frobenius import bivar_coefficient_series, count_cphi, count_phi
 import frobq.qseries as qseries
 from frobq.qseries import (
     MAX_PRODUCT_WORK,
@@ -254,9 +256,37 @@ def test_lattice_guard_counts_each_coordinate_as_two_values():
 
 
 def test_lattice_guard_names_a_huge_box_without_building_it():
-    # 3^(10^9 - 1) would take minutes to build; N=0 keeps the division free
+    # 3^(10^9 - 1) would take minutes to build; N=0 keeps the division
+    # free.  At alpha = -4 the walk's first interval is [-1, 1].
     with pytest.raises(ValueError, match=r"box of 3\^999999999 points"):
-        cphi_theta_series(10**9, 1, 0)
+        cphi_theta_series(10**9, -4, 0)
+
+
+@pytest.mark.parametrize("k, alpha, order", [
+    (3, 10**8, 10), (5, 600, 10), (5, -605, 10), (10**9, 1, 0), (10**7, 10**9, 1)])
+def test_empty_lattice_is_zero_before_any_table(monkeypatch, k, alpha, order):
+    # the walk's first interval is empty, so no point has Q <= order; the
+    # old box, 2*isqrt(2N+|alpha|)+1 a side, refused each of these
+    def built(*args):
+        raise AssertionError("built a table for an empty lattice")
+
+    monkeypatch.setattr(theorems, "_lattice_table", built)
+    monkeypatch.setattr(exactring, "_power_basis_rows", built)
+    for fn in (phi_theta_series, cphi_theta_series):
+        started = time.perf_counter()
+        assert fn(k, alpha, order) == TruncSeries.zero(ZZ, order)
+        assert time.perf_counter() - started < 0.1
+
+
+def test_lattice_guard_takes_the_walks_interval():
+    # the first interval is [-6, 4], an 11^6 = 1,771,561 point box, where the
+    # old one was 15^6 = 11,390,625 and refused
+    assert 11 ** 6 <= MAX_LATTICE_BOX < 15 ** 6
+    for fn, variant in ((phi_theta_series, "repetition"), (cphi_theta_series, "colored")):
+        started = time.perf_counter()
+        series = fn(7, -10, 20)
+        assert time.perf_counter() - started < 0.5
+        assert series == bivar_coefficient_series(variant, 7, -10, 20)
 
 
 def test_division_work_closed_form_matches_literal_sum():
