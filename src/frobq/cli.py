@@ -32,14 +32,22 @@ from .qseries import (
 )
 
 # The most arrays `enumerate --list` prints.  The line is written a few
-# thousand arrays at a time, so memory holds the arrays, not their JSON, and
-# encoding an array costs about 7 times what building it costs.  On a 2-CPU
-# x86 guest with CPython 3.11.7, best of 3 runs to /dev/null: colored k=3,
-# alpha=-2, n=17 (800,934 arrays) took 5.6 s and peaked at 62 MiB, k=4,
-# alpha=-3, n=12 (680,108) 4.5 s and 56 MiB, and k=10, alpha=-5, n=4
-# (1,566,600) 10.2 s and 111 MiB: 6.5-6.9 us an array.  Runs on the loaded
-# guest took up to 1.4 times as long, so the limit is 8-10 s and 90 MiB.
+# thousand arrays at a time, so memory holds the arrays, not their JSON.
+# The limit was set when every array was encoded on its own, at 6.5-6.9 us
+# an array (about 7 times what building it costs), for 8-10 s and 90 MiB
+# on a 2-CPU x86 guest with CPython 3.11.7.  With each row encoded once
+# (`_ROW_MEMO`), colored k=3, alpha=-2, n=17 (800,934 arrays) takes 0.9 s
+# and peaks at 68 MiB, and k=4, alpha=-3, n=12 (680,108) 0.9-1.0 s and
+# 63 MiB, in a subprocess writing to a pipe.
 MAX_LIST_ARRAYS = 1_200_000
+# The most rows whose JSON `enumerate --list` keeps.  A top row repeats once
+# for each of its bottoms and a bottom once for each top of its split, so
+# a row is encoded once, not once an array: colored k=3, alpha=-2, n=17 has
+# 40,429 distinct rows in 800,934 arrays.  The limit bounds the memo where
+# nearly every row is distinct: colored k=6, alpha=-19, n=29 (939,711 rows
+# in 1,048,230 arrays) peaked at 303 MiB with no memo, 565 MiB with every
+# row kept, and 318 MiB with this limit.
+_ROW_MEMO = 65_536
 # how many pieces `_write` joins into one write: a write a piece made a
 # small `enumerate --list` call about a third slower through a pipe
 _WRITE_CHUNK = 4096
@@ -109,10 +117,23 @@ def cmd_enumerate(args) -> int:
                                         limit=MAX_LIST_ARRAYS)
     out["count"] = str(len(arrays))
     # the line `_emit` would print with out["arrays"], each array encoded
-    # only when it is written: the envelope's one "[]" is where they go
+    # only when it is written: the envelope's one "[]" is where they go.
+    # The arrays share their row tuples, and hold them for the whole call,
+    # so a row's JSON is kept under its id, for the first _ROW_MEMO rows
     head, tail = _encode(dict(out, arrays=[])).split("[]")
+    rows = {}
+
+    def encode_row(row):
+        text = rows.get(id(row))
+        if text is None:
+            text = _encode(frobenius.FrobeniusArray.json_row(row))
+            if len(rows) < _ROW_MEMO:
+                rows[id(row)] = text
+        return text
+
     separators = itertools.chain([""], itertools.repeat(", "))
-    encoded = map(_encode, map(frobenius.FrobeniusArray.to_json_dict, arrays))
+    encoded = ('{"bottom": %s, "top": %s}' % (encode_row(a.bottom), encode_row(a.top))
+               for a in arrays)
     pieces = itertools.chain.from_iterable(zip(separators, encoded))
     _write(itertools.chain([head + "["], pieces, ["]" + tail + "\n"]))
     return 0

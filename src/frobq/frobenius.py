@@ -53,8 +53,8 @@ MAX_ENUM_ROW = 400
 # 3.6 s, colored k=2, N=2169 in 6.4 s, colored k=4, N=1613 in 7.9 s and
 # colored k=100 (two-word weights), alpha=-50, N=362 in 5.0 s.  C(k, j)
 # itself costs about w^2 word steps for w words: C(10^5, 50000), 1563
-# words, took 0.15 s, and colored k=10^5, alpha=-50000 took 3.2 s at N=10
-# (accepted) and 10.9 s at N=30 (refused).
+# words, took 0.15 s.  Colored k=10^5, alpha=-50000 takes 0.18 s at N=10
+# (accepted), one such `comb` and running products from it; N=30 is refused.
 MAX_BIVAR_WORK = 150_000_000
 
 
@@ -77,11 +77,14 @@ class FrobeniusArray(FrozenValue):
         return [e[0] if isinstance(e, tuple) else e for e in row]
 
     def to_json_dict(self) -> dict:
-        # an array's entries are all (value, color) pairs or all ints
-        entries = self.top or self.bottom
-        if entries and isinstance(entries[0], tuple):
-            return {"top": list(map(list, self.top)), "bottom": list(map(list, self.bottom))}
-        return {"top": [[v] for v in self.top], "bottom": [[v] for v in self.bottom]}
+        return {"top": self.json_row(self.top), "bottom": self.json_row(self.bottom)}
+
+    @staticmethod
+    def json_row(row) -> list:
+        # a row's entries are all (value, color) pairs or all ints
+        if row and isinstance(row[0], tuple):
+            return list(map(list, row))
+        return [[v] for v in row]
 
 
 # enumeration fills the two slots of blank arrays through these, in C, with
@@ -303,6 +306,13 @@ def _weight_words(k: int, first: int, last: int) -> int:
     return max(1, -(-min(k, min(j, k - j) * k.bit_length()) // 64))
 
 
+def _binomials(k: int, first: int, last: int, start: int) -> list:
+    """C(k, j) for first <= j <= last, given start = C(k, first), as the
+    running product C(k, j) = C(k, j - 1) * (k - j + 1) // j, which is exact."""
+    return list(itertools.accumulate(range(first + 1, last + 1),
+                                     lambda c, j: c * (k - j + 1) // j, initial=start))
+
+
 def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> TruncSeries:
     """Coefficient of z^alpha in the variant's two-variable product, as a q-series.
 
@@ -337,8 +347,11 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     Guarded: refuses, before any C(k, j) is computed, more than
     MAX_BIVAR_WORK entries by `bivar_work` when the starting weights fit in
     a machine word.  Colored starting weights of w > 1 words (`_weight_words`)
-    make every entry cost about w times as much, and each costs about w^2
-    word steps to compute, so the count is then w * (entries + rows * (w - 1)).
+    make every entry cost about w times as much, and the count is then
+    w * (entries + rows * (w - 1)), which charges each starting weight w^2
+    word steps.  That bounds their cost: the weights are one `comb` for the
+    first starting row and running products from there (`_binomials`), so
+    only the first costs about w^2 and each other one about w.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -355,10 +368,13 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
                          f"MAX_BIVAR_WORK={MAX_BIVAR_WORK}")
     if not rows:
         return TruncSeries.zero(ZZ, order)
-    weight = (lambda j: 1) if variant == "repetition" else functools.partial(comb, k)
+    if variant == "repetition":
+        starts, weights = [1] * rows, [1] * min(k, order)
+    else:
+        starts = _binomials(k, first, last, comb(k, first))
+        weights = _binomials(k, 0, min(k, order), 1)[1:]
     acc = BivarSeries.from_terms(order, alpha - order, alpha + order,
-                                 ((-j, 0, weight(j)) for j in range(first, last + 1)))
-    weights = list(map(weight, range(1, min(k, order) + 1)))
+                                 ((-j, 0, w) for j, w in enumerate(starts, first)))
     for lam in range(order + 1):
         reach = list(enumerate(weights[:order // (lam + 1)], 1))
         for sign in (1, -1):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, compress, count, repeat
+from math import gcd, lcm
 from operator import add, index, mul, sub
 
 from ._value import FrozenValue
@@ -304,20 +305,25 @@ def parse_product_spec(text: str) -> ProductSpec:
     return ProductSpec(tuple(factors))
 
 
-# Refuse expansions above this many coefficient updates.  The largest
-# accepted ones take 10-13 s on a 2-CPU x86 guest (85-105 ns an update, ZZ
-# and ModRing alike); the limit is 20x the work of phi2m1_product(3000).
+# Refuse expansions above this many coefficient updates, as `product_work`
+# counts them: the literal count, an upper bound on what the netted, strided
+# expansion does.  The limit is 20x the work of phi2m1_product(3000).  On a
+# 2-CPU x86 guest with CPython 3.11.7, over ZZ, the largest accepted
+# expansions take 3.9-7.6 s: 1/(q;q) at N = 15810, where nothing nets and
+# the stride is 1, 7.3-7.6 s (about 60 ns a counted update); phi2m1 at
+# N = 13692 5.6-5.8 s; the cphi2m1 spec at N = 8450 3.9 s.
 MAX_PRODUCT_WORK = 125_000_000
 
 
 def product_work(spec: ProductSpec, order: int) -> int:
-    """Coefficient updates `product_from_spec` performs: each binomial
-    (1 + sign*q^e) with e <= order updates the order + 1 - e coefficients
-    from q^e up, |exponent| times, so the work is the sum over factors of
-    |exponent| * sum_e (order + 1 - e), here in closed form.  A constant
-    factor (1 + q^0) counts |exponent| * (order + 1) updates although it is
-    applied as one scale: over ZZ, 2^|exponent| grows every coefficient by
-    |exponent| bits."""
+    """Coefficient updates of the literal expansion, an upper bound on what
+    `product_from_spec` performs: each binomial (1 + sign*q^e) with
+    e <= order updates the order + 1 - e coefficients from q^e up,
+    |exponent| times, so the count is the sum over factors of
+    |exponent| * sum_e (order + 1 - e), here in closed form.  Netting and the
+    stride only remove updates from that.  A constant factor (1 + q^0)
+    counts |exponent| * (order + 1) updates although it is applied as one
+    scale: over ZZ, 2^|exponent| grows every coefficient by |exponent| bits."""
     total = 0
     for f in spec.factors:
         first = f.period - f.residue
@@ -330,14 +336,30 @@ def product_work(spec: ProductSpec, order: int) -> int:
 def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     """Expand the spec's product truncated at `order`.
 
-    Every binomial (1 + sign*q^e) with 1 <= e <= order is applied in place
-    to one coefficient list, |exponent| times: multiplied in for a positive
-    exponent, divided out for a negative one.  The constant factors
-    (1 + q^0) = 2 make one ring scalar, 2^|exponent| or its inverse each,
-    which scales the list once at the end; it is computed first, so dividing
-    by a non-unit 2 raises NotUnitError before anything is expanded.
-    Guarded: raises ValueError before expanding when `product_work`, which
-    counts the constant factor's |exponent| passes, exceeds MAX_PRODUCT_WORK.
+    The plan: each binomial (1 + sign*q^e) with 1 <= e <= order gets its net
+    exponent, summed over the spec's families, so equal binomials from
+    different families cancel.  (1 + q^e) and (1 - q^e) are never combined.
+    Each binomial with a nonzero net exponent is applied in place to one
+    coefficient list, |net| times: multiplied in for a positive net, divided
+    out for a negative one.  Every factor has constant term 1, so the
+    factors commute and (1 + sign*q^e)^a (1 + sign*q^e)^b is
+    (1 + sign*q^e)^(a+b) exactly: the plan gives the product of the spec.
+
+    The stride: with g the gcd of the exponents applied so far, the product
+    so far is a series in q^g, so every coefficient off a multiple of g is
+    zero.  The list holds only those of q^(g*i), and a pass at e is the
+    pass at e/g on that list: order//g - e//g + 1 updates, not
+    order + 1 - e.  When an exponent shares less with g, the list is
+    widened to the new gcd, zeros between the old entries; it is widened to
+    stride 1 at the end.  The plan runs by descending gcd(e, L), L the lcm
+    of the periods, then by e, so the exponents that share the most with
+    the periods run first, on the shortest lists.
+
+    The constant factors (1 + q^0) = 2 make one ring scalar, 2^|exponent|
+    or its inverse each, which scales the list once at the end; it is
+    computed first, so dividing by a non-unit 2 raises NotUnitError before
+    anything is expanded.  Guarded: raises ValueError before expanding when
+    `product_work`, the literal count, exceeds MAX_PRODUCT_WORK.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
@@ -351,15 +373,35 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     for f in spec.factors:
         if f.residue == f.period:
             scale = ring.from_int(scale * _constant_factor(abs(f.exponent), ring, f.exponent < 0))
-    coeffs = [1] + [0] * order
+    net = {}
     for f in spec.factors:
-        times, divide = abs(f.exponent), f.exponent < 0
         first = f.period - f.residue or f.period  # q^0 is in `scale`
         for e in range(first, order + 1, f.period):
-            for _ in range(times):
-                _apply_binomial(coeffs, f.sign, e, divide=divide)
+            net[f.sign, e] = net.get((f.sign, e), 0) + f.exponent
+    periods = lcm(*(f.period for f in spec.factors))
+    plan = sorted((key for key, times in net.items() if times),
+                  key=lambda key: (-gcd(key[1], periods), key[1], key[0]))
+    g = plan[0][1] if plan else 1  # coeffs[i] is the coefficient of q^(g*i)
+    coeffs = [1] + [0] * (order // g)
+    for sign, e in plan:
+        h = gcd(g, e)
+        coeffs, g = _widen(coeffs, order, g, h), h
+        times = net[sign, e]
+        for _ in range(abs(times)):
+            _apply_binomial(coeffs, sign, e // g, divide=times < 0)
+    coeffs = _widen(coeffs, order, g, 1)
     # the passes are linear, so the constant factors can scale the list last
     return TruncSeries(ring, map(mul, coeffs, repeat(scale)), order)
+
+
+def _widen(coeffs: list, order: int, g: int, h: int) -> list:
+    # the coefficients of q^(g*i), i <= order // g, as those of q^(h*i) for a
+    # divisor h of g: every new slot between two old ones is zero
+    if g == h:
+        return coeffs
+    wide = [0] * (order // h + 1)
+    wide[::g // h] = coeffs
+    return wide
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,46 @@ def test_enumerate_list_streams_the_line_it_used_to_build(capsys, variant, k, al
     assert out == json.dumps(old, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("memo", [None, 0, 3], ids=["every-row", "no-row", "three-rows"])
+@pytest.mark.parametrize("variant, k, alpha, n", [
+    ("repetition", 2, 0, 0),  # one array, both rows empty
+    ("colored", 3, 0, 0),
+    ("repetition", 2, -2, 0),  # an empty top over a row of zeros
+    ("colored", 2, -2, 0),
+    ("repetition", 2, 3, 5),  # every bottom row empty
+    ("colored", 3, -1, 8),
+    ("repetition", 3, -2, 9),
+])
+def test_enumerate_list_encodes_each_row_once_as_the_array_would(capsys, monkeypatch, memo,
+                                                                variant, k, alpha, n):
+    # each array is written from its rows' JSON, encoded once a row while the
+    # memo has room; the line is the one each array's own encoding makes
+    if memo is not None:
+        monkeypatch.setattr(cli, "_ROW_MEMO", memo)
+    encoded = []
+    real = cli._encode
+
+    def counted(obj):
+        encoded.append(obj)
+        return real(obj)
+
+    arrays = frobenius.enumerate_arrays(variant, k, alpha, n)
+    head = real({"command": "enumerate", "variant": variant, "k": k, "alpha": alpha,
+                 "n": n, "count": str(len(arrays)), "arrays": []}).split("[]")
+    want = head[0] + "[" + ", ".join(real(a.to_json_dict()) for a in arrays) + "]" + head[1]
+    monkeypatch.setattr(cli, "_encode", counted)
+    code, out, _ = run_cli(capsys, "enumerate", "--variant", variant, "--k", str(k),
+                           "--alpha", str(alpha), "--n", str(n), "--list")
+    assert code == 0
+    assert out == want + "\n"
+    rows = {id(row) for a in arrays for row in (a.top, a.bottom)}
+    if memo is None:
+        # the envelope, then each distinct row once
+        assert len(encoded) == 1 + len(rows)
+    elif memo == 0:
+        assert len(encoded) == 1 + 2 * len(arrays)
+
+
 @pytest.mark.parametrize("obj", [
     # a claim as `scan` prints it, and one with a violation
     CongruenceClaim(5, 4, 5, 1200, "verified", witnesses=240).to_json_dict(),

@@ -625,6 +625,30 @@ def test_bivar_guard_weighs_big_starting_weights(monkeypatch, k, alpha, order):
     assert time.perf_counter() - started < 0.1
 
 
+def test_bivar_weights_are_running_products(monkeypatch):
+    # every C(k, j) was its own comb: colored k = 10^5, alpha = -50000 took
+    # 3.2 s at N = 10, nearly all of it 21 combs of about 1563 words each
+    calls = [0]
+
+    def counted(k, j):
+        calls[0] += 1
+        return math.comb(k, j)
+
+    monkeypatch.setattr(frobenius, "comb", counted)
+    for k, alpha, order in ((1, 0, 5), (5, -2, 9), (13, -20, 12), (30, 4, 7), (3, 9, 4)):
+        counts = [count_cphi(k, alpha, n) for n in range(order + 1)]
+        calls[0] = 0
+        assert list(bivar_coefficient_series("colored", k, alpha, order).coeffs) == counts
+        assert calls[0] <= 1, (k, alpha, order)
+    calls[0] = 0
+    started = time.perf_counter()
+    series = bivar_coefficient_series("colored", 10**5, -50000, 10)
+    assert time.perf_counter() - started < 1
+    assert calls[0] == 1
+    # the lowest weight: n = 50000 zeros in the bottom row, the lam = 0 term
+    assert series.coeffs[0] == math.comb(10**5, 50000)
+
+
 def test_bivar_work_bounds_the_entries_made(monkeypatch):
     # every slice entry a sweep makes is one call of qseries.add
     made = [0]

@@ -2,11 +2,13 @@
 
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frobq import qseries
 from frobq.qseries import (
     MAX_PRODUCT_WORK,
     ZZ,
@@ -26,8 +28,10 @@ from frobq.qseries import (
     product_work,
 )
 from frobq.theorems import (
+    CPHI2M1_SPEC_TEXT,
     MAX_JACOBI_WORK,
     PHI2M1_SPEC_TEXT,
+    PSI2_SPEC_TEXT,
     euler_cube,
     jacobi_guard,
     jacobi_triple,
@@ -363,6 +367,77 @@ def test_constant_factor_division_keeps_the_not_unit_message(ring):
     with pytest.raises(NotUnitError) as once:
         product_from_spec(spec, 6, ring)
     assert str(once.value) == str(repeated.value)
+
+
+@st.composite
+def _netting_specs(draw):
+    # families from a small pool, so equal binomials (sign, e) recur across
+    # families; a family may come with its own inverse, which cancels, or
+    # with the inverse of its other-sign twin, which must not
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from([1, -1]))
+        period = draw(st.integers(1, 6))
+        residue = draw(st.integers(0, period if sign > 0 else period - 1))
+        exponent = draw(st.integers(-3, 3).filter(bool))
+        factors.append(ProductFactor(sign, period, residue, exponent))
+        twin = draw(st.sampled_from(["none", "inverse", "other sign"]))
+        if twin == "inverse" or (twin == "other sign" and residue < period):
+            factors.append(ProductFactor(sign if twin == "inverse" else -sign, period,
+                                         residue, -exponent))
+    return ProductSpec(tuple(draw(st.permutations(factors))))
+
+
+class _PassCounter:
+    """Updates the top-level `_apply_binomial` passes request: a pass at e
+    on a list of n coefficients updates the n - e of them from q^e up."""
+
+    def __init__(self):
+        self.updates, self.depth = 0, 0
+
+    def __call__(self, coeffs, sign, e, divide=False):
+        if not self.depth:
+            self.updates += max(0, len(coeffs) - e)
+        self.depth += 1
+        try:
+            _apply_binomial(coeffs, sign, e, divide)
+        finally:
+            self.depth -= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_netting_specs(), order=st.integers(0, 60), ring=st.sampled_from(_CONSTANT_RINGS))
+@example(spec=parse_product_spec("+,2,0,1; -,2,0,-1"), order=12, ring=ZZ)  # no cross-sign merge
+@example(spec=parse_product_spec("-,3,0,1; -,2,0,1; -,1,0,-1"), order=20, ring=ZZ)  # 3, 2, 1
+@example(spec=parse_product_spec("-,2,0,1; +,2,0,1; +,2,2,1; -,1,0,-2"), order=40, ring=ModRing(5))
+def test_netted_strided_plan_matches_repeated_passes(spec, order, ring):
+    # the plan cancels equal binomials across families and expands on the
+    # stride of their common divisor; the result is the literal expansion,
+    # NotUnitError included, and it asks for no more updates than counted
+    counter = _PassCounter()
+    with mock.patch.object(qseries, "_apply_binomial", counter):
+        got = _or_not_unit(lambda: product_from_spec(spec, order, ring))
+    assert got == _or_not_unit(lambda: _repeated_passes(spec, order, ring))
+    assert counter.updates <= product_work(spec, order)
+
+
+@pytest.mark.parametrize("text, order, most", [
+    # (1 - q^2n), multiplied in once and divided out twice, is divided out
+    # once, and the even exponents run on every other coefficient
+    (CPHI2M1_SPEC_TEXT, 1200, 0.51),
+    # the even exponents run on every other coefficient or fewer
+    (PHI2M1_SPEC_TEXT, 1200, 0.83),
+    # (1 + q^6n) cancels, and every even exponent runs on stride 2
+    (PSI2_SPEC_TEXT, 600, 0.47),
+    # nothing nets and the stride is 1
+    ("-,1,0,-1", 300, 1),
+])
+def test_plan_updates_against_the_literal_count(monkeypatch, text, order, most):
+    spec = parse_product_spec(text)
+    counter = _PassCounter()
+    monkeypatch.setattr(qseries, "_apply_binomial", counter)
+    product_from_spec(spec, order)
+    assert counter.updates <= most * product_work(spec, order)
 
 
 @pytest.mark.parametrize("text, order, ring, want", [
