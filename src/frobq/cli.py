@@ -40,6 +40,12 @@ from .qseries import (
 # and peaks at 68 MiB, and k=4, alpha=-3, n=12 (680,108) 0.9-1.0 s and
 # 63 MiB, in a subprocess writing to a pipe.
 MAX_LIST_ARRAYS = 1_200_000
+# The most row entries `enumerate --list` prints: long rows that are nearly
+# all distinct are each encoded, at 0.6-1.1 us an entry on the same guest.
+# Colored k=6, alpha=-19, n=28 (7,331,136 entries) took 4.6-5.4 s and
+# 140 MiB, k=8, alpha=-18, n=17 (9,834,880) 10.3 s and 182 MiB, and k=6,
+# alpha=-19, n=29 (20,177,454 in 1,048,230 arrays) 13.6 s and 303 MiB.
+MAX_LIST_ENTRIES = 8_000_000
 # The most rows whose JSON `enumerate --list` keeps.  A top row repeats once
 # for each of its bottoms and a bottom once for each top of its split, so
 # a row is encoded once, not once an array: colored k=3, alpha=-2, n=17 has
@@ -112,7 +118,13 @@ def cmd_enumerate(args) -> int:
         out["count"] = str(count(args.k, args.alpha, args.n))
         _emit(out)
         return 0
-    # built before anything is written, so a refusal prints nothing
+    # counted before any row is built, and built before anything is
+    # written, so a refusal prints nothing; more than MAX_LIST_ARRAYS
+    # arrays are refused by `enumerate_arrays`, in its own words
+    total, entries = frobenius._list_size(args.variant, args.k, args.alpha, args.n)
+    if total <= MAX_LIST_ARRAYS and entries > MAX_LIST_ENTRIES:
+        raise ValueError(f"enumeration guard: {entries} row entries exceed "
+                         f"MAX_LIST_ENTRIES={MAX_LIST_ENTRIES}")
     arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n,
                                         limit=MAX_LIST_ARRAYS)
     out["count"] = str(len(arrays))

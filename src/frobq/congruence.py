@@ -45,6 +45,15 @@ class CongruenceClaim(FrozenValue):
         return out
 
 
+def _check_moduli(series: TruncSeries, moduli) -> None:
+    # A ModRing(m) series only knows its coefficients mod m: refuse the
+    # first modulus that does not divide m.
+    if isinstance(series.ring, ModRing):
+        for modulus in moduli:
+            if series.ring.modulus % modulus:
+                raise ValueError(f"a {series.ring!r} series cannot decide residues mod {modulus}")
+
+
 def verify_congruence(series: TruncSeries, step: int, offset: int, modulus: int) -> CongruenceClaim:
     """Check coefficient(step*n + offset) = 0 (mod modulus) on every available index.
 
@@ -56,8 +65,7 @@ def verify_congruence(series: TruncSeries, step: int, offset: int, modulus: int)
         raise ValueError("need step >= 1 and 0 <= offset < step")
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    if isinstance(series.ring, ModRing) and series.ring.modulus % modulus:
-        raise ValueError(f"a {series.ring!r} series cannot decide residues mod {modulus}")
+    _check_moduli(series, (modulus,))
     indices = range(offset, series.order + 1, step)
     if not indices:
         raise ValueError(f"insufficient witnesses: A={step}, B={offset} has no index "
@@ -124,11 +132,8 @@ def scan_congruences(series: TruncSeries, max_step: int, max_modulus: int,
         raise ValueError(f"scan guard: {triples} (M, A, B) triples exceed "
                          f"MAX_SCAN_TRIPLES={MAX_SCAN_TRIPLES}")
     moduli = _primes_up_to(max_modulus) if primes_only else range(2, max_modulus + 1)
-    if isinstance(series.ring, ModRing):
-        # the gcd of residues mod m would answer for moduli they cannot decide
-        for modulus in moduli:
-            if series.ring.modulus % modulus:
-                raise ValueError(f"a {series.ring!r} series cannot decide residues mod {modulus}")
+    # the gcd of residues mod m would answer for moduli they cannot decide
+    _check_moduli(series, moduli)
     coeffs, order = series.coeffs, series.order
     gcds = [[math.gcd(*coeffs[offset::step]) for offset in range(step)]
             for step in range(max_step + 1)]

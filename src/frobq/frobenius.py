@@ -255,9 +255,7 @@ def count_phi(k: int, alpha: int, n: int) -> int:
     from the same exhaustive row lists, but multiplies the top and bottom
     row counts of each split instead of building the arrays.
     """
-    _check_enum_args("repetition", k, alpha, n)
-    pairs = _row_pairs(_bounded_rows, k, alpha, n)
-    return sum(len(tops) * len(bottoms) for tops, bottoms in pairs)
+    return _list_size("repetition", k, alpha, n)[0]
 
 
 def count_cphi(k: int, alpha: int, n: int) -> int:
@@ -268,9 +266,24 @@ def count_cphi(k: int, alpha: int, n: int) -> int:
     counts each list of repetition rows by the colored rows over it
     (`_colored_count`).
     """
-    _check_enum_args("colored", k, alpha, n)
-    pairs = _row_pairs(_bounded_rows, k, alpha, n)
-    return sum(_colored_count(tops, k) * _colored_count(bottoms, k) for tops, bottoms in pairs)
+    return _list_size("colored", k, alpha, n)[0]
+
+
+def _list_size(variant: str, k: int, alpha: int, n: int) -> tuple[int, int]:
+    """(arrays, row entries) of weight n and row difference alpha, from the
+    repetition rows alone.  Every top row of one split has m1 entries and
+    every bottom m1 - alpha, so each split adds its count times
+    2*m1 - alpha entries."""
+    _check_enum_args(variant, k, alpha, n)
+    arrays = entries = 0
+    for tops, bottoms in _row_pairs(_bounded_rows, k, alpha, n):
+        if variant == "repetition":
+            count = len(tops) * len(bottoms)
+        else:
+            count = _colored_count(tops, k) * _colored_count(bottoms, k)
+        arrays += count
+        entries += count * (len(tops[0]) + len(bottoms[0]))
+    return arrays, entries
 
 
 def _reach_cost(z: int, alpha: int, lam: int) -> int:

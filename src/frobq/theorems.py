@@ -11,7 +11,9 @@ the colored counts have generating function  (sum_m q^Q) / (q;q)^k  and the
 repetition counts have the same shape with each lattice term weighted by
 (-1)^alpha zeta^(m_1(1-k) + m_2(2-k) + ... + m_(k-1)(-1) + k*alpha) for zeta
 a primitive (k+1)-th root of unity; all the root-of-unity contributions must
-cancel, which `phi_theta_series` checks coefficient by coefficient.
+cancel.  Both run one guard, one walk that counts by Q (colored) or by (Q,
+zeta exponent) (repetition), and one pass to the quotient, the repetition
+one checking the cancellation row by row.
 
 Note the cross terms m_i*m_j land OUTSIDE the /2 when Q is expanded:
 Q = sum m_i^2 + sum_{i<j} m_i m_j - alpha*S + (alpha^2 + alpha)/2.  The
@@ -96,13 +98,21 @@ def _interval(free: int, budget: int, c: int) -> tuple[int, int]:
 
 
 def _lattice_guard(k: int, alpha: int, order: int) -> bool:
-    # Whether any lattice point has Q <= order, after refusing a box above
-    # MAX_LATTICE_BOX.  Q is symmetric in m_1..m_(k-1), so every coordinate
-    # of a kept point lies in the walk's first interval, and an empty one
-    # means an empty lattice.  The walk recurses once a coordinate, so each
-    # counts as at least 2 values.  From k - 1 = the limit's bit length on,
-    # 2^(k-1) alone exceeds the limit: the box is then named as a power,
-    # not built.
+    # Route 3's one guard, before any table: k, the order and the division
+    # by (q;q)^k, then whether any lattice point has Q <= order, refusing a
+    # box above MAX_LATTICE_BOX.  Q is symmetric in m_1..m_(k-1), so each
+    # coordinate of a kept point lies in the walk's first interval; an empty
+    # one means an empty lattice.  The walk recurses once a coordinate, so
+    # each counts as at least 2 values; from k - 1 = the limit's bit length
+    # on, 2^(k-1) alone exceeds the limit, and the box is named, not built.
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    work = division_work(k, order)
+    if work > MAX_DIVISION_WORK:
+        raise ValueError(f"division guard: {work} coefficient updates exceed "
+                         f"MAX_DIVISION_WORK={MAX_DIVISION_WORK}")
     lo, hi = _interval(k - 1, 2 * order - alpha, -alpha)
     if lo > hi:
         return False
@@ -115,13 +125,12 @@ def _lattice_guard(k: int, alpha: int, order: int) -> bool:
     return True
 
 
-def _lattice_table(k: int, alpha: int, order: int, shift: int = 0) -> list[int]:
+def _lattice_table(k: int, alpha: int, order: int, width: int, shift: int = 0) -> list[int]:
     # Counts of the lattice points with Q <= order, flat by (Q, zeta exponent
-    # mod k+1): entry Q*(k+1) + e.  Q <= order is
-    # sum m_i^2 + (S - alpha)^2 <= 2*order - alpha, and the walk keeps the
-    # running square sum P, c = S - alpha and the exponent, in which
-    # coordinate i carries weight i+1-k, i.e. minus its count of free ones.
-    width = k + 1
+    # mod width): entry Q*width + e; width 1 gives the colored numerator, k+1
+    # the repetition one.  Q <= order is sum m_i^2 + (S - alpha)^2 <= 2*order
+    # - alpha; the walk keeps the square sum P, c = S - alpha and the
+    # exponent, in which coordinate i weighs i+1-k, minus its count of free ones.
     table = [0] * ((order + 1) * width)
     limit = 2 * order - alpha
 
@@ -188,26 +197,11 @@ def division_work(k: int, order: int) -> int:
     return k * ((a + b) * (order + 1) - a * a * (a + 1) // 2 - b * (b + 1) ** 2 // 2)
 
 
-def _check_args(k: int, order: int) -> None:
-    # refuses before the lattice is walked or its table allocated
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    work = division_work(k, order)
-    if work > MAX_DIVISION_WORK:
-        raise ValueError(f"division guard: {work} coefficient updates exceed "
-                         f"MAX_DIVISION_WORK={MAX_DIVISION_WORK}")
-
-
 def cphi_theta_series(k: int, alpha: int, order: int) -> TruncSeries:
     """Colored-count generating function: (sum over the lattice of q^Q) / (q;q)^k."""
-    _check_args(k, order)
     if not _lattice_guard(k, alpha, order):
         return TruncSeries.zero(ZZ, order)
-    table = _lattice_table(k, alpha, order)
-    width = k + 1
-    coeffs = [sum(table[q * width:(q + 1) * width]) for q in range(order + 1)]
+    coeffs = _lattice_table(k, alpha, order, 1)
     _divide_by_euler(coeffs, k)
     return TruncSeries(ZZ, coeffs, order)
 
@@ -216,38 +210,34 @@ def phi_theta_series(k: int, alpha: int, order: int, *,
                      zeta_exponent_shift: int = 0) -> TruncSeries:
     """Repetition-count generating function via the root-of-unity lattice sum.
 
-    The lattice sum is counted by (Q, zeta exponent) and each Q row is
-    reduced to the power basis of Z[zeta_(k+1)]; only the constant coordinate
-    is then divided by (q;q)^k.  That series is 1 + O(q) over ZZ, so every
-    other coordinate of the quotient first turns nonzero where the
-    numerator's does, with the same value: the first such index raises
-    NonIntegralCoefficientError.  `zeta_exponent_shift` perturbs every
-    root-of-unity exponent and exists so tests can prove the detector
-    actually fires; leave it at 0.
+    The lattice sum is counted by (Q, zeta exponent), each Q row is reduced
+    to the power basis of Z[zeta_(k+1)] in one pass, and only the constant
+    coordinate is divided by (q;q)^k.  That series is 1 + O(q) over ZZ, so
+    every other coordinate of the quotient first turns nonzero where the
+    numerator's does, with the same value: the pass stops at the first such
+    index and raises NonIntegralCoefficientError.  `zeta_exponent_shift`
+    perturbs every root-of-unity exponent and exists so tests can prove the
+    detector actually fires; leave it at 0.
     """
     from .exactring import CycInt, _power_basis_rows
 
-    _check_args(k, order)
     if not _lattice_guard(k, alpha, order):
         return TruncSeries.zero(ZZ, order)
-    table = _lattice_table(k, alpha, order, zeta_exponent_shift)
     width = k + 1
+    table = _lattice_table(k, alpha, order, width, zeta_exponent_shift)
     basis = _power_basis_rows(width)
     sign = -1 if alpha % 2 else 1
-    numerator = []
+    constant = []
     for q in range(order + 1):
         coords = [0] * len(basis[0])
         for e, count in enumerate(table[q * width:(q + 1) * width]):
             if count:
                 for i, b in enumerate(basis[e]):
                     coords[i] += sign * count * b
-        numerator.append(coords)
-    constant = [coords[0] for coords in numerator]
-    for idx, coords in enumerate(numerator):
+        constant.append(coords[0])
         if any(coords[1:]):
-            del constant[idx + 1:]
             _divide_by_euler(constant, k)
-            raise NonIntegralCoefficientError(idx, CycInt(width, [constant[idx], *coords[1:]]))
+            raise NonIntegralCoefficientError(q, CycInt(width, [constant[q], *coords[1:]]))
     _divide_by_euler(constant, k)
     return TruncSeries(ZZ, constant, order)
 

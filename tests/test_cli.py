@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,42 @@ def test_enumerate_list_guard_exits_two_quickly(k, alpha, n, count):
     assert f"enumeration guard: {count} arrays exceed the limit of {cli.MAX_LIST_ARRAYS}" \
         in proc.stderr
     assert proc.stdout == ""
+
+
+def test_enumerate_list_refuses_long_rows_before_building_them(capsys, monkeypatch):
+    # 1,048,230 arrays pass MAX_LIST_ARRAYS, but their 20,177,454 entries,
+    # in bottom rows that are nearly all distinct, took 13.6 s and 303 MiB
+    def no_build(*args, **kwargs):
+        raise AssertionError("built rows before refusing")
+
+    monkeypatch.setattr(frobenius, "enumerate_arrays", no_build)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--variant", "colored", "--k", "6",
+                             "--alpha", "-19", "--n", "29", "--list")
+    assert time.perf_counter() - started < 0.1
+    assert code == 2
+    assert err == ("error: enumeration guard: 20177454 row entries exceed "
+                   f"MAX_LIST_ENTRIES={cli.MAX_LIST_ENTRIES}\n")
+    assert out == ""
+
+
+@pytest.mark.parametrize("k, alpha, n, entries", [(3, -2, 17, 6480726), (4, -3, 12, 5488836)])
+def test_enumerate_list_entry_guard_admits_the_calibration_cases(k, alpha, n, entries):
+    # the two cases MAX_LIST_ARRAYS was timed on stay accepted
+    assert frobenius._list_size("colored", k, alpha, n)[1] == entries <= cli.MAX_LIST_ENTRIES
+
+
+def test_enumerate_list_entry_guard_is_inclusive(capsys, monkeypatch):
+    args = ("enumerate", "--variant", "colored", "--k", "2", "--alpha", "-1", "--n", "4", "--list")
+    arrays = frobenius.enumerate_arrays("colored", 2, -1, 4)
+    entries = sum(len(a.top) + len(a.bottom) for a in arrays)
+    monkeypatch.setattr(cli, "MAX_LIST_ENTRIES", entries)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json_lines(out)[0]["count"] == str(len(arrays))
+    monkeypatch.setattr(cli, "MAX_LIST_ENTRIES", entries - 1)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert f"enumeration guard: {entries} row entries exceed" in err
 
 
 def _quarter_gib_address_space():

@@ -379,6 +379,18 @@ def test_count_with_every_coloring_weight_one_is_rejected(enumerated_lengths, mo
     assert not [case for case in mismatches if case[0] == "repetition"]
 
 
+@pytest.mark.parametrize("variant", ["repetition", "colored"])
+def test_list_size_counts_the_entries_enumeration_builds(variant):
+    # every row of a split has one length, so the entries follow from the counts
+    for k in (1, 2, 3):
+        for alpha in range(-3, 3):
+            for n in range(8):
+                arrays = enumerate_arrays(variant, k, alpha, n)
+                entries = sum(len(a.top) + len(a.bottom) for a in arrays)
+                assert frobenius._list_size(variant, k, alpha, n) == (len(arrays), entries), \
+                    (k, alpha, n)
+
+
 def test_colored_counts_match_theta_route_at_k6():
     # far too many arrays, and colored rows, to build at k=6; the counts
     # weight the repetition rows

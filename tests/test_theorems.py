@@ -81,16 +81,27 @@ def _box_histogram(k, alpha, order):
 
 
 def _walk_histogram(k, alpha, order):
-    table = _lattice_table(k, alpha, order)
+    table = _lattice_table(k, alpha, order, k + 1)
     return Counter({divmod(i, k + 1): c for i, c in enumerate(table) if c})
+
+
+def _box_by_q(hist, order):
+    # the box histogram summed over the zeta exponent: one count per Q
+    counts = [0] * (order + 1)
+    for (q, _), c in hist.items():
+        counts[q] += c
+    return counts
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_lattice_walk_matches_box(k):
-    # the walk computes Q in closed form, [sum m_i^2 + (S - alpha)^2 + alpha] / 2
+    # the walk computes Q in closed form, [sum m_i^2 + (S - alpha)^2 + alpha] / 2;
+    # width k+1 keeps the zeta exponent, width 1 (the colored numerator) sums it away
     for alpha in range(-6, 7):
         for order in (0, 1, 7, 20):
-            assert _walk_histogram(k, alpha, order) == _box_histogram(k, alpha, order), \
+            box = _box_histogram(k, alpha, order)
+            assert _walk_histogram(k, alpha, order) == box, (k, alpha, order)
+            assert _lattice_table(k, alpha, order, 1) == _box_by_q(box, order), \
                 (k, alpha, order)
 
 
@@ -222,7 +233,7 @@ def test_phi_theta_detector_matches_dense_quotient(monkeypatch, k, alpha, bump):
     # coordinate of the reported value must come from the quotient, not the
     # numerator, and the non-constant ones from the numerator
     order = 12
-    table = _lattice_table(k, alpha, order)
+    table = _lattice_table(k, alpha, order, k + 1)
     table[bump * (k + 1) + 1] += 1
     monkeypatch.setattr(theorems, "_lattice_table", lambda *args: table)
     with pytest.raises(NonIntegralCoefficientError) as info:
