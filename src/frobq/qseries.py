@@ -11,7 +11,7 @@ q^0 .. q^N inclusive and nothing beyond.  The constructor reduces every
 coefficient through the ring's from_int, so two series over one ring are
 equal exactly when they denote the same series.  Its only arithmetic is the
 dense product `*` (by a series, truncated at min(N_a, N_b) so precision
-loss is always explicit, or by an int) and `inverse`, which the tests use as
+loss is always explicit) and `inverse`, which the tests use as
 the reference the faster kernels are checked against.  The routes build
 their own coefficient lists; this module provides:
 
@@ -120,8 +120,6 @@ class TruncSeries(FrozenValue):
         return cls(ring, [], order)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncSeries(self.ring, map(mul, self.coeffs, repeat(other)), self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         if self.ring != other.ring:
@@ -183,35 +181,38 @@ def first_divergence(a: TruncSeries, b: TruncSeries) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _apply_binomial(coeffs: list, sign: int, e: int, divide: bool = False) -> None:
+def _apply_binomial(coeffs: list, sign: int, e: int, divide: bool = False,
+                    stride: int = 1) -> None:
     """coeffs *= (1 + sign*q^e) in place, or coeffs /= it when `divide`.
 
-    `sign` is +1 or -1 and e >= 1.  Sweep-order invariant: multiplying
-    reads only old coefficients, so it is one slice update whose right-hand
-    side is copied before the assignment.  Dividing reads only quotient
-    coefficients, c[i] -= sign*c[i-e] upward: with short residue classes mod
-    e (e*e >= len) that is one slice update per block of e coefficients from
-    the finished block before it.  With few long classes, dividing by (1 - q^e)
-    is a running sum along each class, one `accumulate`, and dividing by
-    (1 + q^e) multiplies by (1 - q^e) and then divides by (1 - q^2e), whose
-    running sums need no sign changes.  These steps only add and subtract,
-    so they are the same on ints for every ring, and the TruncSeries built
-    from the list reduces it.
+    `sign` is +1 or -1 and e >= 1.  Every coefficient off a multiple of
+    `stride` g, a divisor of e, must be zero: a pass steps by g, and those
+    stay zero.  Sweep-order invariant: multiplying reads only old
+    coefficients, so it is one slice update whose right-hand side is copied
+    before the assignment.  Dividing reads only quotient coefficients,
+    c[i] -= sign*c[i-e] upward: with short residue classes mod e (e*e >= len*g:
+    on the stride, (e/g)^2 >= len/g) that is one slice update per block of e
+    coefficients from the finished block before it.  With few long classes,
+    dividing by (1 - q^e) is a running sum along each class, one
+    `accumulate`, and dividing by (1 + q^e) multiplies by (1 - q^e) and then
+    divides by (1 - q^2e), whose running sums need no sign changes.  These
+    steps only add and subtract, so they are the same on ints for every
+    ring, and the TruncSeries built from the list reduces it.
     """
-    n = len(coeffs)
+    n, g = len(coeffs), stride
     if e >= n:
         return
     elif not divide:
-        coeffs[e:] = map(add if sign > 0 else sub, coeffs[e:], coeffs[:n - e])
-    elif e * e >= n:
+        coeffs[e::g] = map(add if sign > 0 else sub, coeffs[e::g], coeffs[:n - e:g])
+    elif e * e >= n * g:
         step = sub if sign > 0 else add
         for i in range(e, n, e):
-            coeffs[i:i + e] = map(step, coeffs[i:i + e], coeffs[i - e:i])
+            coeffs[i:i + e:g] = map(step, coeffs[i:i + e:g], coeffs[i - e:i:g])
     elif sign > 0:
-        _apply_binomial(coeffs, -1, e)
-        _apply_binomial(coeffs, -1, 2 * e, divide=True)
+        _apply_binomial(coeffs, -1, e, stride=g)
+        _apply_binomial(coeffs, -1, 2 * e, divide=True, stride=g)
     else:
-        for r in range(e):
+        for r in range(0, e, g):
             coeffs[r::e] = accumulate(coeffs[r::e])
 
 
@@ -313,23 +314,37 @@ def parse_product_spec(text: str) -> ProductSpec:
 # the stride is 1, 7.3-7.6 s (about 60 ns a counted update); phi2m1 at
 # N = 13692 5.6-5.8 s; the cphi2m1 spec at N = 8450 3.9 s.
 MAX_PRODUCT_WORK = 125_000_000
+# A pass costs 0.7-1.5 us however few coefficients it updates, the time of
+# 9-22 updates of 1/(q;q) at N = 6000 on the same guest, so `product_work`
+# counts each pass as at least 20 (24 would refuse psi2 at N = 8885).
+# Without the floor, 1/(1 - q)^E at N = 1 counts E, and E = 10^7, 1/12 of
+# the limit, takes 7.6 s; with it, the largest accepted E at N = 1, 2 and 3
+# takes 6.9-8.1 s.
+MIN_PASS_WORK = 20
 
 
 def product_work(spec: ProductSpec, order: int) -> int:
     """Coefficient updates of the literal expansion, an upper bound on what
     `product_from_spec` performs: each binomial (1 + sign*q^e) with
     e <= order updates the order + 1 - e coefficients from q^e up,
-    |exponent| times, so the count is the sum over factors of
-    |exponent| * sum_e (order + 1 - e), here in closed form.  Netting and the
-    stride only remove updates from that.  A constant factor (1 + q^0)
-    counts |exponent| * (order + 1) updates although it is applied as one
-    scale: over ZZ, 2^|exponent| grows every coefficient by |exponent| bits."""
+    |exponent| times, and each such pass counts at least MIN_PASS_WORK, so
+    the count is the sum over factors of
+    |exponent| * sum_e max(order + 1 - e, MIN_PASS_WORK), here in closed
+    form.  Netting and the stride only remove updates from that.  A
+    constant factor (1 + q^0) counts |exponent| passes at e = 0 although
+    it is applied as one scale: over ZZ, 2^|exponent| grows every
+    coefficient by |exponent| bits."""
     total = 0
     for f in spec.factors:
         first = f.period - f.residue
         if first <= order:
             t = (order - first) // f.period + 1  # binomials of this family
-            total += abs(f.exponent) * (t * (order + 1 - first) - f.period * t * (t - 1) // 2)
+            # the first u, e <= order + 1 - F with F = MIN_PASS_WORK, count
+            # order + 1 - e = F + over - (e - first); the rest count F
+            over = order + 1 - MIN_PASS_WORK - first
+            u = max(0, over // f.period + 1)
+            total += abs(f.exponent) * (t * MIN_PASS_WORK + u * over
+                                        - f.period * u * (u - 1) // 2)
     return total
 
 
@@ -347,13 +362,11 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
 
     The stride: with g the gcd of the exponents applied so far, the product
     so far is a series in q^g, so every coefficient off a multiple of g is
-    zero.  The list holds only those of q^(g*i), and a pass at e is the
-    pass at e/g on that list: order//g - e//g + 1 updates, not
-    order + 1 - e.  When an exponent shares less with g, the list is
-    widened to the new gcd, zeros between the old entries; it is widened to
-    stride 1 at the end.  The plan runs by descending gcd(e, L), L the lcm
-    of the periods, then by e, so the exponents that share the most with
-    the periods run first, on the shortest lists.
+    zero, and each pass steps by g (see `_apply_binomial`): a pass at e
+    makes order//g - e//g + 1 updates, not order + 1 - e.  The plan runs by
+    descending gcd(e, L), L the lcm of the periods, then by e, so the
+    exponents that share the most with the periods run first, on the
+    longest stride.
 
     The constant factors (1 + q^0) = 2 make one ring scalar, 2^|exponent|
     or its inverse each, which scales the list once at the end; it is
@@ -381,27 +394,14 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     periods = lcm(*(f.period for f in spec.factors))
     plan = sorted((key for key, times in net.items() if times),
                   key=lambda key: (-gcd(key[1], periods), key[1], key[0]))
-    g = plan[0][1] if plan else 1  # coeffs[i] is the coefficient of q^(g*i)
-    coeffs = [1] + [0] * (order // g)
+    coeffs, g = [1] + [0] * order, 0
     for sign, e in plan:
-        h = gcd(g, e)
-        coeffs, g = _widen(coeffs, order, g, h), h
+        g = gcd(g, e)
         times = net[sign, e]
         for _ in range(abs(times)):
-            _apply_binomial(coeffs, sign, e // g, divide=times < 0)
-    coeffs = _widen(coeffs, order, g, 1)
+            _apply_binomial(coeffs, sign, e, times < 0, g)
     # the passes are linear, so the constant factors can scale the list last
     return TruncSeries(ring, map(mul, coeffs, repeat(scale)), order)
-
-
-def _widen(coeffs: list, order: int, g: int, h: int) -> list:
-    # the coefficients of q^(g*i), i <= order // g, as those of q^(h*i) for a
-    # divisor h of g: every new slot between two old ones is zero
-    if g == h:
-        return coeffs
-    wide = [0] * (order // h + 1)
-    wide[::g // h] = coeffs
-    return wide
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +417,10 @@ class BivarSeries:
     when a nonzero term lands in it.  Multiplication drops any product term
     whose z-exponent leaves [zmin, zmax].  Unlike TruncSeries this is a
     mutable working object: `apply_factor` multiplies it in place by a
-    sparse factor whose terms all move z the same way, which is how the
-    products in this package are expanded; `*` is the general product.
+    sparse factor whose terms all move z the same way, reading each source
+    row once, which is how the products in this package are expanded; `*`
+    is the general product.  No q exponent is negative: `from_terms` and
+    `apply_factor` refuse one.
 
     A row may be shorter than order + 1: `truncate` cuts each row to a live
     length, for a caller that reads only some coefficients and has shown
@@ -446,11 +448,14 @@ class BivarSeries:
         """Build from (z_exponent, q_exponent, int_coefficient) triples.
 
         Terms beyond the q truncation or outside the z window are dropped,
-        consistent with multiplication semantics.
+        consistent with multiplication semantics; a negative q exponent
+        raises ValueError.
         """
         out = cls(order, zmin, zmax)
         for z, e, c in terms:
-            if zmin <= z <= zmax and 0 <= e <= order:
+            if e < 0:
+                raise ValueError("q-exponents must be >= 0")
+            if zmin <= z <= zmax and e <= order:
                 out.rows.setdefault(z, [0] * (order + 1))[e] += c
         return out
 
@@ -477,16 +482,18 @@ class BivarSeries:
     def apply_factor(self, terms) -> None:
         """Multiply in place by 1 + sum c * z^dz * q^dq over (dz, dq, c) in `terms`.
 
-        The coefficients c are ints.  Every dz must be nonzero and all of
-        one sign, so a dz = 0 term or a mix of positive and negative dz
-        raises ValueError.
+        The coefficients c are ints and every dq is >= 0.  Every dz must be
+        nonzero and all of one sign, so a dz = 0 term, a mix of positive
+        and negative dz or a negative dq raises ValueError before any row
+        changes.
         The result equals `self * factor` under the same window and
         truncation rules, without allocating a series for the factor.
 
         Sweep-order invariant: every row is read as a source before it is
-        written.  Rows are visited by z descending when dz > 0 and
-        ascending when dz < 0, so the rows z - dz a row reads are still
-        unchanged.  Each term is one slice update of the target row,
+        written.  The sources are visited by z descending when dz > 0 and
+        ascending when dz < 0, and each adds into the rows z + dz, which
+        come before it in that order, so each row is read before anything
+        is added into it.  Each term is one slice update of the target row,
         starting where the source row's first nonzero coefficient lands and
         ending at the end of the target or of the source, whichever comes
         first.  A row keeps its length; a row created by the sweep has
@@ -499,6 +506,8 @@ class BivarSeries:
         signs = {(dz > 0) - (dz < 0) for dz, _, _ in factor}
         if 0 in signs or len(signs) > 1:
             raise ValueError("factor z-exponents must be nonzero and of one sign")
+        if any(dq < 0 for _, dq, _ in factor):
+            raise ValueError("factor q-exponents must be >= 0")
         self._sweep(factor, descending=1 in signs)
 
     def _sweep(self, factor, descending: bool) -> None:
@@ -506,28 +515,21 @@ class BivarSeries:
         # invariant asks for (tests pass the other one to show it matters)
         n, rows = self.order + 1, self.rows
         factor = [(dz, dq, c) for dz, dq, c in factor if dq < n and c]
-        if not factor:
-            return
-        low = {}
-        for z, row in rows.items():
-            first = next(compress(count(), row), None)
-            if first is not None:
-                low[z] = first
-        targets = {z + dz for z in low for dz, _, _ in factor}
-        for z in sorted(targets, reverse=descending):
-            if not self.zmin <= z <= self.zmax:
+        for z in sorted(rows, reverse=descending):
+            source = rows[z]
+            lo = next(compress(count(), source), None)
+            if lo is None:
                 continue
-            row = rows.get(z)
             for dz, dq, c in factor:
-                lo = low.get(z - dz)
-                if lo is None:
+                if not self.zmin <= z + dz <= self.zmax:
                     continue
+                row = rows.get(z + dz)
                 end = (n if row is None else len(row)) - dq
                 if lo >= end:
                     continue
                 if row is None:
-                    row = rows[z] = [0] * n
-                part = rows[z - dz][lo:end]
+                    row = rows[z + dz] = [0] * n
+                part = source[lo:end]
                 a = lo + dq
                 b = a + len(part)
                 if c != 1:

@@ -610,8 +610,8 @@ def test_psi2_is_the_check_that_divides_by_one_plus_q(capsys, monkeypatch):
     phi2m1, cphi2m1 = theorems.phi2m1_product(60), theorems.cphi2m1_product(60)
     real = qseries._apply_binomial
 
-    def minus_for_plus(coeffs, sign, e, divide=False):
-        real(coeffs, -1 if divide else sign, e, divide)
+    def minus_for_plus(coeffs, sign, e, divide=False, stride=1):
+        real(coeffs, -1 if divide else sign, e, divide, stride)
 
     monkeypatch.setattr(qseries, "_apply_binomial", minus_for_plus)
     assert theorems.phi2m1_product(60) == phi2m1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from frobq import qseries
 from frobq.qseries import (
     MAX_PRODUCT_WORK,
+    MIN_PASS_WORK,
     ZZ,
     BivarSeries,
     ModRing,
@@ -188,6 +189,34 @@ def test_apply_binomial_matches_dense_reference(values, sign, e, ring, divide):
 
 
 @st.composite
+def _strided_cases(draw):
+    # (values, g, e) with g dividing e; the test zeroes the values off the
+    # multiples of g
+    g = draw(st.sampled_from([2, 3, 4]))
+    return draw(_KERNEL_CASES["values"]), g, g * draw(st.integers(1, 41 // g))
+
+
+@settings(max_examples=200)
+@given(case=_strided_cases(), sign=_KERNEL_CASES["sign"], ring=_KERNEL_CASES["ring"],
+       divide=_KERNEL_CASES["divide"])
+@example(case=(_THIRTY, 2, 8), sign=1, ring=ZZ, divide=True)  # 4^2 >= 15: blocks
+@example(case=(_THIRTY, 2, 6), sign=1, ring=ZZ, divide=True)  # 3^2 < 15: running sums
+@example(case=(_THIRTY, 3, 6), sign=-1, ring=ModRing(7), divide=True)
+def test_apply_binomial_on_a_stride_matches_dense_reference(case, sign, ring, divide):
+    # a pass at stride g is the dense pass, and leaves every coefficient off
+    # a multiple of g zero
+    values, g, e = case
+    values = [v if i % g == 0 else 0 for i, v in enumerate(values)]
+    series = TruncSeries(ring, values)
+    binomial = TruncSeries(ring, [1] + [0] * (e - 1) + [sign], series.order)
+    coeffs = list(series.coeffs)
+    _apply_binomial(coeffs, sign, e, divide, stride=g)
+    reference = series * (binomial.inverse() if divide else binomial)
+    assert TruncSeries(ring, coeffs) == reference
+    assert not any(c for i, c in enumerate(coeffs) if i % g)
+
+
+@st.composite
 def _acting_factors(draw):
     # (values, e) where the factor can act: a constant term that is a nonzero
     # residue mod 7, and q^e inside the truncation
@@ -301,9 +330,10 @@ def test_product_from_spec_mod_ring():
                           st.integers(-3, 3).filter(bool)), min_size=1, max_size=4),
        st.integers(0, 60))
 def test_product_work_closed_form_matches_literal_count(factors, order):
-    # one update per coefficient from q^e up, per binomial, per exponent unit
+    # one update per coefficient from q^e up, and at least MIN_PASS_WORK, per
+    # binomial, per exponent unit
     spec = ProductSpec(tuple(ProductFactor(s, p, min(r, p), x) for s, p, r, x in factors))
-    literal = sum(abs(f.exponent) * (order + 1 - e) for f in spec.factors
+    literal = sum(abs(f.exponent) * max(order + 1 - e, MIN_PASS_WORK) for f in spec.factors
                   for e in range(f.period - f.residue, order + 1, f.period))
     assert product_work(spec, order) == literal
 
@@ -312,15 +342,38 @@ def test_product_guard_refuses_before_expanding():
     phi2m1 = parse_product_spec(PHI2M1_SPEC_TEXT)
     assert MAX_PRODUCT_WORK >= 20 * product_work(phi2m1, 3000)
     spec = parse_product_spec("-,1,0,-1")
-    # work N(N+1)/2: the limit sits between N = 15810 and N = 15811
+    # work N(N+1)/2, plus 190 for the 19 passes that count MIN_PASS_WORK
+    # though they update fewer: the limit sits between N = 15810 and 15811
     assert product_work(spec, 15810) <= MAX_PRODUCT_WORK < product_work(spec, 15811)
-    with pytest.raises(ValueError, match="product guard: 125001766 coefficient updates"):
+    with pytest.raises(ValueError, match="product guard: 125001956 coefficient updates"):
         product_from_spec(spec, 15811)
     with pytest.raises(ValueError, match="product guard"):
         product_from_spec(spec, 10 ** 6, ModRing(5))
     # (q;q) is the DSL product -,1,0,1, with the same work
-    with pytest.raises(ValueError, match="product guard: 125001766 coefficient updates"):
+    with pytest.raises(ValueError, match="product guard: 125001956 coefficient updates"):
         euler_product(15811)
+
+
+def test_product_guard_counts_the_fixed_cost_of_a_pass(monkeypatch):
+    # 1/(1 - q)^E at N = 1 makes E passes of one update each, about 0.8 us
+    # a pass: counted as one update a pass, E = 125,000,000 was accepted and
+    # would have run for minutes
+    spec = parse_product_spec("-,1,0,-125000000")
+    assert product_work(spec, 1) == 125_000_000 * MIN_PASS_WORK
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("expanded before refusing")
+
+    monkeypatch.setattr(qseries, "_apply_binomial", no_expansion)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="product guard"):
+        product_from_spec(spec, 1)
+    assert time.perf_counter() - start < 0.1
+    # below N = MIN_PASS_WORK, every pass counts MIN_PASS_WORK
+    for order in (1, 2, 3):
+        largest = MAX_PRODUCT_WORK // (order * MIN_PASS_WORK)
+        assert product_work(parse_product_spec(f"-,1,0,-{largest}"), order) <= MAX_PRODUCT_WORK
+        assert product_work(parse_product_spec(f"-,1,0,-{largest + 1}"), order) > MAX_PRODUCT_WORK
 
 
 def _or_not_unit(fn):
@@ -390,17 +443,18 @@ def _netting_specs(draw):
 
 class _PassCounter:
     """Updates the top-level `_apply_binomial` passes request: a pass at e
-    on a list of n coefficients updates the n - e of them from q^e up."""
+    with stride g on a list of n coefficients updates those of q^e,
+    q^(e+g), ... below q^n."""
 
     def __init__(self):
         self.updates, self.depth = 0, 0
 
-    def __call__(self, coeffs, sign, e, divide=False):
+    def __call__(self, coeffs, sign, e, divide=False, stride=1):
         if not self.depth:
-            self.updates += max(0, len(coeffs) - e)
+            self.updates += len(range(e, len(coeffs), stride))
         self.depth += 1
         try:
-            _apply_binomial(coeffs, sign, e, divide)
+            _apply_binomial(coeffs, sign, e, divide, stride)
         finally:
             self.depth -= 1
 
@@ -610,6 +664,8 @@ def test_apply_factor_property_rejects_wrong_sweep(case):
     [(0, 0, 1)],  # would change the constant 1
     [(1, 2, 1), (0, 0, -1)],
     [(0, 3, 1)],  # no z-exponent
+    [(1, -1, 1)],  # a negative q-exponent would slice from index -1
+    [(1, 2, 1), (1, -1, 1)],
 ])
 def test_apply_factor_refusals(terms):
     series = BivarSeries.from_terms(4, -2, 2, [(0, 0, 1), (1, 1, 2), (-1, 0, 3)])
@@ -617,6 +673,14 @@ def test_apply_factor_refusals(terms):
     with pytest.raises(ValueError):
         series.apply_factor(terms)
     assert series == before
+
+
+def test_from_terms_refuses_a_negative_q_exponent():
+    with pytest.raises(ValueError, match="q-exponents must be >= 0"):
+        BivarSeries.from_terms(4, -2, 2, [(0, 0, 1), (0, -1, 1)])
+    # terms past the truncation or outside the window are still dropped
+    series = BivarSeries.from_terms(4, -2, 2, [(0, 0, 1), (0, 5, 1), (3, 0, 1)])
+    assert series.rows == {0: [1, 0, 0, 0, 0]}
 
 
 def test_jacobi_triple_basics():
@@ -705,5 +769,6 @@ def test_rng_smoke_mod_series_matches_int_series():
         ys = [rng.randrange(-20, 21) for _ in range(8)]
         a, b = TruncSeries(ZZ, xs), TruncSeries(ZZ, ys)
         a7, b7 = TruncSeries(ring, xs), TruncSeries(ring, ys)
-        for over_z, over_mod in ((a * b, a7 * b7), (a * -3, a7 * -3)):
+        m, m7 = TruncSeries(ZZ, [-3], 7), TruncSeries(ring, [-3], 7)
+        for over_z, over_mod in ((a * b, a7 * b7), (a * m, a7 * m7)):
             assert [c % 7 for c in over_z.coeffs] == list(over_mod.coeffs)
