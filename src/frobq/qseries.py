@@ -16,7 +16,8 @@ the reference the faster kernels are checked against.  The routes build
 their own coefficient lists; this module provides:
 
   * a tiny product DSL: each factor (sign, period, residue, exponent) denotes
-    prod_{n>=1} (1 + sign * q^(period*n - residue))^exponent, and the Euler
+    prod_{n>=1} (1 + sign * q^(period*n - residue))^exponent, expanded pass
+    by pass on a coefficient list or on one packed int, and the Euler
     product (q;q) = prod (1 - q^n) as one such spec,
   * BivarSeries, a two-variable series over ZZ truncated in q and confined to
     a window of z-exponents, expanded in place factor by factor and used to
@@ -28,9 +29,9 @@ Everything is pure and exact; there are no floats anywhere.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, groupby, repeat
 from math import gcd, lcm
-from operator import add, index, mul, sub
+from operator import add, index, itemgetter, mul, sub
 
 from ._value import FrozenValue
 
@@ -216,6 +217,18 @@ def _apply_binomial(coeffs: list, sign: int, e: int, divide: bool = False,
             coeffs[r::e] = accumulate(coeffs[r::e])
 
 
+# A packed step at most doubles a digit, so the packed kernel
+# (`frobq._packed`) checks the range of its digits every _HEAD steps, against
+# a bound _HEAD bits below the top of a slot; `_slot_bytes` sizes the slots.
+_HEAD = 6
+
+
+def _slot_bytes(coeffs: list) -> int:
+    """The narrowest slot, in bytes, whose digits meet the range check's
+    bound: |c| < 2^(8*nbytes - 1 - _HEAD) for every c in `coeffs`."""
+    return (max(max(coeffs), -min(coeffs)).bit_length() + _HEAD + 8) // 8
+
+
 def _constant_factor(times: int, ring, divide: bool) -> int:
     """(1 + q^0)^times = 2^times in the ring, or its inverse when `divide`;
     raises NotUnitError when 2 has no inverse.  Over ModRing it is the
@@ -306,34 +319,40 @@ def parse_product_spec(text: str) -> ProductSpec:
     return ProductSpec(tuple(factors))
 
 
-# Refuse expansions above this many coefficient updates, as `product_work`
-# counts them: the literal count, an upper bound on what the netted, strided
-# expansion does.  The limit is 20x the work of phi2m1_product(3000).  On a
-# 2-CPU x86 guest with CPython 3.11.7, over ZZ, the largest accepted
-# expansions take 3.9-7.6 s: 1/(q;q) at N = 15810, where nothing nets and
-# the stride is 1, 7.3-7.6 s (about 60 ns a counted update); phi2m1 at
-# N = 13692 5.6-5.8 s; the cphi2m1 spec at N = 8450 3.9 s.
+# Refuse expansions above this much work, in the literal-pass units of
+# `product_work`.  The limit is 20x the work of phi2m1_product(3000).  On a
+# 2-CPU x86 guest with CPython 3.11.7, over ZZ, four runs each, interleaved
+# with the list-only kernel of before (in brackets), the largest accepted
+# expansions take 2.3-8.9 s: 1/(q;q) at N = 15810, where nothing nets, the
+# stride is 1 and every pass divides, 6.7-8.9 s (9.7-12.5); phi2m1 at
+# N = 13692 7.1-8.0 s (8.0-12.4); the cphi2m1 spec at N = 8450 4.2-4.6 s
+# (4.1-5.5); psi2 at N = 8885 4.2-5.1 s (4.6-5.2); (q;q) at N = 15000
+# 2.3-2.7 s (6.0-6.4).  Wide coefficients keep most of the large divisions
+# on the list, so the packed kernel helps them least.
 MAX_PRODUCT_WORK = 125_000_000
-# A pass costs 0.7-1.5 us however few coefficients it updates, the time of
-# 9-22 updates of 1/(q;q) at N = 6000 on the same guest, so `product_work`
-# counts each pass as at least 20 (24 would refuse psi2 at N = 8885).
-# Without the floor, 1/(1 - q)^E at N = 1 counts E, and E = 10^7, 1/12 of
-# the limit, takes 7.6 s; with it, the largest accepted E at N = 1, 2 and 3
-# takes 6.9-8.1 s.
+# A list pass costs 0.7-1.5 us however few coefficients it updates, the time
+# of 9-22 updates of 1/(q;q) at N = 6000 on the same guest, so
+# `product_work` counts each pass as at least 20 (24 would refuse psi2 at
+# N = 8885).  Without the floor, 1/(1 - q)^E at N = 1 counts E, and
+# E = 10^7, 1/12 of the limit, took 7.6 s on the list; with it, the largest
+# accepted E at N = 1, 2 and 3 takes 2.5-6.7 s on the packed int
+# (6.6-9.7 s on the list, in the runs above).
 MIN_PASS_WORK = 20
 
 
 def product_work(spec: ProductSpec, order: int) -> int:
-    """Coefficient updates of the literal expansion, an upper bound on what
-    `product_from_spec` performs: each binomial (1 + sign*q^e) with
-    e <= order updates the order + 1 - e coefficients from q^e up,
-    |exponent| times, and each such pass counts at least MIN_PASS_WORK, so
-    the count is the sum over factors of
-    |exponent| * sum_e max(order + 1 - e, MIN_PASS_WORK), here in closed
-    form.  Netting and the stride only remove updates from that.  A
-    constant factor (1 + q^0) counts |exponent| passes at e = 0 although
-    it is applied as one scale: over ZZ, 2^|exponent| grows every
-    coefficient by |exponent| bits."""
+    """The work of the literal expansion, in literal-pass units: each
+    binomial (1 + sign*q^e) with e <= order is a pass over the
+    order + 1 - e coefficients from q^e up, |exponent| times, and each such
+    pass counts at least MIN_PASS_WORK, so the count is the sum over
+    factors of |exponent| * sum_e max(order + 1 - e, MIN_PASS_WORK), here
+    in closed form.  Netting and the stride only remove passes and
+    coefficients from that; the passes `product_from_spec` still runs cost
+    one update a counted coefficient on the list, and a few operations on
+    the whole packed int otherwise, so the count measures the expansion,
+    not its time.  A constant factor (1 + q^0) counts |exponent| passes at
+    e = 0 although it is applied as one scale: over ZZ, 2^|exponent| grows
+    every coefficient by |exponent| bits."""
     total = 0
     for f in spec.factors:
         first = f.period - f.residue
@@ -346,6 +365,86 @@ def product_work(spec: ProductSpec, order: int) -> int:
             total += abs(f.exponent) * (t * MIN_PASS_WORK + u * over
                                         - f.period * u * (u - 1) // 2)
     return total
+
+
+# The cost rule's constants, in tenths of a ns: a packed step costs about
+# _PACKED_WORD per 64-bit word of y, a list pass _LIST_COEFF per coefficient
+# it updates plus _LIST_WORD per 64-bit word of the widest one, and packing
+# and unpacking cost _CONVERT a slot.  Measured on a 2-CPU x86 guest with
+# CPython 3.11.7 (best of 5-15, runs up to 30 % apart): a packed step 50-90
+# a word, subtractions the dearer; a list multiply pass 770-1000 and the
+# running sums of a list division 490-720 a coefficient, plus 25-50 a word;
+# packing and unpacking 360-760 a slot up to 4-word slots.  _LIST_COEFF sits
+# between the two list paths.  Loading `frobq._packed` costs about 1 ms
+# where no bytecode cache is written (_LOAD); it is charged to every packing
+# of a list, so only a run that saves more packs, and a process that
+# expands only small products never loads the kernel.
+_PACKED_WORD = 65
+_LIST_COEFF, _LIST_WORD = 570, 30
+_CONVERT, _LOAD = 6000, 10_000_000
+
+
+def _packed_saving(n: int, s: int, sign: int, divide: bool, bits: int) -> int:
+    """Predicted time that one pass at x^s on n slots of `bits` bits saves on
+    the packed int over the list, in 1/640 ns; the one rule that chooses the
+    kernel.  A packed pass costs its steps (1 to multiply, about log2(n/s)
+    to divide) times n * W * _PACKED_WORD, W = bits/64, and a list pass
+    (n - s) * (_LIST_COEFF + _LIST_WORD * max(W, 1)), twice when it divides
+    by (1 + q^e) as running sums."""
+    steps, passes, t = 1, 1, s
+    if divide:
+        steps, passes, t = (1, 1 + (s * s < n), 2 * s) if sign > 0 else (0, 1, s)
+        while t < n:
+            steps, t = steps + 1, 2 * t
+    return (passes * (n - s) * (64 * _LIST_COEFF + _LIST_WORD * max(bits, 64))
+            - steps * n * bits * _PACKED_WORD)
+
+
+def _apply_power(state, sign: int, e: int, times: int, stride: int) -> None:
+    """state *= (1 + sign*q^e)^times: |times| passes, dividing when times < 0,
+    on the list (`_apply_binomial`) or on the packed int (`Packed.apply` in
+    `frobq._packed`), whichever `state` is.  Every pass of
+    `product_from_spec` goes through here."""
+    if type(state) is list:
+        for _ in range(abs(times)):
+            _apply_binomial(state, sign, e, times < 0, stride)
+    else:
+        state.apply(sign, e // stride, times)
+
+
+def _expand_run(state, powers: list, g: int):
+    """Apply the powers (sign, e, times) of one run of the plan at stride g to
+    `state`, the list or the packed int, and return the state.  The powers
+    whose passes `_packed_saving` predicts cheaper packed run first, on the
+    packed int, each while it stays cheaper as the slots widen; the rest run
+    on the list.  A list is packed only when the saving predicted at the
+    start beats packing and unpacking its slots and loading the kernel."""
+    n = (len(state) - 1) // g + 1
+    is_list = type(state) is list
+    nbytes = _slot_bytes(state) if is_list else state.nbytes
+    packed, rest, gain = [], [], 0
+    for power in powers:
+        sign, e, times = power
+        saving = _packed_saving(n, e // g, sign, times < 0, 8 * nbytes)
+        (packed if saving > 0 else rest).append(power)
+        gain += abs(times) * max(saving, 0)
+    if gain <= (64 * (n * _CONVERT + _LOAD) if is_list else 0):
+        packed, rest = [], powers
+    elif is_list:
+        from ._packed import Packed  # loaded only by a run that packs
+        state = Packed(state, g, nbytes)
+    elif state.stride != g:
+        state.relayout(g, nbytes)
+    for sign, e, times in packed:
+        if _packed_saving(n, e // g, sign, times < 0, state.bits) > 0:
+            _apply_power(state, sign, e, times, g)
+        else:
+            rest.append((sign, e, times))
+    if rest and type(state) is not list:
+        state = state.unpack()
+    for sign, e, times in rest:
+        _apply_power(state, sign, e, times, g)
+    return state
 
 
 def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
@@ -367,6 +466,13 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     descending gcd(e, L), L the lcm of the periods, then by e, so the
     exponents that share the most with the periods run first, on the
     longest stride.
+
+    The kernels: each run of the plan at one stride goes to `_expand_run`,
+    which applies every pass either to the list or to the coefficients of
+    q^0, q^g, ... packed into one int (`frobq._packed.Packed`), as the
+    cost rule `_packed_saving` predicts cheaper from the number of
+    coefficients and their width.  Both do the same literal pass, and
+    every pass goes through `_apply_power`.
 
     The constant factors (1 + q^0) = 2 make one ring scalar, 2^|exponent|
     or its inverse each, which scales the list once at the end; it is
@@ -394,12 +500,11 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     periods = lcm(*(f.period for f in spec.factors))
     plan = sorted((key for key, times in net.items() if times),
                   key=lambda key: (-gcd(key[1], periods), key[1], key[0]))
-    coeffs, g = [1] + [0] * order, 0
-    for sign, e in plan:
-        g = gcd(g, e)
-        times = net[sign, e]
-        for _ in range(abs(times)):
-            _apply_binomial(coeffs, sign, e, times < 0, g)
+    state = [1] + [0] * order
+    strides = accumulate((e for _, e in plan), gcd)  # g after each binomial
+    for g, run in groupby(zip(strides, plan), key=itemgetter(0)):
+        state = _expand_run(state, [(sign, e, net[sign, e]) for _, (sign, e) in run], g)
+    coeffs = state if type(state) is list else state.unpack()
     # the passes are linear, so the constant factors can scale the list last
     return TruncSeries(ring, map(mul, coeffs, repeat(scale)), order)
 

@@ -606,20 +606,23 @@ def test_verify_psi2_mutated_exits_one(capsys, monkeypatch):
 
 def test_psi2_is_the_check_that_divides_by_one_plus_q(capsys, monkeypatch):
     # phi2m1 and cphi2m1 only divide by (1 - q^e); a kernel that divides by
-    # (1 - q^e) in place of (1 + q^e) leaves them intact and breaks psi2
+    # (1 - q^e) in place of (1 + q^e) leaves them intact and breaks psi2, on
+    # the packed int and on the list alike
     phi2m1, cphi2m1 = theorems.phi2m1_product(60), theorems.cphi2m1_product(60)
-    real = qseries._apply_binomial
+    real = qseries._apply_power
 
-    def minus_for_plus(coeffs, sign, e, divide=False, stride=1):
-        real(coeffs, -1 if divide else sign, e, divide, stride)
+    def minus_for_plus(state, sign, e, times, stride):
+        real(state, -1 if times < 0 else sign, e, times, stride)
 
-    monkeypatch.setattr(qseries, "_apply_binomial", minus_for_plus)
-    assert theorems.phi2m1_product(60) == phi2m1
-    assert theorems.cphi2m1_product(60) == cphi2m1
-    assert first_divergence(theorems.psi2_product(60), phi2m1) == 2
-    code, out, _ = run_cli(capsys, "verify", "--target", "psi2", "--N", "30")
-    assert code == 1
-    assert json_lines(out)[0]["status"] == "fail"
+    monkeypatch.setattr(qseries, "_apply_power", minus_for_plus)
+    for saving in (float("inf"), float("-inf")):  # the packed int, the list
+        monkeypatch.setattr(qseries, "_packed_saving", lambda *args: saving)
+        assert theorems.phi2m1_product(60) == phi2m1
+        assert theorems.cphi2m1_product(60) == cphi2m1
+        assert first_divergence(theorems.psi2_product(60), phi2m1) == 2
+        code, out, _ = run_cli(capsys, "verify", "--target", "psi2", "--N", "30")
+        assert code == 1
+        assert json_lines(out)[0]["status"] == "fail"
 
 
 def test_identities_counts_a_failure(capsys, monkeypatch):

@@ -56,25 +56,29 @@ _FROBQ = {"exactring", "frobenius", "theorems", "congruence"}
 
 # (argv, frobq modules it must not load, frobq modules it must load); only
 # the repetition theta route, `theorem --which 1` and the checks built on it,
-# loads `exactring`
+# loads `exactring`, and only a product expansion large enough to pack a
+# run loads the packed kernel `_packed`
 README_CALLS = [
     pytest.param(
         ("expand", "--spec", "-,2,1,-2; -,12,8,-1; -,12,6,-1; -,12,4,-1; -,12,0,-1", "--N", "4"),
-        _FROBQ, set(), id="expand"),
+        _FROBQ | {"_packed"}, set(), id="expand"),
     pytest.param(
         ("enumerate", "--variant", "colored", "--k", "2", "--alpha", "-1", "--n", "2", "--list"),
-        {"exactring", "theorems", "congruence"}, set(), id="enumerate"),
+        {"exactring", "theorems", "congruence", "_packed"}, set(), id="enumerate"),
     pytest.param(("theorem", "--which", "1", "--k", "2", "--alpha", "-1", "--N", "50"),
-                 {"frobenius", "congruence"}, {"exactring"}, id="theorem"),
+                 {"frobenius", "congruence", "_packed"}, {"exactring"}, id="theorem"),
     pytest.param(("theorem", "--which", "2", "--k", "2", "--alpha", "-1", "--N", "50"),
-                 {"exactring", "frobenius", "congruence"}, set(), id="theorem-colored"),
-    pytest.param(("verify", "--target", "thm3", "--N", "104"), {"exactring", "frobenius"}, set(),
-                 id="verify"),
+                 {"exactring", "frobenius", "congruence", "_packed"}, set(), id="theorem-colored"),
+    pytest.param(("verify", "--target", "thm3", "--N", "104"),
+                 {"exactring", "frobenius", "_packed"}, set(), id="verify"),
     pytest.param(("verify", "--target", "jtp", "--N", "40"),
-                 {"exactring", "frobenius", "congruence"}, {"theorems"}, id="verify-jtp"),
+                 {"exactring", "frobenius", "congruence", "_packed"}, {"theorems"},
+                 id="verify-jtp"),
     pytest.param(("scan", "--builtin", "phi2m1", "--N", "204", "--maxA", "8", "--maxM", "7"),
-                 {"exactring", "frobenius"}, set(), id="scan"),
-    pytest.param(("identities", "--N", "100"), {"frobenius"}, set(), id="identities"),
+                 {"exactring", "frobenius", "_packed"}, set(), id="scan"),
+    pytest.param(("identities", "--N", "100"), {"frobenius", "_packed"}, set(), id="identities"),
+    pytest.param(("expand", "--spec", "-,1,0,1; +,4,1,2; +,6,0,1", "--N", "1200"),
+                 _FROBQ, {"_packed"}, id="expand-large"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import random
 import time
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobq import qseries
+from frobq._packed import Packed
 from frobq.qseries import (
     MAX_PRODUCT_WORK,
     MIN_PASS_WORK,
@@ -22,6 +24,8 @@ from frobq.qseries import (
     RingMismatchError,
     TruncSeries,
     _apply_binomial,
+    _apply_power,
+    _slot_bytes,
     euler_product,
     first_divergence,
     parse_product_spec,
@@ -217,6 +221,67 @@ def test_apply_binomial_on_a_stride_matches_dense_reference(case, sign, ring, di
 
 
 @st.composite
+def _packed_cases(draw):
+    # (values, g, e) as in _strided_cases, with g = 1 too
+    g = draw(st.sampled_from([1, 2, 3]))
+    return draw(_KERNEL_CASES["values"]), g, g * draw(st.integers(1, 41 // g))
+
+
+@settings(max_examples=300)
+@given(case=_packed_cases(), sign=_KERNEL_CASES["sign"], times=st.integers(-3, 3).filter(bool))
+@example(case=(_THIRTY, 1, 1), sign=-1, times=-3)  # 3 x 5 steps, at 16-bit slots
+@example(case=(_THIRTY, 2, 2), sign=1, times=-3)
+@example(case=(_THIRTY, 3, 3), sign=1, times=3)
+def test_packed_steps_on_a_stride_match_dense_reference(case, sign, times):
+    # the packed int starts at the narrowest slots the values allow, so the
+    # steps of a power overflow them unless the range check widens them
+    values, g, e = case
+    values = [v if i % g == 0 else 0 for i, v in enumerate(values)]
+    series = TruncSeries(ZZ, values)
+    binomial = TruncSeries(ZZ, [1] + [0] * (e - 1) + [sign], series.order)
+    factor = binomial.inverse() if times < 0 else binomial
+    for _ in range(abs(times)):
+        series = series * factor
+    packed = Packed(values, g, _slot_bytes(values))
+    packed.apply(sign, e // g, times)
+    assert packed.unpack() == list(series.coeffs)
+
+
+def test_packed_kernel_widens_as_the_digits_grow():
+    # 1/(q;q) to q^400 on the packed int alone starts at one byte a slot,
+    # and p(400) has 63 bits: the range check must widen the slots on the way
+    widths = []
+    real_load = Packed._load
+
+    def spy(self, data, nbytes, offset_bytes):
+        widths.append(nbytes)
+        real_load(self, data, nbytes, offset_bytes)
+
+    with _forced("packed"), mock.patch.object(Packed, "_load", spy):
+        got = product_from_spec(parse_product_spec("-,1,0,-1"), 400)
+    assert got == TruncSeries(ZZ, _pentagonal_coefficients(400)).inverse()
+    assert widths[0] == 1 and widths[-1] >= 9
+
+
+def test_passes_fall_back_to_the_list_as_the_slots_widen(monkeypatch):
+    # a rule that favours the packed int only at one-byte slots: the run
+    # starts packed, and once the range check widens the slots its remaining
+    # passes fall back to the list
+    kernels = []
+
+    def spy(state, sign, e, times, stride):
+        kernels.append("list" if type(state) is list else "packed")
+        _apply_power(state, sign, e, times, stride)
+
+    monkeypatch.setattr(qseries, "_packed_saving",
+                        lambda n, s, sign, divide, bits: 10 ** 12 if bits == 8 else -1)
+    monkeypatch.setattr(qseries, "_apply_power", spy)
+    got = product_from_spec(parse_product_spec("-,1,0,-1"), 60)
+    assert got == TruncSeries(ZZ, _pentagonal_coefficients(60)).inverse()
+    assert kernels[0] == "packed" and kernels[-1] == "list" and len(kernels) == 60
+
+
+@st.composite
 def _acting_factors(draw):
     # (values, e) where the factor can act: a constant term that is a nonzero
     # residue mod 7, and q^e inside the truncation
@@ -364,7 +429,7 @@ def test_product_guard_counts_the_fixed_cost_of_a_pass(monkeypatch):
     def no_expansion(*args, **kwargs):
         raise AssertionError("expanded before refusing")
 
-    monkeypatch.setattr(qseries, "_apply_binomial", no_expansion)
+    monkeypatch.setattr(qseries, "_apply_power", no_expansion)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="product guard"):
         product_from_spec(spec, 1)
@@ -442,34 +507,41 @@ def _netting_specs(draw):
 
 
 class _PassCounter:
-    """Updates the top-level `_apply_binomial` passes request: a pass at e
-    with stride g on a list of n coefficients updates those of q^e,
+    """Updates the passes request through `_apply_power`, on either kernel:
+    a pass at e with stride g on n coefficients updates those of q^e,
     q^(e+g), ... below q^n."""
 
     def __init__(self):
-        self.updates, self.depth = 0, 0
+        self.updates = 0
 
-    def __call__(self, coeffs, sign, e, divide=False, stride=1):
-        if not self.depth:
-            self.updates += len(range(e, len(coeffs), stride))
-        self.depth += 1
-        try:
-            _apply_binomial(coeffs, sign, e, divide, stride)
-        finally:
-            self.depth -= 1
+    def __call__(self, state, sign, e, times, stride):
+        self.updates += abs(times) * len(range(e, len(state), stride))
+        _apply_power(state, sign, e, times, stride)
 
 
-@settings(max_examples=300, deadline=None)
-@given(spec=_netting_specs(), order=st.integers(0, 60), ring=st.sampled_from(_CONSTANT_RINGS))
-@example(spec=parse_product_spec("+,2,0,1; -,2,0,-1"), order=12, ring=ZZ)  # no cross-sign merge
-@example(spec=parse_product_spec("-,3,0,1; -,2,0,1; -,1,0,-1"), order=20, ring=ZZ)  # 3, 2, 1
-@example(spec=parse_product_spec("-,2,0,1; +,2,0,1; +,2,2,1; -,1,0,-2"), order=40, ring=ModRing(5))
-def test_netted_strided_plan_matches_repeated_passes(spec, order, ring):
+def _forced(kernel):
+    # the cost rule, forced to pick one kernel for every pass
+    saving = float("inf") if kernel == "packed" else float("-inf")
+    return mock.patch.object(qseries, "_packed_saving", lambda *args: saving)
+
+
+@settings(max_examples=600, deadline=None)
+@given(spec=_netting_specs(), order=st.integers(0, 60), ring=st.sampled_from(_CONSTANT_RINGS),
+       kernel=st.sampled_from(["by cost", "packed", "list"]))
+@example(spec=parse_product_spec("+,2,0,1; -,2,0,-1"), order=12, ring=ZZ,
+         kernel="by cost")  # no cross-sign merge
+@example(spec=parse_product_spec("-,3,0,1; -,2,0,1; -,1,0,-1"), order=20, ring=ZZ,
+         kernel="packed")  # 3, 2, 1
+@example(spec=parse_product_spec("-,2,0,1; +,2,0,1; +,2,2,1; -,1,0,-2"), order=40, ring=ModRing(5),
+         kernel="list")
+def test_netted_strided_plan_matches_repeated_passes(spec, order, ring, kernel):
     # the plan cancels equal binomials across families and expands on the
-    # stride of their common divisor; the result is the literal expansion,
+    # stride of their common divisor, on the kernel the cost rule picks or
+    # on either one forced; the result is the literal expansion,
     # NotUnitError included, and it asks for no more updates than counted
     counter = _PassCounter()
-    with mock.patch.object(qseries, "_apply_binomial", counter):
+    with mock.patch.object(qseries, "_apply_power", counter), \
+            (_forced(kernel) if kernel != "by cost" else nullcontext()):
         got = _or_not_unit(lambda: product_from_spec(spec, order, ring))
     assert got == _or_not_unit(lambda: _repeated_passes(spec, order, ring))
     assert counter.updates <= product_work(spec, order)
@@ -489,7 +561,7 @@ def test_netted_strided_plan_matches_repeated_passes(spec, order, ring):
 def test_plan_updates_against_the_literal_count(monkeypatch, text, order, most):
     spec = parse_product_spec(text)
     counter = _PassCounter()
-    monkeypatch.setattr(qseries, "_apply_binomial", counter)
+    monkeypatch.setattr(qseries, "_apply_power", counter)
     product_from_spec(spec, order)
     assert counter.updates <= most * product_work(spec, order)
 

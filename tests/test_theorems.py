@@ -386,7 +386,7 @@ def test_psi2_guard_refuses_before_expanding(monkeypatch):
     def no_expansion(*args, **kwargs):
         raise AssertionError("expanded before refusing")
 
-    monkeypatch.setattr(qseries, "_apply_binomial", no_expansion)
+    monkeypatch.setattr(qseries, "_apply_power", no_expansion)
     with pytest.raises(ValueError, match=f"product guard: {product_work(spec, 8886)} "):
         psi2_product(8886)
 
