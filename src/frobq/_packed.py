@@ -6,7 +6,9 @@ works on as one int, so that a binomial pass is a shift and an add.  Only
 packs a run, so a process that expands only small products never compiles it.
 """
 
-from .qseries import _HEAD as HEAD
+# A step at most doubles a digit, so `Packed` checks the range of its digits
+# every HEAD steps, against a bound HEAD bits below the top of a slot.
+HEAD = 6
 
 
 class Packed:
@@ -30,8 +32,9 @@ class Packed:
 
     __slots__ = ("length", "stride", "n", "nbytes", "y", "top", "mask", "room", "head", "steps")
 
-    def __init__(self, coeffs: list, stride: int, nbytes: int):
-        # nbytes must be at least qseries._slot_bytes(coeffs)
+    def __init__(self, coeffs: list, stride: int):
+        # the narrowest slots whose digits meet the range check's bound
+        nbytes = (max(max(coeffs), -min(coeffs)).bit_length() + HEAD + 8) // 8
         half = 1 << (8 * nbytes - 1)
         self.length, self.stride, self.steps = len(coeffs), stride, 0
         self._load(b"".join([(c + half).to_bytes(nbytes, "little") for c in coeffs[::stride]]),
@@ -63,10 +66,12 @@ class Packed:
         # y plus 2^(B-1) in every slot
         return ((self.y + (self.room << HEAD)) & self.mask).to_bytes(self.n * self.nbytes, "little")
 
-    def relayout(self, stride: int, nbytes: int) -> None:
+    def relayout(self, stride: int, nbytes: int = 0) -> None:
         """Move the digits to `stride`, a divisor of the current stride, in
-        slots of `nbytes` >= the current nbytes, byte column by byte column."""
+        slots of `nbytes` >= the current nbytes (the current nbytes by
+        default), byte column by byte column."""
         old, nb, spread = self._data(), self.nbytes, self.stride // stride
+        nbytes = nbytes or nb
         n = (self.length - 1) // stride + 1
         # a new slot holds zero plus the old offset until a digit moves in
         data = bytearray((bytes(nb - 1) + b"\x80" + bytes(nbytes - nb)) * n)
@@ -83,14 +88,21 @@ class Packed:
                                  for i in range(0, len(data), nbytes)]
         return coeffs
 
-    def apply(self, sign: int, s: int, times: int) -> None:
-        """y *= (1 + sign*x^s)^times, dividing when times < 0, for 1 <= s < n.
+    def apply(self, sign: int, s: int, times: int) -> int:
+        """y *= (1 + sign*x^s)^times, dividing when times < 0, for 1 <= s < n,
+        up to the end of the first pass that widens the slots; returns the
+        passes left, signed as `times` (0 when all ran), so that the caller
+        can weigh the wider slots before it runs them.
 
         1/(1 - x^s) is (1 + x^s)(1 + x^2s)(1 + x^4s)... up to x^n, and
         1/(1 + x^s) = (1 - x^s)/(1 - x^2s), as in `qseries._apply_binomial`."""
-        for _ in range(times):
+        nbytes = self.nbytes
+        while times > 0:
             self._step(sign, s)
-        for _ in range(-times):
+            times -= 1
+            if self.nbytes != nbytes:
+                return times
+        while times < 0:
             t = s
             if sign > 0:
                 self._step(-1, s)
@@ -98,6 +110,10 @@ class Packed:
             while t < self.n:
                 self._step(1, t)
                 t *= 2
+            times += 1
+            if self.nbytes != nbytes:
+                return times
+        return 0
 
     def _step(self, sign: int, s: int) -> None:
         if self.steps == HEAD:

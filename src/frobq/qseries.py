@@ -217,18 +217,6 @@ def _apply_binomial(coeffs: list, sign: int, e: int, divide: bool = False,
             coeffs[r::e] = accumulate(coeffs[r::e])
 
 
-# A packed step at most doubles a digit, so the packed kernel
-# (`frobq._packed`) checks the range of its digits every _HEAD steps, against
-# a bound _HEAD bits below the top of a slot; `_slot_bytes` sizes the slots.
-_HEAD = 6
-
-
-def _slot_bytes(coeffs: list) -> int:
-    """The narrowest slot, in bytes, whose digits meet the range check's
-    bound: |c| < 2^(8*nbytes - 1 - _HEAD) for every c in `coeffs`."""
-    return (max(max(coeffs), -min(coeffs)).bit_length() + _HEAD + 8) // 8
-
-
 def _constant_factor(times: int, ring, divide: bool) -> int:
     """(1 + q^0)^times = 2^times in the ring, or its inverse when `divide`;
     raises NotUnitError when 2 has no inverse.  Over ModRing it is the
@@ -321,22 +309,26 @@ def parse_product_spec(text: str) -> ProductSpec:
 
 # Refuse expansions above this much work, in the literal-pass units of
 # `product_work`.  The limit is 20x the work of phi2m1_product(3000).  On a
-# 2-CPU x86 guest with CPython 3.11.7, over ZZ, four runs each, interleaved
+# 2-CPU x86 guest with CPython 3.11.7, over ZZ, three runs each, interleaved
 # with the list-only kernel of before (in brackets), the largest accepted
-# expansions take 2.3-8.9 s: 1/(q;q) at N = 15810, where nothing nets, the
-# stride is 1 and every pass divides, 6.7-8.9 s (9.7-12.5); phi2m1 at
-# N = 13692 7.1-8.0 s (8.0-12.4); the cphi2m1 spec at N = 8450 4.2-4.6 s
-# (4.1-5.5); psi2 at N = 8885 4.2-5.1 s (4.6-5.2); (q;q) at N = 15000
-# 2.3-2.7 s (6.0-6.4).  Wide coefficients keep most of the large divisions
-# on the list, so the packed kernel helps them least.
+# expansions of these shapes take 1.8-9.7 s: 1/(q;q) at N = 15810, where
+# nothing nets, the stride is 1 and every pass divides, 6.9-9.7 s
+# (10.4-11.7); phi2m1 at N = 13692 6.7-9.1 s (7.2-8.3); the cphi2m1 spec at
+# N = 8450 3.5-4.2 s (3.9-4.3); psi2 at N = 8885 3.3-3.5 s (3.7-4.7);
+# (q;q) at N = 15000 1.8-2.4 s (4.6-5.5).  The work counts passes and
+# coefficients, not their width, so a spec whose coefficients grow to
+# thousands of bits takes far longer: 1/(1 - q)^62500 at N = 2000
+# (`-,2000,1999,-62500`, exactly the limit, coefficients of about 10^4
+# bits) 36-49 s (37-48), almost all of it on the list, where a pass at that
+# width is cheaper than on the packed int.
 MAX_PRODUCT_WORK = 125_000_000
 # A list pass costs 0.7-1.5 us however few coefficients it updates, the time
 # of 9-22 updates of 1/(q;q) at N = 6000 on the same guest, so
 # `product_work` counts each pass as at least 20 (24 would refuse psi2 at
 # N = 8885).  Without the floor, 1/(1 - q)^E at N = 1 counts E, and
 # E = 10^7, 1/12 of the limit, took 7.6 s on the list; with it, the largest
-# accepted E at N = 1, 2 and 3 takes 2.5-6.7 s on the packed int
-# (6.6-9.7 s on the list, in the runs above).
+# accepted E at N = 1, 2 and 3 takes 2.7-7.0 s on the packed int
+# (4.6-10.4 s on the list, in the runs above).
 MIN_PASS_WORK = 20
 
 
@@ -391,59 +383,60 @@ def _packed_saving(n: int, s: int, sign: int, divide: bool, bits: int) -> int:
     to divide) times n * W * _PACKED_WORD, W = bits/64, and a list pass
     (n - s) * (_LIST_COEFF + _LIST_WORD * max(W, 1)), twice when it divides
     by (1 + q^e) as running sums."""
-    steps, passes, t = 1, 1, s
-    if divide:
-        steps, passes, t = (1, 1 + (s * s < n), 2 * s) if sign > 0 else (0, 1, s)
-        while t < n:
-            steps, t = steps + 1, 2 * t
+    steps, passes = 1, 1
+    if divide and sign > 0:
+        steps, passes = 1 + ((n - 1) // (2 * s)).bit_length(), 1 + (s * s < n)
+    elif divide:
+        steps = ((n - 1) // s).bit_length()
     return (passes * (n - s) * (64 * _LIST_COEFF + _LIST_WORD * max(bits, 64))
             - steps * n * bits * _PACKED_WORD)
 
 
-def _apply_power(state, sign: int, e: int, times: int, stride: int) -> None:
+def _apply_power(state, sign: int, e: int, times: int, stride: int) -> int:
     """state *= (1 + sign*q^e)^times: |times| passes, dividing when times < 0,
     on the list (`_apply_binomial`) or on the packed int (`Packed.apply` in
-    `frobq._packed`), whichever `state` is.  Every pass of
-    `product_from_spec` goes through here."""
-    if type(state) is list:
-        for _ in range(abs(times)):
-            _apply_binomial(state, sign, e, times < 0, stride)
-    else:
-        state.apply(sign, e // stride, times)
+    `frobq._packed`), whichever `state` is.  Returns the passes left, signed
+    as `times`: the packed int stops after a pass that widens its slots.
+    Every pass of `product_from_spec` goes through here."""
+    if type(state) is not list:
+        return state.apply(sign, e // stride, times)
+    for _ in range(abs(times)):
+        _apply_binomial(state, sign, e, times < 0, stride)
+    return 0
 
 
 def _expand_run(state, powers: list, g: int):
     """Apply the powers (sign, e, times) of one run of the plan at stride g to
-    `state`, the list or the packed int, and return the state.  The powers
-    whose passes `_packed_saving` predicts cheaper packed run first, on the
-    packed int, each while it stays cheaper as the slots widen; the rest run
-    on the list.  A list is packed only when the saving predicted at the
-    start beats packing and unpacking its slots and loading the kernel."""
+    `state`, the list or the packed int, and return the state.  A list is
+    packed only when the saving that `_packed_saving` predicts at its width
+    beats packing and unpacking its slots and loading the kernel.  On the
+    packed int, the passes the rule predicts cheaper there run first, and
+    the rule is asked again whenever the slots widen; the passes it sends
+    to the list run there last."""
     n = (len(state) - 1) // g + 1
-    is_list = type(state) is list
-    nbytes = _slot_bytes(state) if is_list else state.nbytes
-    packed, rest, gain = [], [], 0
-    for power in powers:
-        sign, e, times = power
-        saving = _packed_saving(n, e // g, sign, times < 0, 8 * nbytes)
-        (packed if saving > 0 else rest).append(power)
-        gain += abs(times) * max(saving, 0)
-    if gain <= (64 * (n * _CONVERT + _LOAD) if is_list else 0):
-        packed, rest = [], powers
-    elif is_list:
+    if type(state) is list:
+        # a packed slot holds its digit and a margin of a few bits
+        bits = max(max(state), -min(state)).bit_length() + 8
+        gain = sum(abs(times) * max(_packed_saving(n, e // g, sign, times < 0, bits), 0)
+                   for sign, e, times in powers)
+        if gain <= 64 * (n * _CONVERT + _LOAD):
+            for sign, e, times in powers:
+                _apply_power(state, sign, e, times, g)
+            return state
         from ._packed import Packed  # loaded only by a run that packs
-        state = Packed(state, g, nbytes)
+        state = Packed(state, g)
     elif state.stride != g:
-        state.relayout(g, nbytes)
-    for sign, e, times in packed:
-        if _packed_saving(n, e // g, sign, times < 0, state.bits) > 0:
-            _apply_power(state, sign, e, times, g)
-        else:
+        state.relayout(g)
+    rest = []
+    for sign, e, times in powers:
+        while times and _packed_saving(n, e // g, sign, times < 0, state.bits) > 0:
+            times = _apply_power(state, sign, e, times, g)
+        if times:
             rest.append((sign, e, times))
-    if rest and type(state) is not list:
+    if rest:
         state = state.unpack()
-    for sign, e, times in rest:
-        _apply_power(state, sign, e, times, g)
+        for sign, e, times in rest:
+            _apply_power(state, sign, e, times, g)
     return state
 
 

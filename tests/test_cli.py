@@ -612,7 +612,7 @@ def test_psi2_is_the_check_that_divides_by_one_plus_q(capsys, monkeypatch):
     real = qseries._apply_power
 
     def minus_for_plus(state, sign, e, times, stride):
-        real(state, -1 if times < 0 else sign, e, times, stride)
+        return real(state, -1 if times < 0 else sign, e, times, stride)
 
     monkeypatch.setattr(qseries, "_apply_power", minus_for_plus)
     for saving in (float("inf"), float("-inf")):  # the packed int, the list

@@ -25,7 +25,6 @@ from frobq.qseries import (
     TruncSeries,
     _apply_binomial,
     _apply_power,
-    _slot_bytes,
     euler_product,
     first_divergence,
     parse_product_spec,
@@ -242,8 +241,9 @@ def test_packed_steps_on_a_stride_match_dense_reference(case, sign, times):
     factor = binomial.inverse() if times < 0 else binomial
     for _ in range(abs(times)):
         series = series * factor
-    packed = Packed(values, g, _slot_bytes(values))
-    packed.apply(sign, e // g, times)
+    packed = Packed(values, g)
+    while times:  # the power stops after a pass that widens the slots
+        times = packed.apply(sign, e // g, times)
     assert packed.unpack() == list(series.coeffs)
 
 
@@ -263,22 +263,34 @@ def test_packed_kernel_widens_as_the_digits_grow():
     assert widths[0] == 1 and widths[-1] >= 9
 
 
-def test_passes_fall_back_to_the_list_as_the_slots_widen(monkeypatch):
+@pytest.mark.parametrize("text, order, total", [
+    # 60 powers of one pass each
+    ("-,1,0,-1", 60, 60),
+    # one power of 8 passes, 1/(1 - q)^8: it must not finish on the packed
+    # int once the slots widen
+    ("-,61,60,-8", 60, 8),
+])
+def test_passes_fall_back_to_the_list_as_the_slots_widen(monkeypatch, text, order, total):
     # a rule that favours the packed int only at one-byte slots: the run
-    # starts packed, and once the range check widens the slots its remaining
-    # passes fall back to the list
-    kernels = []
+    # starts packed, and once the range check widens the slots every pass
+    # still to run falls back to the list
+    passes = []
 
     def spy(state, sign, e, times, stride):
-        kernels.append("list" if type(state) is list else "packed")
-        _apply_power(state, sign, e, times, stride)
+        left = _apply_power(state, sign, e, times, stride)
+        passes.append(("list" if type(state) is list else "packed", abs(times) - abs(left)))
+        return left
 
     monkeypatch.setattr(qseries, "_packed_saving",
-                        lambda n, s, sign, divide, bits: 10 ** 12 if bits == 8 else -1)
+                        lambda n, s, sign, divide, bits: 10 ** 12 if bits < 16 else -1)
     monkeypatch.setattr(qseries, "_apply_power", spy)
-    got = product_from_spec(parse_product_spec("-,1,0,-1"), 60)
-    assert got == TruncSeries(ZZ, _pentagonal_coefficients(60)).inverse()
-    assert kernels[0] == "packed" and kernels[-1] == "list" and len(kernels) == 60
+    spec = parse_product_spec(text)
+    got = product_from_spec(spec, order)
+    assert got == _repeated_passes(spec, order, ZZ)
+    kernels = [kernel for kernel, _ in passes]
+    assert kernels[0] == "packed" and kernels[-1] == "list"
+    assert kernels == sorted(kernels, reverse=True)  # no pass packed after a list pass
+    assert sum(done for _, done in passes) == total
 
 
 @st.composite
@@ -507,7 +519,7 @@ def _netting_specs(draw):
 
 
 class _PassCounter:
-    """Updates the passes request through `_apply_power`, on either kernel:
+    """The updates of the passes that run through `_apply_power`, on either kernel:
     a pass at e with stride g on n coefficients updates those of q^e,
     q^(e+g), ... below q^n."""
 
@@ -515,8 +527,9 @@ class _PassCounter:
         self.updates = 0
 
     def __call__(self, state, sign, e, times, stride):
-        self.updates += abs(times) * len(range(e, len(state), stride))
-        _apply_power(state, sign, e, times, stride)
+        left = _apply_power(state, sign, e, times, stride)
+        self.updates += (abs(times) - abs(left)) * len(range(e, len(state), stride))
+        return left
 
 
 def _forced(kernel):
