@@ -25,7 +25,6 @@ from .qseries import (
     ModRing,
     NotUnitError,
     ProductSpecError,
-    euler_product,
     first_divergence,
     parse_product_spec,
     product_from_spec,
@@ -119,14 +118,15 @@ def cmd_enumerate(args) -> int:
         _emit(out)
         return 0
     # counted before any row is built, and built before anything is
-    # written, so a refusal prints nothing; more than MAX_LIST_ARRAYS
-    # arrays are refused by `enumerate_arrays`, in its own words
+    # written, so a refusal prints nothing
     total, entries = frobenius._list_size(args.variant, args.k, args.alpha, args.n)
-    if total <= MAX_LIST_ARRAYS and entries > MAX_LIST_ENTRIES:
+    if total > MAX_LIST_ARRAYS:
+        raise ValueError(f"enumeration guard: {total} arrays exceed the limit of "
+                         f"{MAX_LIST_ARRAYS}")
+    if entries > MAX_LIST_ENTRIES:
         raise ValueError(f"enumeration guard: {entries} row entries exceed "
                          f"MAX_LIST_ENTRIES={MAX_LIST_ENTRIES}")
-    arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n,
-                                        limit=MAX_LIST_ARRAYS)
+    arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n)
     out["count"] = str(len(arrays))
     # the line `_emit` would print with out["arrays"], each array encoded
     # only when it is written: the envelope's one "[]" is where they go.
@@ -210,8 +210,8 @@ def _congruence_report(label, series, step, offset, modulus):
 
 
 def _euler_cube(order):
-    e = euler_product(order)
-    yield _compare("euler_cube", _theorems().euler_cube(order), e * e * e)
+    yield _compare("euler_cube", _theorems().euler_cube(order),
+                   product_from_spec(parse_product_spec("-,1,0,3"), order))
 
 
 def _jacobi_triple(order):

@@ -153,7 +153,7 @@ def _colored_count(rows, k: int) -> int:
 
 
 def _check_enum_args(variant: str, k: int, alpha: int, n: int) -> None:
-    # the argument checks shared by `enumerate_arrays` and the counts
+    # route 1's argument checks, run by `_list_size`
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if k < 1:
@@ -193,8 +193,7 @@ def _row_pairs(rows_fn, k: int, alpha: int, n: int):
                 yield tops, bottoms
 
 
-def enumerate_arrays(variant: str, k: int, alpha: int, n: int,
-                     limit: int = MAX_ENUM_ARRAYS) -> list[FrobeniusArray]:
+def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[FrobeniusArray]:
     """Every array of the given variant, weight n, row difference alpha.
 
     Exhaustive and deterministic: the arrays come out sorted by (top,
@@ -219,17 +218,17 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int,
     after the call.
 
     Guarded: refuses weights above MAX_ENUM_WEIGHT, rows longer than
-    MAX_ENUM_ROW, and more than `limit`
-    arrays by `count_phi`/`count_cphi` before it builds any row.  The count
-    only decides whether to refuse; the arrays come from the search alone.
+    MAX_ENUM_ROW, and more than MAX_ENUM_ARRAYS arrays, counted by
+    `_list_size` before it builds any row.  The count only decides whether
+    to refuse; the arrays come from the search alone.
     """
-    _check_enum_args(variant, k, alpha, n)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        total = (count_phi if variant == "repetition" else count_cphi)(k, alpha, n)
-        if total > limit:
-            raise ValueError(f"enumeration guard: {total} arrays exceed the limit of {limit}")
+        total = _list_size(variant, k, alpha, n)[0]
+        if total > MAX_ENUM_ARRAYS:
+            raise ValueError(f"enumeration guard: {total} arrays exceed the limit of "
+                             f"{MAX_ENUM_ARRAYS}")
         rows_fn = _bounded_rows if variant == "repetition" else _colored_rows
         by_top = []
         for tops, bottoms in _row_pairs(rows_fn, k, alpha, n):
@@ -286,12 +285,6 @@ def _list_size(variant: str, k: int, alpha: int, n: int) -> tuple[int, int]:
     return arrays, entries
 
 
-def _reach_cost(z: int, alpha: int, lam: int) -> int:
-    """Least q-weight the factors after step `lam` can add to move z^z to z^alpha:
-    each of their terms costs at least lam + 2 a unit of z, either way."""
-    return abs(z - alpha) * (lam + 2)
-
-
 def bivar_work(k: int, order: int) -> int:
     """Slice entries `bivar_coefficient_series` makes, at most.
 
@@ -339,12 +332,13 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     window, and only the starting rows z^-j in it are built, at most
     2 order + 1 whatever k is.  With none the series is zero.
 
-    Only what can still reach z^alpha is expanded.  After step L, a term at
-    (z, w) can end in z^alpha q^(<= order) only if w + cost_L(z) <= order,
-    where cost_L = `_reach_cost(., alpha, L)`.  So after each step,
-    `BivarSeries.truncate` keeps the first order + 1 - cost_L(z)
-    coefficients of row z and drops the row when that count is <= 0; the
-    window shrinks to the rows left.  Row alpha has cost 0 and is never cut.
+    Only what can still reach z^alpha is expanded.  A term of a factor
+    after step L costs at least L + 2 a unit of z, so a term at (z, w) can
+    end in z^alpha q^(<= order) only if w + cost_L(z) <= order, where
+    cost_L(z) = |z - alpha| (L + 2).  After each step
+    `BivarSeries.truncate(alpha, L + 2)` cuts row z to its first
+    order + 1 - cost_L(z) coefficients, dropping it when none are left, and
+    shrinks the window to the rows left.  Row alpha is never cut.
 
     The cut is exact: every kept coefficient is the true one.  cost_L is
     nondecreasing in L and obeys the triangle inequality.  Step L reads
@@ -392,5 +386,5 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
         reach = list(enumerate(weights[:order // (lam + 1)], 1))
         for sign in (1, -1):
             acc.apply_factor([(sign * j, j * (lam + 1), w) for j, w in reach])
-        acc.truncate(lambda z: order + 1 - _reach_cost(z, alpha, lam))
+        acc.truncate(alpha, lam + 2)
     return acc.z_slice(alpha)

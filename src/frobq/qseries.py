@@ -328,7 +328,11 @@ MAX_PRODUCT_WORK = 125_000_000
 # N = 8885).  Without the floor, 1/(1 - q)^E at N = 1 counts E, and
 # E = 10^7, 1/12 of the limit, took 7.6 s on the list; with it, the largest
 # accepted E at N = 1, 2 and 3 takes 2.7-7.0 s on the packed int
-# (4.6-10.4 s on the list, in the runs above).
+# (4.6-10.4 s on the list, in the runs above).  `product_from_spec` also
+# charges MIN_PASS_WORK for each coefficient of the result, which is built
+# however few passes touch it: `+,6250000,0,1` counts 20 updates, yet at
+# N = 6,249,999, the largest order that charge accepts, `expand` takes
+# 2.9 s and 507 MiB on the same guest.
 MIN_PASS_WORK = 20
 
 
@@ -471,13 +475,14 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     or its inverse each, which scales the list once at the end; it is
     computed first, so dividing by a non-unit 2 raises NotUnitError before
     anything is expanded.  Guarded: raises ValueError before expanding when
-    `product_work`, the literal count, exceeds MAX_PRODUCT_WORK.
+    `product_work`, the literal count, or MIN_PASS_WORK a coefficient of the
+    result, whichever is larger, exceeds MAX_PRODUCT_WORK.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     for f in spec.factors:
         f.validate()
-    work = product_work(spec, order)
+    work = max(product_work(spec, order), MIN_PASS_WORK * (order + 1))
     if work > MAX_PRODUCT_WORK:
         raise ValueError(f"product guard: {work} coefficient updates exceed "
                          f"MAX_PRODUCT_WORK={MAX_PRODUCT_WORK}")
@@ -520,10 +525,10 @@ class BivarSeries:
     is the general product.  No q exponent is negative: `from_terms` and
     `apply_factor` refuse one.
 
-    A row may be shorter than order + 1: `truncate` cuts each row to a live
-    length, for a caller that reads only some coefficients and has shown
-    that the ones cut cannot reach them.  `apply_factor` keeps every row's
-    length, so a cut row holds only its live prefix.
+    A row may be shorter than order + 1: `truncate` cuts row z by
+    |z - center| * cost, for a caller that reads only some coefficients and
+    has shown that the ones cut cannot reach them.  `apply_factor` keeps
+    every row's length, so a cut row holds only its live prefix.
     `theorems.jacobi_triple` never cuts: its window holds every term of every
     partial product.  `bivar_coefficient_series` cuts after each pair of
     factors, and its docstring proves that the prefixes it keeps are exact.
@@ -634,24 +639,26 @@ class BivarSeries:
                     part = map(mul, part, repeat(c))
                 row[a:b] = map(add, row[a:b], part)
 
-    def truncate(self, live) -> None:
-        """Cut every row z to its first `live(z)` coefficients, in place.
+    def truncate(self, center: int, cost: int) -> None:
+        """Cut every row z to its first order + 1 - |z - center| * cost
+        coefficients in place, cost >= 1, and drop the rows left empty.
 
-        A row with live(z) <= 0 is dropped, and the window shrinks to the
-        smallest one holding every z of the old window with live(z) > 0, so
-        a sweep never recreates a dropped row outside it.  With no such z
-        the rows are dropped and the window is left as it is.  A row that
-        is already shorter than its live length is left as it is.
+        The window shrinks to the rows that keep a coefficient, [center -
+        order // cost, center + order // cost] within it, so a sweep never
+        recreates a dropped row outside it; when the two do not meet, no row
+        is left and the window stays as it is.  A row already shorter than
+        its cut is left as it is.
         """
-        alive = [z for z in range(self.zmin, self.zmax + 1) if live(z) > 0]
         for z in list(self.rows):
-            keep = live(z)
+            keep = self.order + 1 - abs(z - center) * cost
             if keep > 0:
                 del self.rows[z][keep:]
             else:
                 del self.rows[z]
-        if alive:
-            self.zmin, self.zmax = alive[0], alive[-1]
+        reach = self.order // cost
+        zmin, zmax = max(self.zmin, center - reach), min(self.zmax, center + reach)
+        if zmin <= zmax:
+            self.zmin, self.zmax = zmin, zmax
 
     def z_slice(self, z: int) -> TruncSeries:
         """The coefficient of z^z as a plain series in q."""

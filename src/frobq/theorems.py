@@ -346,9 +346,12 @@ def jacobi_work(order: int) -> int:
     m(m+1)/2, the factors z^-1 q^(n-1) for n = 1..order+1 update it over at
     most L(L+1)/2 coefficients and z q^n for n = 1..order over at most
     L(L-1)/2: L^2 in all.  Rows m >= 0 and -m-1 start alike, so each m >= 0
-    counts twice."""
-    return sum(2 * (order + 1 - m * (m + 1) // 2) ** 2
-               for m in range(_triangular_root(order) + 1))
+    counts twice.  The sum over m <= t is here in closed form, with
+    sum T_m = p/6 and sum T_m^2 = p(3t^2 + 6t + 1)/60 for T_m = m(m+1)/2
+    and p = t(t+1)(t+2), so a huge order is refused at once."""
+    t, a = _triangular_root(order), order + 1
+    p = t * (t + 1) * (t + 2)
+    return 2 * (t + 1) * a * a - 2 * a * p // 3 + p * (3 * t * t + 6 * t + 1) // 30
 
 
 def jacobi_guard(order: int) -> None:

@@ -254,6 +254,18 @@ def test_enumerate_list_entry_guard_is_inclusive(capsys, monkeypatch):
     assert f"enumeration guard: {entries} row entries exceed" in err
 
 
+def test_enumerate_list_arrays_guard_refuses_first(capsys, monkeypatch):
+    # with both --list limits exceeded, the refusal names the arrays
+    args = ("enumerate", "--variant", "colored", "--k", "2", "--alpha", "-1", "--n", "4", "--list")
+    total, entries = frobenius._list_size("colored", 2, -1, 4)
+    monkeypatch.setattr(cli, "MAX_LIST_ARRAYS", total - 1)
+    monkeypatch.setattr(cli, "MAX_LIST_ENTRIES", entries - 1)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == (f"error: enumeration guard: {total} arrays exceed the limit of "
+                   f"{total - 1}\n")
+
+
 def _quarter_gib_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
 
@@ -411,6 +423,10 @@ def test_large_or_negative_sizes_exit_quickly_without_a_traceback(argv, code, me
     ("verify", "--target", "psi2", "--N", "14000"),
     ("verify", "--target", "cor1", "--N", "60000"),
     ("verify", "--target", "cor2", "--N", "60000"),
+    # one pass of one update, but 6,250,001 coefficients to build: each
+    # counts MIN_PASS_WORK; at N = 3 * 10^7 a 1 GiB cap ran out of memory
+    ("expand", "--spec=+,6250000,0,1", "--N", "6250000"),
+    ("scan", "--spec=+,6250000,0,1", "--N", "6250000", "--maxA", "5", "--maxM", "5"),
 ])
 def test_product_guard_exits_two_quickly(argv):
     # 5e11 coefficient updates would run for hours; the guard refuses up front
@@ -444,6 +460,9 @@ def test_expand_prints_a_coefficient_of_any_size():
     (("identities", "--N", "3000"), 2),
     # identities runs the triple-product guard before its first check
     (("identities", "--N", "15000"), 1),
+    # the guard's count summed about sqrt(2N) terms: still running after 20 s
+    (("verify", "--target", "jtp", "--N", str(10**18)), 1),
+    (("identities", "--N", str(10**18)), 1),
 ])
 def test_triple_product_guard_exits_two_quickly(argv, timeout):
     # about 4e9 coefficient updates at N=5000; identities prints nothing
@@ -692,6 +711,24 @@ def test_identities_battery(capsys):
         f'{{"N": 30, "command": "identities", "identity": "{identity}", "name": "{name}", '
         f'"status": "pass"}}\n' for identity, name in checks
     ) + '{"N": 30, "checks": 6, "command": "identities", "failures": 0}\n'
+
+
+def test_checks_use_no_dense_series_product(capsys, monkeypatch):
+    # every check compares series its routes build: none multiplies or
+    # inverts a series with the dense reference arithmetic
+    def refuse(*args):
+        raise AssertionError("dense series arithmetic called")
+
+    for cls, name in ((TruncSeries, "__mul__"), (TruncSeries, "inverse"),
+                      (qseries.BivarSeries, "__mul__")):
+        monkeypatch.setattr(cls, name, refuse)
+    code, out, err = run_cli(capsys, "identities", "--N", "100")
+    assert (code, err) == (0, "")
+    assert json_lines(out)[-1]["failures"] == 0
+    for target in cli.VERIFY_TARGETS:
+        code, out, err = run_cli(capsys, "verify", "--target", target, "--N", "100")
+        assert (code, err) == (0, ""), target
+        assert json_lines(out)[0]["status"] == "pass"
 
 
 def test_unknown_subcommand_exits_two(capsys):

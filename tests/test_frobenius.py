@@ -132,14 +132,18 @@ def test_enumeration_guard_refuses_by_count_before_building_rows(monkeypatch):
             enumerate_arrays("colored", 6, 0, n)
 
 
-def test_enumeration_guard_limit_is_inclusive():
+def test_enumeration_guard_limit_is_inclusive(monkeypatch):
     # colored k=2, alpha=-1, weight 2 has 12 arrays
-    assert len(enumerate_arrays("colored", 2, -1, 2, limit=12)) == 12
+    monkeypatch.setattr(frobenius, "MAX_ENUM_ARRAYS", 12)
+    assert len(enumerate_arrays("colored", 2, -1, 2)) == 12
+    monkeypatch.setattr(frobenius, "MAX_ENUM_ARRAYS", 11)
     with pytest.raises(ValueError, match="12 arrays exceed the limit of 11"):
-        enumerate_arrays("colored", 2, -1, 2, limit=11)
-    assert len(enumerate_arrays("repetition", 2, -1, 6, limit=count_phi(2, -1, 6))) > 0
+        enumerate_arrays("colored", 2, -1, 2)
+    monkeypatch.setattr(frobenius, "MAX_ENUM_ARRAYS", count_phi(2, -1, 6))
+    assert len(enumerate_arrays("repetition", 2, -1, 6)) > 0
+    monkeypatch.setattr(frobenius, "MAX_ENUM_ARRAYS", count_phi(2, -1, 6) - 1)
     with pytest.raises(ValueError, match="enumeration guard"):
-        enumerate_arrays("repetition", 2, -1, 6, limit=count_phi(2, -1, 6) - 1)
+        enumerate_arrays("repetition", 2, -1, 6)
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
@@ -152,11 +156,12 @@ def collector(request):
 
 
 @pytest.mark.parametrize("variant", ["repetition", "colored"])
-def test_enumeration_leaves_the_collector_as_it_found_it(collector, variant):
+def test_enumeration_leaves_the_collector_as_it_found_it(collector, variant, monkeypatch):
     assert enumerate_arrays(variant, 2, -1, 7)
     assert gc.isenabled() is collector
+    monkeypatch.setattr(frobenius, "MAX_ENUM_ARRAYS", 0)
     with pytest.raises(ValueError, match="enumeration guard"):
-        enumerate_arrays(variant, 2, -1, 7, limit=0)
+        enumerate_arrays(variant, 2, -1, 7)
     assert gc.isenabled() is collector
 
 
@@ -544,15 +549,16 @@ def test_cut_expansion_matches_uncut_product(variant, k):
 
 @pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
 def test_cut_bound_has_teeth(monkeypatch, variant, count):
-    # charging one more unit of q per unit of z cuts coefficients that do
-    # reach z^alpha, and the series stops matching the oracle
-    def overcharged(z, alpha, lam, cost=frobenius._reach_cost):
-        return cost(z, alpha, lam + 1)
+    # charging one more unit of q per unit of z (cost lam + 3, not lam + 2)
+    # cuts coefficients that do reach z^alpha, and the series stops
+    # matching the oracle
+    def overcharged(self, center, cost, truncate=BivarSeries.truncate):
+        truncate(self, center, cost + 1)
 
     order = 10
     counts = [count(2, -1, n) for n in range(order + 1)]
     assert list(bivar_coefficient_series(variant, 2, -1, order).coeffs) == counts
-    monkeypatch.setattr(frobenius, "_reach_cost", overcharged)
+    monkeypatch.setattr(BivarSeries, "truncate", overcharged)
     assert list(bivar_coefficient_series(variant, 2, -1, order).coeffs) != counts
 
 

@@ -453,6 +453,30 @@ def test_product_guard_counts_the_fixed_cost_of_a_pass(monkeypatch):
         assert product_work(parse_product_spec(f"-,1,0,-{largest + 1}"), order) > MAX_PRODUCT_WORK
 
 
+def test_product_guard_counts_the_length_of_the_result(monkeypatch):
+    # one binomial of one update, but N + 1 coefficients to build: counted
+    # as 20 updates, N = 3 * 10^7 ran out of a 1 GiB cap and N = 10^9 made
+    # 10^9 coefficients.  product_work stays the literal count
+    spec = parse_product_spec("+,6250000,0,1")
+    assert product_work(spec, 6_250_000) == MIN_PASS_WORK
+    assert MIN_PASS_WORK * 6_250_000 == MAX_PRODUCT_WORK
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("expanded before refusing")
+
+    monkeypatch.setattr(qseries, "_apply_power", no_expansion)
+    with pytest.raises(ValueError, match="product guard: 125000020 coefficient updates"):
+        product_from_spec(spec, 6_250_000)
+    with pytest.raises(ValueError, match="product guard: 20000000020 coefficient updates"):
+        product_from_spec(parse_product_spec("+,30000000,0,1"), 10**9)
+    # the limit is inclusive: N + 1 = MAX_PRODUCT_WORK / MIN_PASS_WORK
+    monkeypatch.undo()
+    monkeypatch.setattr(qseries, "MAX_PRODUCT_WORK", 101 * MIN_PASS_WORK)
+    assert product_from_spec(parse_product_spec("+,100,0,1"), 100).coeffs[100] == 1
+    with pytest.raises(ValueError, match=f"product guard: {102 * MIN_PASS_WORK} "):
+        product_from_spec(parse_product_spec("+,100,0,1"), 101)
+
+
 def _or_not_unit(fn):
     try:
         return fn()
@@ -682,7 +706,8 @@ def test_apply_factor_matches_general_product(case):
     series, terms, live = case
     reference = _factor_reference(series, terms)
     n = series.order + 1
-    series.truncate(lambda z: live.get(z, n))
+    for z, length in live.items():
+        del series.rows[z][length:]
     series.apply_factor(terms)
     for z, row in series.rows.items():
         exact = min([live.get(z, n)] + [live[z - dz] + dq for dz, dq, _ in terms
@@ -707,13 +732,38 @@ def test_short_source_keeps_the_target_length():
 
 
 def test_truncate_cuts_drops_and_shrinks_the_window():
+    # row z keeps 5 - 2|z - 1| coefficients: rows -1..3 live, the window's
+    # other end stays at 3
     series = _with_rows(4, -3, 3, {z: [1] * 5 for z in range(-3, 4)})
-    series.truncate(lambda z: 5 - 2 * abs(z - 1))
+    series.truncate(1, 2)
     assert (series.zmin, series.zmax) == (-1, 3)
     assert series.rows == {-1: [1], 0: [1] * 3, 1: [1] * 5, 2: [1] * 3, 3: [1]}
-    # every row dead: the rows go and the window stays
-    series.truncate(lambda z: 0)
-    assert series.rows == {} and (series.zmin, series.zmax) == (-1, 3)
+    # a row already shorter than its cut is left as it is
+    series.truncate(1, 1)
+    assert series.rows == {-1: [1], 0: [1] * 3, 1: [1] * 5, 2: [1] * 3, 3: [1]}
+    # a center past the window: rows 1, 2 and 3 keep 1, 2 and 3 of theirs
+    # (row 3 has only 1), rows -1 and 0 none; the window is [1, 9] within
+    # [-1, 3]
+    series.truncate(5, 1)
+    assert (series.zmin, series.zmax) == (1, 3)
+    assert series.rows == {1: [1], 2: [1] * 2, 3: [1]}
+    # a center too far for any row: the rows go and the window stays
+    series.truncate(9, 2)
+    assert series.rows == {} and (series.zmin, series.zmax) == (1, 3)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 8), st.integers(-6, 0), st.integers(0, 6), st.integers(-12, 12),
+       st.integers(1, 5))
+def test_truncate_matches_its_rule_row_by_row(order, zmin, zmax, center, cost):
+    # the closed-form window is the span of the window's rows that keep a
+    # coefficient, or the old window when none does
+    series = _with_rows(order, zmin, zmax, {z: [1] * (order + 1) for z in range(zmin, zmax + 1)})
+    live = {z: order + 1 - abs(z - center) * cost for z in range(zmin, zmax + 1)}
+    alive = [z for z, keep in live.items() if keep > 0]
+    series.truncate(center, cost)
+    assert series.rows == {z: [1] * live[z] for z in alive}
+    assert (series.zmin, series.zmax) == ((alive[0], alive[-1]) if alive else (zmin, zmax))
 
 
 @st.composite
@@ -790,13 +840,22 @@ def _triangle(m):
 
 def test_jacobi_work_closed_form_matches_literal_sum():
     # per window row z^m, starting at q^(m(m+1)/2): the z^-1 factors at
-    # q^0..q^N, then the z q^n factors at q^1..q^N
-    for order in range(61):
+    # q^0..q^N, then the z q^n factors at q^1..q^N; 961 and 962 straddle
+    # the guard's limit
+    for order in [*range(61), 961, 962]:
         rows = [m for m in range(-order - 2, order + 2) if _triangle(m) <= order]
         literal = sum(max(0, order + 1 - _triangle(m) - dq)
                       for m in rows
                       for dq in [*range(order + 1), *range(1, order + 1)])
         assert jacobi_work(order) == literal
+
+
+def test_jacobi_guard_refuses_a_huge_order_at_once():
+    # the count summed about sqrt(2N) terms: 1.4 * 10^9 at N = 10^18
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="triple product guard"):
+        jacobi_guard(10**18)
+    assert time.perf_counter() - started < 0.1
 
 
 def test_jacobi_work_bounds_the_slice_updates(monkeypatch):
