@@ -1,6 +1,6 @@
 """The packed kernel of the product DSL (Kronecker substitution).
 
-`Packed` holds the coefficients that one run of `qseries.product_from_spec`
+`Packed` holds the compact digits that one run of `qseries.product_from_spec`
 works on as one int, so that a binomial pass is a shift and an add.  Only
 `qseries._expand_run` uses it, and it imports this module the first time it
 packs a run, so a process that expands only small products never compiles it.
@@ -12,36 +12,33 @@ HEAD = 6
 
 
 class Packed:
-    """The coefficients of q^0, q^g, q^2g, ... of a list of `len(self)`
-    coefficients, held as one int (Kronecker substitution).
+    """The digits d_0 .. d_(n-1) of a series in x truncated at x^n, held as
+    one int (Kronecker substitution).
 
-    With n slots of B = 8 * nbytes bits, y = sum_i d_i * 2^(B*i) mod 2^(B*n),
-    where d_i is the coefficient of q^(g*i): x = q^g becomes 2^B.  That map
-    is a ring homomorphism from Z[x]/(x^n) to the integers mod 2^(B*n), one
-    to one on the digits with |d_i| < 2^(B-1) (balanced digits), so a
-    binomial pass is a shift and an add of y, exact while every digit stays
-    in that range.  A step at most doubles a digit.  So every HEAD steps
-    `_step` checks that every digit lies below 2^(B-1-HEAD): then the next
-    HEAD steps cannot leave the range.  A digit above that bound makes it
-    move the digits, which are still in range and so unique, into wider
-    slots, which leaves them below that bound again, so the count restarts.
+    With n slots of B = 8 * nbytes bits, y = sum_i d_i * 2^(B*i) mod 2^(B*n):
+    x becomes 2^B.  That map is a ring homomorphism from Z[x]/(x^n) to the
+    integers mod 2^(B*n), one to one on the digits with |d_i| < 2^(B-1)
+    (balanced digits), so a binomial pass is a shift and an add of y, exact
+    while every digit stays in that range.  A step at most doubles a digit.
+    So every HEAD steps `_step` checks that every digit lies below
+    2^(B-1-HEAD): then the next HEAD steps cannot leave the range.  A digit
+    above that bound makes it move the digits, which are still in range and
+    so unique, into wider slots, which leaves them below that bound again,
+    so the count restarts.
 
     In bytes, slot i holds d_i + 2^(B-1) as an unsigned little-endian field,
-    which is how the digits are packed, unpacked and moved.
+    which is how the digits are packed, read back and widened.
     """
 
-    __slots__ = ("length", "stride", "n", "nbytes", "y", "top", "mask", "room", "head", "steps")
+    __slots__ = ("n", "nbytes", "y", "top", "mask", "room", "head", "steps")
 
-    def __init__(self, coeffs: list, stride: int):
+    def __init__(self, digits: list):
         # the narrowest slots whose digits meet the range check's bound
-        nbytes = (max(max(coeffs), -min(coeffs)).bit_length() + HEAD + 8) // 8
+        nbytes = (max(max(digits), -min(digits)).bit_length() + HEAD + 8) // 8
         half = 1 << (8 * nbytes - 1)
-        self.length, self.stride, self.steps = len(coeffs), stride, 0
-        self._load(b"".join([(c + half).to_bytes(nbytes, "little") for c in coeffs[::stride]]),
+        self.steps = 0
+        self._load(b"".join([(d + half).to_bytes(nbytes, "little") for d in digits]),
                    nbytes, nbytes)
-
-    def __len__(self):
-        return self.length
 
     @property
     def bits(self) -> int:
@@ -66,30 +63,22 @@ class Packed:
         # y plus 2^(B-1) in every slot
         return ((self.y + (self.room << HEAD)) & self.mask).to_bytes(self.n * self.nbytes, "little")
 
-    def relayout(self, stride: int, nbytes: int = 0) -> None:
-        """Move the digits to `stride`, a divisor of the current stride, in
-        slots of `nbytes` >= the current nbytes (the current nbytes by
-        default), byte column by byte column."""
-        old, nb, spread = self._data(), self.nbytes, self.stride // stride
-        nbytes = nbytes or nb
-        n = (self.length - 1) // stride + 1
-        # a new slot holds zero plus the old offset until a digit moves in
-        data = bytearray((bytes(nb - 1) + b"\x80" + bytes(nbytes - nb)) * n)
-        step = spread * nbytes
+    def _widen(self, nbytes: int) -> None:
+        # move each slot's bytes, column by column, into slots of `nbytes`;
+        # the new high bytes stay zero, so a slot keeps the old offset
+        old, nb = self._data(), self.nbytes
+        data = bytearray(self.n * nbytes)
         for j in range(nb):
-            data[j:j + step * self.n:step] = old[j::nb]
-        self.stride = stride
+            data[j::nbytes] = old[j::nb]
         self._load(data, nbytes, nb)
 
-    def unpack(self) -> list:
+    def digits(self) -> list:
         nbytes, half, data = self.nbytes, 1 << (self.bits - 1), self._data()
-        coeffs = [0] * self.length
-        coeffs[::self.stride] = [int.from_bytes(data[i:i + nbytes], "little") - half
-                                 for i in range(0, len(data), nbytes)]
-        return coeffs
+        return [int.from_bytes(data[i:i + nbytes], "little") - half
+                for i in range(0, len(data), nbytes)]
 
     def apply(self, sign: int, s: int, times: int) -> int:
-        """y *= (1 + sign*x^s)^times, dividing when times < 0, for 1 <= s < n,
+        """y *= (1 + sign*x^s)^times, dividing when times < 0, for s >= 1,
         up to the end of the first pass that widens the slots; returns the
         passes left, signed as `times` (0 when all ran), so that the caller
         can weigh the wider slots before it runs them.
@@ -119,7 +108,7 @@ class Packed:
         if self.steps == HEAD:
             if (self.y + self.room) & self.head:
                 # at least 8 more bits: every |digit| < 2^(B-1) <= 2^(B'-1-HEAD)
-                self.relayout(self.stride, self.nbytes + 1 + self.nbytes // 4)
+                self._widen(self.nbytes + 1 + self.nbytes // 4)
             self.steps = 0
         y, mask = self.y, self.mask
         # both terms lie in [0, 2^(B*n)); the subtraction starts from

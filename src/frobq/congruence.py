@@ -13,6 +13,7 @@ finite residue computations that turn such observations into proofs for the
 from __future__ import annotations
 
 import math
+from operator import index
 
 from ._value import FrozenValue
 from .qseries import ModRing, TruncSeries
@@ -59,8 +60,10 @@ def verify_congruence(series: TruncSeries, step: int, offset: int, modulus: int)
 
     A series over ModRing(m) only knows its coefficients mod m, so the check
     refuses a modulus that does not divide m.  A claim with no index up to
-    the truncation has no witness, and is refused rather than passed.
+    the truncation has no witness, and is refused rather than passed, and
+    a step, offset or modulus that is not an int raises TypeError.
     """
+    step, offset, modulus = index(step), index(offset), index(modulus)
     if step < 1 or not 0 <= offset < step:
         raise ValueError("need step >= 1 and 0 <= offset < step")
     if modulus < 2:
@@ -111,9 +114,10 @@ def scan_congruences(series: TruncSeries, max_step: int, max_modulus: int,
     reported claim whose index set is contained in a coarser reported claim
     with the same modulus is flagged subsumed, never dropped.  Guarded:
     raises ValueError before the prime sieve when the count of (M, A, B)
-    triples exceeds MAX_SCAN_TRIPLES.  Output is sorted by (M, A, B) and is
-    deterministic.
+    triples exceeds MAX_SCAN_TRIPLES, and raises TypeError for a bound that
+    is not an int.  Output is sorted by (M, A, B) and is deterministic.
     """
+    max_step, max_modulus, min_witnesses = index(max_step), index(max_modulus), index(min_witnesses)
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
     if max_modulus < 2:
@@ -159,6 +163,7 @@ def residue_argument_check(a: int, b: int, modulus: int) -> list[tuple[int, int]
     The key finite fact for the 5n+4 congruences is that (1, 2, 5) yields
     exactly [(0, 0)]: checked over all 25 pairs, nothing else works.
     """
+    a, b, modulus = index(a), index(b), index(modulus)
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     return [
@@ -177,6 +182,7 @@ def progression_exponent_check(step: int = 5, offset: int = 4, modulus: int = 5)
     (2j+1)^2 + 2(2k+1)^2 = 0 (mod modulus), and every such (j, k) has
     2j+1 = 2k+1 = 0 (mod modulus), killing the coefficient (2j+1) mod modulus.
     """
+    step, offset, modulus = index(step), index(offset), index(modulus)
     if step < 1 or modulus < 2:
         raise ValueError("need step >= 1 and modulus >= 2")
     for j in range(2 * modulus):

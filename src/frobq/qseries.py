@@ -182,38 +182,35 @@ def first_divergence(a: TruncSeries, b: TruncSeries) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _apply_binomial(coeffs: list, sign: int, e: int, divide: bool = False,
-                    stride: int = 1) -> None:
+def _apply_binomial(coeffs: list, sign: int, e: int, divide: bool = False) -> None:
     """coeffs *= (1 + sign*q^e) in place, or coeffs /= it when `divide`.
 
-    `sign` is +1 or -1 and e >= 1.  Every coefficient off a multiple of
-    `stride` g, a divisor of e, must be zero: a pass steps by g, and those
-    stay zero.  Sweep-order invariant: multiplying reads only old
-    coefficients, so it is one slice update whose right-hand side is copied
-    before the assignment.  Dividing reads only quotient coefficients,
-    c[i] -= sign*c[i-e] upward: with short residue classes mod e (e*e >= len*g:
-    on the stride, (e/g)^2 >= len/g) that is one slice update per block of e
-    coefficients from the finished block before it.  With few long classes,
-    dividing by (1 - q^e) is a running sum along each class, one
-    `accumulate`, and dividing by (1 + q^e) multiplies by (1 - q^e) and then
-    divides by (1 - q^2e), whose running sums need no sign changes.  These
-    steps only add and subtract, so they are the same on ints for every
-    ring, and the TruncSeries built from the list reduces it.
+    `sign` is +1 or -1 and e >= 1.  Sweep-order invariant: multiplying reads
+    only old coefficients, so it is one slice update whose right-hand side
+    is copied before the assignment.  Dividing reads only quotient
+    coefficients, c[i] -= sign*c[i-e] upward: with short residue classes mod
+    e (e*e >= len) that is one slice update per block of e coefficients from
+    the finished block before it.  With few long classes, dividing by
+    (1 - q^e) is a running sum along each class, one `accumulate`, and
+    dividing by (1 + q^e) multiplies by (1 - q^e) and then divides by
+    (1 - q^2e), whose running sums need no sign changes.  These steps only
+    add and subtract, so they are the same on ints for every ring, and the
+    TruncSeries built from the list reduces it.
     """
-    n, g = len(coeffs), stride
+    n = len(coeffs)
     if e >= n:
         return
     elif not divide:
-        coeffs[e::g] = map(add if sign > 0 else sub, coeffs[e::g], coeffs[:n - e:g])
-    elif e * e >= n * g:
+        coeffs[e:] = map(add if sign > 0 else sub, coeffs[e:], coeffs[:n - e])
+    elif e * e >= n:
         step = sub if sign > 0 else add
         for i in range(e, n, e):
-            coeffs[i:i + e:g] = map(step, coeffs[i:i + e:g], coeffs[i - e:i:g])
+            coeffs[i:i + e] = map(step, coeffs[i:i + e], coeffs[i - e:i])
     elif sign > 0:
-        _apply_binomial(coeffs, -1, e, stride=g)
-        _apply_binomial(coeffs, -1, 2 * e, divide=True, stride=g)
+        _apply_binomial(coeffs, -1, e)
+        _apply_binomial(coeffs, -1, 2 * e, divide=True)
     else:
-        for r in range(0, e, g):
+        for r in range(e):
             coeffs[r::e] = accumulate(coeffs[r::e])
 
 
@@ -396,52 +393,49 @@ def _packed_saving(n: int, s: int, sign: int, divide: bool, bits: int) -> int:
             - steps * n * bits * _PACKED_WORD)
 
 
-def _apply_power(state, sign: int, e: int, times: int, stride: int) -> int:
-    """state *= (1 + sign*q^e)^times: |times| passes, dividing when times < 0,
-    on the list (`_apply_binomial`) or on the packed int (`Packed.apply` in
-    `frobq._packed`), whichever `state` is.  Returns the passes left, signed
-    as `times`: the packed int stops after a pass that widens its slots.
-    Every pass of `product_from_spec` goes through here."""
+def _apply_power(state, sign: int, s: int, times: int) -> int:
+    """state *= (1 + sign*x^s)^times: |times| passes, dividing when
+    times < 0, on the digit list (`_apply_binomial`) or on the packed int
+    (`Packed.apply` in `frobq._packed`), whichever `state` is.  Returns the
+    passes left, signed as `times`: the packed int stops after a pass that
+    widens its slots.  Every pass of `product_from_spec` goes through here."""
     if type(state) is not list:
-        return state.apply(sign, e // stride, times)
+        return state.apply(sign, s, times)
     for _ in range(abs(times)):
-        _apply_binomial(state, sign, e, times < 0, stride)
+        _apply_binomial(state, sign, s, times < 0)
     return 0
 
 
-def _expand_run(state, powers: list, g: int):
-    """Apply the powers (sign, e, times) of one run of the plan at stride g to
-    `state`, the list or the packed int, and return the state.  A list is
-    packed only when the saving that `_packed_saving` predicts at its width
-    beats packing and unpacking its slots and loading the kernel.  On the
-    packed int, the passes the rule predicts cheaper there run first, and
-    the rule is asked again whenever the slots widen; the passes it sends
-    to the list run there last."""
-    n = (len(state) - 1) // g + 1
-    if type(state) is list:
-        # a packed slot holds its digit and a margin of a few bits
-        bits = max(max(state), -min(state)).bit_length() + 8
-        gain = sum(abs(times) * max(_packed_saving(n, e // g, sign, times < 0, bits), 0)
-                   for sign, e, times in powers)
-        if gain <= 64 * (n * _CONVERT + _LOAD):
-            for sign, e, times in powers:
-                _apply_power(state, sign, e, times, g)
-            return state
+def _expand_run(coeffs: list, powers: list, g: int) -> None:
+    """Apply the powers (sign, e, times) of one run of the plan at stride g
+    to `coeffs` in place.  The run works on its digits, the coefficients of
+    q^0, q^g, q^2g, ..., as a series in x = q^g, so a pass at e is one at
+    s = e/g, and writes them back; every coefficient off a multiple of g
+    must be zero, and stays zero.  The digits are packed only when the
+    saving that `_packed_saving` predicts at their width beats packing and
+    unpacking them and loading the kernel.  On the packed int, the passes
+    the rule predicts cheaper there run first, and the rule is asked again
+    whenever the slots widen; the passes it sends to the list run there
+    last."""
+    digits = coeffs[::g]
+    n = len(digits)
+    rest = powers = [(sign, e // g, times) for sign, e, times in powers]
+    # a packed slot holds its digit and a margin of a few bits
+    bits = max(max(digits), -min(digits)).bit_length() + 8
+    gain = sum(abs(times) * max(_packed_saving(n, s, sign, times < 0, bits), 0)
+               for sign, s, times in powers)
+    if gain > 64 * (n * _CONVERT + _LOAD):
         from ._packed import Packed  # loaded only by a run that packs
-        state = Packed(state, g)
-    elif state.stride != g:
-        state.relayout(g)
-    rest = []
-    for sign, e, times in powers:
-        while times and _packed_saving(n, e // g, sign, times < 0, state.bits) > 0:
-            times = _apply_power(state, sign, e, times, g)
-        if times:
-            rest.append((sign, e, times))
-    if rest:
-        state = state.unpack()
-        for sign, e, times in rest:
-            _apply_power(state, sign, e, times, g)
-    return state
+        packed, rest = Packed(digits), []
+        for sign, s, times in powers:
+            while times and _packed_saving(n, s, sign, times < 0, packed.bits) > 0:
+                times = _apply_power(packed, sign, s, times)
+            if times:
+                rest.append((sign, s, times))
+        digits = packed.digits()
+    for sign, s, times in rest:
+        _apply_power(digits, sign, s, times)
+    coeffs[::g] = digits
 
 
 def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
@@ -458,18 +452,18 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
 
     The stride: with g the gcd of the exponents applied so far, the product
     so far is a series in q^g, so every coefficient off a multiple of g is
-    zero, and each pass steps by g (see `_apply_binomial`): a pass at e
-    makes order//g - e//g + 1 updates, not order + 1 - e.  The plan runs by
-    descending gcd(e, L), L the lcm of the periods, then by e, so the
-    exponents that share the most with the periods run first, on the
-    longest stride.
+    zero.  Each run of the plan at one g goes to `_expand_run`, which
+    works on the run's digits, the coefficients of q^0, q^g, ..., as a
+    series in x = q^g: a pass at e makes order//g - e//g + 1 updates, not
+    order + 1 - e.  The plan runs by descending gcd(e, L), L the lcm of the
+    periods, then by e, so the exponents that share the most with the
+    periods run first, on the longest stride.
 
-    The kernels: each run of the plan at one stride goes to `_expand_run`,
-    which applies every pass either to the list or to the coefficients of
-    q^0, q^g, ... packed into one int (`frobq._packed.Packed`), as the
-    cost rule `_packed_saving` predicts cheaper from the number of
-    coefficients and their width.  Both do the same literal pass, and
-    every pass goes through `_apply_power`.
+    The kernels: `_expand_run` applies every pass either to the digit list
+    or to the digits packed into one int (`frobq._packed.Packed`), as the
+    cost rule `_packed_saving` predicts cheaper from the number of digits
+    and their width.  Both do the same literal pass, every pass goes
+    through `_apply_power`, and the packed int lives within one run.
 
     The constant factors (1 + q^0) = 2 make one ring scalar, 2^|exponent|
     or its inverse each, which scales the list once at the end; it is
@@ -498,11 +492,10 @@ def product_from_spec(spec: ProductSpec, order: int, ring=ZZ) -> TruncSeries:
     periods = lcm(*(f.period for f in spec.factors))
     plan = sorted((key for key, times in net.items() if times),
                   key=lambda key: (-gcd(key[1], periods), key[1], key[0]))
-    state = [1] + [0] * order
+    coeffs = [1] + [0] * order
     strides = accumulate((e for _, e in plan), gcd)  # g after each binomial
     for g, run in groupby(zip(strides, plan), key=itemgetter(0)):
-        state = _expand_run(state, [(sign, e, net[sign, e]) for _, (sign, e) in run], g)
-    coeffs = state if type(state) is list else state.unpack()
+        _expand_run(coeffs, [(sign, e, net[sign, e]) for _, (sign, e) in run], g)
     # the passes are linear, so the constant factors can scale the list last
     return TruncSeries(ring, map(mul, coeffs, repeat(scale)), order)
 
@@ -649,6 +642,9 @@ class BivarSeries:
         is left and the window stays as it is.  A row already shorter than
         its cut is left as it is.
         """
+        center, cost = index(center), index(cost)
+        if cost < 1:
+            raise ValueError("cost must be >= 1")
         for z in list(self.rows):
             keep = self.order + 1 - abs(z - center) * cost
             if keep > 0:

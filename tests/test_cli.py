@@ -630,8 +630,8 @@ def test_psi2_is_the_check_that_divides_by_one_plus_q(capsys, monkeypatch):
     phi2m1, cphi2m1 = theorems.phi2m1_product(60), theorems.cphi2m1_product(60)
     real = qseries._apply_power
 
-    def minus_for_plus(state, sign, e, times, stride):
-        return real(state, -1 if times < 0 else sign, e, times, stride)
+    def minus_for_plus(state, sign, s, times):
+        return real(state, -1 if times < 0 else sign, s, times)
 
     monkeypatch.setattr(qseries, "_apply_power", minus_for_plus)
     for saving in (float("inf"), float("-inf")):  # the packed int, the list

@@ -13,7 +13,14 @@ from frobq.congruence import (
     verify_congruence,
 )
 from frobq.frobenius import bivar_coefficient_series
-from frobq.qseries import ZZ, ModRing, TruncSeries, parse_product_spec, product_from_spec
+from frobq.qseries import (
+    ZZ,
+    BivarSeries,
+    ModRing,
+    TruncSeries,
+    parse_product_spec,
+    product_from_spec,
+)
 from frobq.theorems import (
     PHI2M1_SPEC_TEXT,
     cphi2m1_product,
@@ -49,6 +56,33 @@ def test_verify_validates_inputs():
         verify_congruence(s, 5, 5, 5)
     with pytest.raises(ValueError):
         verify_congruence(s, 5, 4, 1)
+
+
+@pytest.mark.parametrize("call, error", [
+    # a float modulus gave a "violated" claim with modulus 5.5
+    pytest.param(lambda s: verify_congruence(s, 5, 4, 5.5), TypeError, id="verify-modulus"),
+    pytest.param(lambda s: verify_congruence(s, 5.0, 4, 5), TypeError, id="verify-step"),
+    pytest.param(lambda s: verify_congruence(s, 5, "4", 5), TypeError, id="verify-offset"),
+    # a float bound failed deep inside the scan
+    pytest.param(lambda s: scan_congruences(s, 2, 3.0), TypeError, id="scan-max-modulus"),
+    pytest.param(lambda s: scan_congruences(s, 2.0, 3), TypeError, id="scan-max-step"),
+    pytest.param(lambda s: scan_congruences(s, 2, 3, min_witnesses=1.5), TypeError,
+                 id="scan-min-witnesses"),
+    pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0, 1.0), TypeError, id="truncate-cost"),
+    pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0.5, 1), TypeError,
+                 id="truncate-center"),
+    # a float step passed the exponent check, a float coefficient the residue one
+    pytest.param(lambda s: progression_exponent_check(5.0, 4, 5), TypeError,
+                 id="exponent-check-step"),
+    pytest.param(lambda s: residue_argument_check(1.5, 2, 5), TypeError, id="residue-check-a"),
+    # cost 0 divided by zero, and a negative cost cut nothing
+    pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0, 0), ValueError, id="truncate-zero"),
+    pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0, -1), ValueError,
+                 id="truncate-negative"),
+])
+def test_entry_points_refuse_malformed_numbers(call, error):
+    with pytest.raises(error):
+        call(phi2m1_product(60))
 
 
 @pytest.mark.parametrize("order", [0, 3])

@@ -2,7 +2,6 @@
 
 import random
 import time
-from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -25,6 +24,7 @@ from frobq.qseries import (
     TruncSeries,
     _apply_binomial,
     _apply_power,
+    _expand_run,
     euler_product,
     first_divergence,
     parse_product_spec,
@@ -192,36 +192,45 @@ def test_apply_binomial_matches_dense_reference(values, sign, e, ring, divide):
 
 
 @st.composite
-def _strided_cases(draw):
-    # (values, g, e) with g dividing e; the test zeroes the values off the
-    # multiples of g
-    g = draw(st.sampled_from([2, 3, 4]))
-    return draw(_KERNEL_CASES["values"]), g, g * draw(st.integers(1, 41 // g))
+def _run_cases(draw):
+    # (values, g, powers): up to three powers (sign, e, times) with g
+    # dividing each e; the test zeroes the values off the multiples of g
+    g = draw(st.sampled_from([1, 2, 3, 4]))
+    powers = st.tuples(_KERNEL_CASES["sign"], st.integers(1, 41 // g).map(lambda s: g * s),
+                       st.integers(-3, 3).filter(bool))
+    return draw(_KERNEL_CASES["values"]), g, draw(st.lists(powers, min_size=1, max_size=3))
 
 
-@settings(max_examples=200)
-@given(case=_strided_cases(), sign=_KERNEL_CASES["sign"], ring=_KERNEL_CASES["ring"],
-       divide=_KERNEL_CASES["divide"])
-@example(case=(_THIRTY, 2, 8), sign=1, ring=ZZ, divide=True)  # 4^2 >= 15: blocks
-@example(case=(_THIRTY, 2, 6), sign=1, ring=ZZ, divide=True)  # 3^2 < 15: running sums
-@example(case=(_THIRTY, 3, 6), sign=-1, ring=ModRing(7), divide=True)
-def test_apply_binomial_on_a_stride_matches_dense_reference(case, sign, ring, divide):
-    # a pass at stride g is the dense pass, and leaves every coefficient off
-    # a multiple of g zero
-    values, g, e = case
-    values = [v if i % g == 0 else 0 for i, v in enumerate(values)]
-    series = TruncSeries(ring, values)
-    binomial = TruncSeries(ring, [1] + [0] * (e - 1) + [sign], series.order)
+@settings(max_examples=300)
+@given(case=_run_cases(), ring=_KERNEL_CASES["ring"],
+       kernel=st.sampled_from(["by cost", "list", "packed", "until it widens"]))
+@example(case=(_THIRTY, 2, [(1, 8, -1)]), ring=ZZ, kernel="list")  # 4^2 >= 15: blocks
+@example(case=(_THIRTY, 2, [(1, 6, -1)]), ring=ZZ, kernel="list")  # 3^2 < 15: running sums
+@example(case=(_THIRTY, 3, [(-1, 6, -1)]), ring=ModRing(7), kernel="packed")
+# one-byte slots that widen during 1/(1 - x)^8, x = q^2: the passes still
+# to run, and (1 + x^2)^2, fall back to the list
+@example(case=([1] + [0] * 39, 2, [(-1, 2, -8), (1, 4, 2)]), ring=ZZ, kernel="until it widens")
+def test_expand_run_matches_dense_reference(case, ring, kernel):
+    # a run at stride g, on either kernel or both, is the dense passes, and
+    # leaves every coefficient off a multiple of g zero
+    values, g, powers = case
+    series = TruncSeries(ring, [v if i % g == 0 else 0 for i, v in enumerate(values)])
     coeffs = list(series.coeffs)
-    _apply_binomial(coeffs, sign, e, divide, stride=g)
-    reference = series * (binomial.inverse() if divide else binomial)
-    assert TruncSeries(ring, coeffs) == reference
+    for sign, e, times in powers:
+        binomial = TruncSeries(ring, [1] + [0] * (e - 1) + [sign], series.order)
+        factor = binomial.inverse() if times < 0 else binomial
+        for _ in range(abs(times)):
+            series = series * factor
+    with _forced(kernel):
+        assert _expand_run(coeffs, powers, g) is None
+    assert TruncSeries(ring, coeffs) == series
     assert not any(c for i, c in enumerate(coeffs) if i % g)
 
 
 @st.composite
 def _packed_cases(draw):
-    # (values, g, e) as in _strided_cases, with g = 1 too
+    # (values, g, e) with g dividing e; the test zeroes the values off the
+    # multiples of g
     g = draw(st.sampled_from([1, 2, 3]))
     return draw(_KERNEL_CASES["values"]), g, g * draw(st.integers(1, 41 // g))
 
@@ -232,8 +241,9 @@ def _packed_cases(draw):
 @example(case=(_THIRTY, 2, 2), sign=1, times=-3)
 @example(case=(_THIRTY, 3, 3), sign=1, times=3)
 def test_packed_steps_on_a_stride_match_dense_reference(case, sign, times):
-    # the packed int starts at the narrowest slots the values allow, so the
-    # steps of a power overflow them unless the range check widens them
+    # the packed int of the digits values[::g] starts at the narrowest slots
+    # they allow, so the steps of a power overflow them unless the range
+    # check widens them
     values, g, e = case
     values = [v if i % g == 0 else 0 for i, v in enumerate(values)]
     series = TruncSeries(ZZ, values)
@@ -241,10 +251,10 @@ def test_packed_steps_on_a_stride_match_dense_reference(case, sign, times):
     factor = binomial.inverse() if times < 0 else binomial
     for _ in range(abs(times)):
         series = series * factor
-    packed = Packed(values, g)
+    packed = Packed(values[::g])
     while times:  # the power stops after a pass that widens the slots
         times = packed.apply(sign, e // g, times)
-    assert packed.unpack() == list(series.coeffs)
+    assert packed.digits() == list(series.coeffs[::g])
 
 
 def test_packed_kernel_widens_as_the_digits_grow():
@@ -276,16 +286,15 @@ def test_passes_fall_back_to_the_list_as_the_slots_widen(monkeypatch, text, orde
     # still to run falls back to the list
     passes = []
 
-    def spy(state, sign, e, times, stride):
-        left = _apply_power(state, sign, e, times, stride)
+    def spy(state, sign, s, times):
+        left = _apply_power(state, sign, s, times)
         passes.append(("list" if type(state) is list else "packed", abs(times) - abs(left)))
         return left
 
-    monkeypatch.setattr(qseries, "_packed_saving",
-                        lambda n, s, sign, divide, bits: 10 ** 12 if bits < 16 else -1)
     monkeypatch.setattr(qseries, "_apply_power", spy)
     spec = parse_product_spec(text)
-    got = product_from_spec(spec, order)
+    with _forced("until it widens"):
+        got = product_from_spec(spec, order)
     assert got == _repeated_passes(spec, order, ZZ)
     kernels = [kernel for kernel, _ in passes]
     assert kernels[0] == "packed" and kernels[-1] == "list"
@@ -544,22 +553,31 @@ def _netting_specs(draw):
 
 class _PassCounter:
     """The updates of the passes that run through `_apply_power`, on either kernel:
-    a pass at e with stride g on n coefficients updates those of q^e,
-    q^(e+g), ... below q^n."""
+    a pass at x^s on n digits updates those of x^s .. x^(n-1)."""
 
     def __init__(self):
         self.updates = 0
 
-    def __call__(self, state, sign, e, times, stride):
-        left = _apply_power(state, sign, e, times, stride)
-        self.updates += (abs(times) - abs(left)) * len(range(e, len(state), stride))
+    def __call__(self, state, sign, s, times):
+        left = _apply_power(state, sign, s, times)
+        n = len(state) if type(state) is list else state.n
+        self.updates += (abs(times) - abs(left)) * (n - s)
         return left
 
 
+_RULES = {
+    "by cost": qseries._packed_saving,
+    "packed": lambda *args: float("inf"),
+    "list": lambda *args: float("-inf"),
+    # the packed int only at one-byte slots: a run that widens them hands
+    # the passes it has still to run to the list
+    "until it widens": lambda n, s, sign, divide, bits: 10 ** 12 if bits < 16 else -1,
+}
+
+
 def _forced(kernel):
-    # the cost rule, forced to pick one kernel for every pass
-    saving = float("inf") if kernel == "packed" else float("-inf")
-    return mock.patch.object(qseries, "_packed_saving", lambda *args: saving)
+    # the cost rule, or a rule forced to pick the kernel of every pass
+    return mock.patch.object(qseries, "_packed_saving", _RULES[kernel])
 
 
 @settings(max_examples=600, deadline=None)
@@ -577,8 +595,7 @@ def test_netted_strided_plan_matches_repeated_passes(spec, order, ring, kernel):
     # on either one forced; the result is the literal expansion,
     # NotUnitError included, and it asks for no more updates than counted
     counter = _PassCounter()
-    with mock.patch.object(qseries, "_apply_power", counter), \
-            (_forced(kernel) if kernel != "by cost" else nullcontext()):
+    with mock.patch.object(qseries, "_apply_power", counter), _forced(kernel):
         got = _or_not_unit(lambda: product_from_spec(spec, order, ring))
     assert got == _or_not_unit(lambda: _repeated_passes(spec, order, ring))
     assert counter.updates <= product_work(spec, order)
