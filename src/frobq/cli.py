@@ -112,14 +112,13 @@ def cmd_enumerate(args) -> int:
         "alpha": args.alpha,
         "n": args.n,
     }
-    if not args.list:
-        count = frobenius.count_phi if args.variant == "repetition" else frobenius.count_cphi
-        out["count"] = str(count(args.k, args.alpha, args.n))
-        _emit(out)
-        return 0
     # counted before any row is built, and built before anything is
     # written, so a refusal prints nothing
     total, entries = frobenius._list_size(args.variant, args.k, args.alpha, args.n)
+    out["count"] = str(total)
+    if not args.list:
+        _emit(out)
+        return 0
     if total > MAX_LIST_ARRAYS:
         raise ValueError(f"enumeration guard: {total} arrays exceed the limit of "
                          f"{MAX_LIST_ARRAYS}")
@@ -127,7 +126,6 @@ def cmd_enumerate(args) -> int:
         raise ValueError(f"enumeration guard: {entries} row entries exceed "
                          f"MAX_LIST_ENTRIES={MAX_LIST_ENTRIES}")
     arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n)
-    out["count"] = str(len(arrays))
     # the line `_emit` would print with out["arrays"], each array encoded
     # only when it is written: the envelope's one "[]" is where they go.
     # The arrays share their row tuples, and hold them for the whole call,

@@ -122,21 +122,13 @@ class CycInt(FrozenValue):
                     out[i] += c * row[i]
         return cls(order, out)
 
-    def _coerce(self, other):
-        if isinstance(other, CycInt):
-            if other.order != self.order:
-                raise ValueError(f"mixed root orders {self.order} and {other.order}")
-            return other
-        if isinstance(other, int):
-            return CycInt(self.order, (other,))
-        return None
-
     def __mul__(self, other):
         if isinstance(other, int):
             return CycInt(self.order, tuple(a * other for a in self.coeffs))
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, CycInt):
             return NotImplemented
+        if other.order != self.order:
+            raise ValueError(f"mixed root orders {self.order} and {other.order}")
         a, b = self.coeffs, other.coeffs
         prod = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):

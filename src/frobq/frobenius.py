@@ -27,7 +27,7 @@ import gc
 import itertools
 from collections import deque
 from math import comb, prod
-from operator import itemgetter
+from operator import index, itemgetter
 
 from . import VARIANTS
 from ._value import FrozenValue
@@ -351,9 +351,10 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     prefixes stay exact.  The truncation after them keeps the cost_L
     prefixes, which are no longer.
 
-    Guarded: refuses, before any C(k, j) is computed, more than
-    MAX_BIVAR_WORK entries by `bivar_work` when the starting weights fit in
-    a machine word.  Colored starting weights of w > 1 words (`_weight_words`)
+    A k, alpha or order that is not an int raises TypeError.  Guarded:
+    refuses, before any C(k, j) is computed, more than MAX_BIVAR_WORK
+    entries by `bivar_work` when the starting weights fit in a machine
+    word.  Colored starting weights of w > 1 words (`_weight_words`)
     make every entry cost about w times as much, and the count is then
     w * (entries + rows * (w - 1)), which charges each starting weight w^2
     word steps.  That bounds their cost: the weights are one `comb` for the
@@ -362,6 +363,7 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    k, alpha, order = index(k), index(alpha), index(order)
     if k < 1:
         raise ValueError("k must be >= 1")
     if order < 0:

@@ -65,6 +65,7 @@ class ModRing(FrozenValue):
     __slots__ = ("modulus",)
 
     def __init__(self, modulus: int):
+        modulus = index(modulus)
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         super().__init__(modulus)
@@ -516,7 +517,9 @@ class BivarSeries:
     sparse factor whose terms all move z the same way, reading each source
     row once, which is how the products in this package are expanded; `*`
     is the general product.  No q exponent is negative: `from_terms` and
-    `apply_factor` refuse one.
+    `apply_factor` refuse one.  Every exponent, coefficient, order and
+    window bound is an int: the constructor, `from_terms`, `apply_factor`
+    and `truncate` refuse anything else with TypeError.
 
     A row may be shorter than order + 1: `truncate` cuts row z by
     |z - center| * cost, for a caller that reads only some coefficients and
@@ -530,6 +533,7 @@ class BivarSeries:
     __slots__ = ("order", "zmin", "zmax", "rows")
 
     def __init__(self, order: int, zmin: int, zmax: int):
+        order, zmin, zmax = index(order), index(zmin), index(zmax)
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         if zmin > zmax:
@@ -545,10 +549,11 @@ class BivarSeries:
 
         Terms beyond the q truncation or outside the z window are dropped,
         consistent with multiplication semantics; a negative q exponent
-        raises ValueError.
+        raises ValueError, and a term that is not three ints TypeError.
         """
         out = cls(order, zmin, zmax)
         for z, e, c in terms:
+            z, e, c = index(z), index(e), index(c)
             if e < 0:
                 raise ValueError("q-exponents must be >= 0")
             if zmin <= z <= zmax and e <= order:
@@ -578,10 +583,10 @@ class BivarSeries:
     def apply_factor(self, terms) -> None:
         """Multiply in place by 1 + sum c * z^dz * q^dq over (dz, dq, c) in `terms`.
 
-        The coefficients c are ints and every dq is >= 0.  Every dz must be
-        nonzero and all of one sign, so a dz = 0 term, a mix of positive
-        and negative dz or a negative dq raises ValueError before any row
-        changes.
+        Every dz, dq and c is an int, and every dq is >= 0.  Every dz must
+        be nonzero and all of one sign, so a term that is not three ints
+        raises TypeError, and a dz = 0 term, a mix of positive and negative
+        dz or a negative dq ValueError, before any row changes.
         The result equals `self * factor` under the same window and
         truncation rules, without allocating a series for the factor.
 
@@ -598,7 +603,7 @@ class BivarSeries:
         coefficients, the minimum over the terms (dz, dq, c) and their
         source rows z - dz.
         """
-        factor = list(terms)
+        factor = [(index(dz), index(dq), index(c)) for dz, dq, c in terms]
         signs = {(dz > 0) - (dz < 0) for dz, _, _ in factor}
         if 0 in signs or len(signs) > 1:
             raise ValueError("factor z-exponents must be nonzero and of one sign")

@@ -30,6 +30,7 @@ and Jacobi's triple product.  Every closed-form sum is built by `_sparse_sum`.
 from __future__ import annotations
 
 from math import isqrt
+from operator import index
 
 from .qseries import (ZZ, BivarSeries, TruncSeries, euler_product, parse_product_spec,
                       product_from_spec)
@@ -72,8 +73,10 @@ def _choose2(t: int) -> int:
 
 
 def quad_exponent(k: int, alpha: int, m) -> int:
-    """The lattice exponent Q(m_1..m_(k-1)) in its binomial form of record."""
-    m = tuple(m)
+    """The lattice exponent Q(m_1..m_(k-1)) in its binomial form of record.
+
+    Every argument is an int, or TypeError is raised."""
+    k, alpha, m = index(k), index(alpha), tuple(map(index, m))
     if len(m) != k - 1:
         raise ValueError(f"need exactly {k - 1} lattice coordinates, got {len(m)}")
     s = sum(m)

@@ -26,6 +26,7 @@ from frobq.theorems import (
     cphi2m1_product,
     phi2m1_product,
     phi_theta_series,
+    quad_exponent,
 )
 
 
@@ -75,6 +76,19 @@ def test_verify_validates_inputs():
     pytest.param(lambda s: progression_exponent_check(5.0, 4, 5), TypeError,
                  id="exponent-check-step"),
     pytest.param(lambda s: residue_argument_check(1.5, 2, 5), TypeError, id="residue-check-a"),
+    # a float modulus made float coefficients, [1.0, 4.5, 4.5, 0.0, 0.0, 1.0]
+    pytest.param(lambda s: product_from_spec(parse_product_spec("-,1,0,1"), 5, ModRing(5.5)),
+                 TypeError, id="mod-ring-fraction"),
+    pytest.param(lambda s: ModRing(5.0), TypeError, id="mod-ring-float"),
+    # route 2's kernel keyed a row 0.5, wrote floats, or failed deep inside
+    pytest.param(lambda s: BivarSeries.from_terms(3, -1, 1, [(0.5, 0, 1)]), TypeError,
+                 id="from-terms-z"),
+    pytest.param(lambda s: BivarSeries(3, -1, 1).apply_factor([(1, 1, 1.5)]), TypeError,
+                 id="apply-factor-coefficient"),
+    pytest.param(lambda s: BivarSeries(3.0, -1, 1), TypeError, id="bivar-order"),
+    pytest.param(lambda s: bivar_coefficient_series("colored", 2.5, -1, 5), TypeError,
+                 id="bivar-k"),
+    pytest.param(lambda s: quad_exponent(2, -1, [1.5]), TypeError, id="quad-exponent"),
     # cost 0 divided by zero, and a negative cost cut nothing
     pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0, 0), ValueError, id="truncate-zero"),
     pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0, -1), ValueError,
