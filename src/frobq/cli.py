@@ -120,8 +120,8 @@ def cmd_enumerate(args) -> int:
         _emit(out)
         return 0
     if total > MAX_LIST_ARRAYS:
-        raise ValueError(f"enumeration guard: {total} arrays exceed the limit of "
-                         f"{MAX_LIST_ARRAYS}")
+        raise ValueError(f"enumeration guard: {total} arrays exceed "
+                         f"MAX_LIST_ARRAYS={MAX_LIST_ARRAYS}")
     if entries > MAX_LIST_ENTRIES:
         raise ValueError(f"enumeration guard: {entries} row entries exceed "
                          f"MAX_LIST_ENTRIES={MAX_LIST_ENTRIES}")

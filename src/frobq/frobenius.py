@@ -227,8 +227,8 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[Frobenius
     try:
         total = _list_size(variant, k, alpha, n)[0]
         if total > MAX_ENUM_ARRAYS:
-            raise ValueError(f"enumeration guard: {total} arrays exceed the limit of "
-                             f"{MAX_ENUM_ARRAYS}")
+            raise ValueError(f"enumeration guard: {total} arrays exceed "
+                             f"MAX_ENUM_ARRAYS={MAX_ENUM_ARRAYS}")
         rows_fn = _bounded_rows if variant == "repetition" else _colored_rows
         by_top = []
         for tops, bottoms in _row_pairs(rows_fn, k, alpha, n):

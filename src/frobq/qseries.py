@@ -111,6 +111,8 @@ class TruncSeries(FrozenValue):
             if not coeffs:
                 raise ValueError("need coefficients or an explicit order")
             order = len(coeffs) - 1
+        else:
+            order = index(order)
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         del coeffs[order + 1:]
@@ -124,8 +126,7 @@ class TruncSeries(FrozenValue):
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        if self.ring != other.ring:
-            raise RingMismatchError(f"cannot combine {self.ring!r} and {other.ring!r} series")
+        _check_rings(self, other)
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         out = [0] * (n + 1)
@@ -166,11 +167,18 @@ class TruncSeries(FrozenValue):
         return f"TruncSeries({self.ring!r}, N={self.order}, [{shown}])"
 
 
+def _check_rings(a: TruncSeries, b: TruncSeries) -> None:
+    if a.ring != b.ring:
+        raise RingMismatchError(f"cannot combine {a.ring!r} and {b.ring!r} series")
+
+
 def first_divergence(a: TruncSeries, b: TruncSeries) -> int | None:
     """Smallest q-exponent where the two series disagree, else None.
 
-    Compares up to the smaller truncation order.
+    Compares up to the smaller truncation order; series over different
+    rings raise RingMismatchError, as `*` does.
     """
+    _check_rings(a, b)
     n = min(a.order, b.order)
     for i in range(n + 1):
         if a.coeffs[i] != b.coeffs[i]:

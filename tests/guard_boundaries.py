@@ -131,7 +131,7 @@ ROWS = (
     # 800,934 arrays; n = 18 has 1,285,563
     Row("cli.MAX_LIST_ARRAYS", enum("colored", 3, -2, 17, "--list"), 30, GIB, 0),
     Row("cli.MAX_LIST_ARRAYS", enum("colored", 3, -2, 18, "--list"), 5, GIB, 2,
-        "enumeration guard: 1285563 arrays exceed the limit of 1200000"),
+        "enumeration guard: 1285563 arrays exceed MAX_LIST_ARRAYS=1200000"),
     Row("frobenius.MAX_ENUM_WEIGHT", enum("colored", 6, 0, 30), 30, GIB, 0),
     Row("frobenius.MAX_ENUM_WEIGHT", enum("colored", 6, 0, 31), 5, GIB, 2,
         "enumeration guard: weight 31 exceeds MAX_ENUM_WEIGHT"),
@@ -143,7 +143,7 @@ ROWS = (
     Row("frobenius.MAX_ENUM_ARRAYS", call(ENUM.format(10)), 30, GIB, 0,
         lambda out: out == "9088704\n"),
     Row("frobenius.MAX_ENUM_ARRAYS", call(ENUM.format(11)), 5, GIB, 1,
-        "ValueError: enumeration guard: 21450960 arrays exceed the limit of 10000000"),
+        "ValueError: enumeration guard: 21450960 arrays exceed MAX_ENUM_ARRAYS=10000000"),
 )
 
 

@@ -27,6 +27,7 @@ from frobq.theorems import (
     phi_theta_series,
     psi2_product,
 )
+from test_teeth import ZETA_PLUS_ONE, plant
 
 
 def _report(number, ok, detail):
@@ -136,7 +137,7 @@ def test_criterion_8_scanner_discovery(capsys):
         _report(8, ok, "scan emits (A=5, B=4, M=5) verified; byte-identical across runs")
 
 
-def test_criterion_9_integrality_detector():
+def test_criterion_9_integrality_detector(monkeypatch):
     clean = True
     try:
         for k in (1, 2, 3):
@@ -144,7 +145,8 @@ def test_criterion_9_integrality_detector():
                 phi_theta_series(k, alpha, 10)
     except NonIntegralCoefficientError:
         clean = False
+    plant(monkeypatch, *ZETA_PLUS_ONE)
     with pytest.raises(NonIntegralCoefficientError):
-        phi_theta_series(2, -1, 10, zeta_exponent_shift=1)
+        phi_theta_series(2, -1, 10)
     _report(9, clean, "no spurious non-integral coefficients on the grid; "
                       "off-by-one root exponent trips the detector")

@@ -16,7 +16,8 @@ import pytest
 
 from frobq import cli, frobenius, qseries, theorems
 from frobq.congruence import CongruenceClaim
-from frobq.qseries import ZZ, TruncSeries, first_divergence
+from frobq.qseries import TruncSeries, first_divergence
+from test_teeth import plant
 
 
 def run_cli(capsys, *argv):
@@ -213,7 +214,7 @@ def test_enumerate_list_guard_exits_two_quickly(k, alpha, n, count):
                             str(alpha), "--n", str(n), "--list",
                             preexec_fn=_one_gib_address_space)
     assert proc.returncode == 2
-    assert f"enumeration guard: {count} arrays exceed the limit of {cli.MAX_LIST_ARRAYS}" \
+    assert f"enumeration guard: {count} arrays exceed MAX_LIST_ARRAYS={cli.MAX_LIST_ARRAYS}" \
         in proc.stderr
     assert proc.stdout == ""
 
@@ -262,8 +263,8 @@ def test_enumerate_list_arrays_guard_refuses_first(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_LIST_ENTRIES", entries - 1)
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (2, "")
-    assert err == (f"error: enumeration guard: {total} arrays exceed the limit of "
-                   f"{total - 1}\n")
+    assert err == (f"error: enumeration guard: {total} arrays exceed "
+                   f"MAX_LIST_ARRAYS={total - 1}\n")
 
 
 def _quarter_gib_address_space():
@@ -555,85 +556,13 @@ def test_readme_layout_names_resolve():
     assert rows == 6
 
 
-def _all_ones(order):
-    return TruncSeries(ZZ, [1] * (order + 1))
-
-
-def test_verify_thm4_violation_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(theorems, "cphi2m1_product", _all_ones)
-    code, out, _ = run_cli(capsys, "verify", "--target", "thm4", "--N", "30")
-    assert code == 1
-    payload = json_lines(out)[0]
-    assert payload["status"] == "fail"
-    assert payload["first_violation"] == 4
-
-
-def test_verify_jtp_divergence_exits_one(capsys, monkeypatch):
-    real = theorems.jacobi_triple
-
-    def broken(order):
-        product, theta = real(order)
-        theta.rows[1][5] = 7
-        return product, theta
-
-    monkeypatch.setattr(theorems, "jacobi_triple", broken)
-    code, out, _ = run_cli(capsys, "verify", "--target", "jtp", "--N", "30")
-    assert code == 1
-    payload = json_lines(out)[0]
-    assert payload["status"] == "fail"
-    assert (payload["z"], payload["first_divergence"]) == (1, 5)
-
-
-def test_verify_jtp_catches_a_flipped_pentagonal_sign(capsys, monkeypatch):
-    # the product side starts from (q;q); a wrong sign at q^5 first shows in
-    # the lowest row it reaches, z^-7 (reached at q^21 from z^0) at q^26
-    real = theorems.euler_product
-
-    def flipped(order):
-        coeffs = list(real(order).coeffs)
-        coeffs[5] = -coeffs[5]
-        return TruncSeries(ZZ, coeffs, order)
-
-    monkeypatch.setattr(theorems, "euler_product", flipped)
-    code, out, _ = run_cli(capsys, "verify", "--target", "jtp", "--N", "30")
-    assert code == 1
-    payload = json_lines(out)[0]
-    assert payload["status"] == "fail"
-    assert (payload["z"], payload["first_divergence"]) == (-7, 26)
-
-
-@pytest.mark.parametrize("stage", ["theta", "signed"])
-def test_verify_thm3numerator_stage_divergence_exits_one(capsys, monkeypatch, stage):
-    monkeypatch.setattr(theorems, f"mod5_numerator_{stage}", _all_ones)
-    code, out, _ = run_cli(capsys, "verify", "--target", "thm3numerator", "--N", "30")
-    assert code == 1
-    payload = json_lines(out)[0]
-    assert payload["identity"] == f"mod5_numerator(product,{stage})"
-    assert payload["status"] == "fail"
-    assert payload["first_divergence"] == 1
-
-
-def test_verify_psi2_mutated_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(theorems, "psi2_product",
-                        functools.partial(theorems.psi2_product, mutated=True))
-    code, out, _ = run_cli(capsys, "verify", "--target", "psi2", "--N", "30")
-    assert code == 1
-    payload = json_lines(out)[0]
-    assert payload["status"] == "fail"
-    assert (payload["first_divergence"], payload["lhs"], payload["rhs"]) == (6, "24", "26")
-
-
 def test_psi2_is_the_check_that_divides_by_one_plus_q(capsys, monkeypatch):
     # phi2m1 and cphi2m1 only divide by (1 - q^e); a kernel that divides by
     # (1 - q^e) in place of (1 + q^e) leaves them intact and breaks psi2, on
     # the packed int and on the list alike
     phi2m1, cphi2m1 = theorems.phi2m1_product(60), theorems.cphi2m1_product(60)
-    real = qseries._apply_power
-
-    def minus_for_plus(state, sign, s, times):
-        return real(state, -1 if times < 0 else sign, s, times)
-
-    monkeypatch.setattr(qseries, "_apply_power", minus_for_plus)
+    plant(monkeypatch, "qseries._apply_power", "if type(state) is not list:",
+          "if (sign := -1 if times < 0 else sign) and type(state) is not list:")
     for saving in (float("inf"), float("-inf")):  # the packed int, the list
         monkeypatch.setattr(qseries, "_packed_saving", lambda *args: saving)
         assert theorems.phi2m1_product(60) == phi2m1
@@ -642,29 +571,6 @@ def test_psi2_is_the_check_that_divides_by_one_plus_q(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "verify", "--target", "psi2", "--N", "30")
         assert code == 1
         assert json_lines(out)[0]["status"] == "fail"
-
-
-def test_identities_counts_a_failure(capsys, monkeypatch):
-    monkeypatch.setattr(theorems, "psi2_product",
-                        functools.partial(theorems.psi2_product, mutated=True))
-    code, out, _ = run_cli(capsys, "identities", "--N", "30")
-    assert code == 1
-    lines = json_lines(out)
-    assert [line["status"] for line in lines[:-1]] == ["pass"] * 3 + ["fail"] + ["pass"] * 2
-    assert lines[-1]["failures"] == 1
-
-
-def test_verify_disagreement_exits_one(capsys, monkeypatch):
-    # sabotage one side so the CLI has a genuine divergence to report
-    def broken(order):
-        return TruncSeries(ZZ, [1] * (order + 1))
-
-    monkeypatch.setattr(theorems, "phi2m1_product", broken)
-    code, out, _ = run_cli(capsys, "verify", "--target", "cor1", "--N", "10")
-    assert code == 1
-    payload = json_lines(out)[0]
-    assert payload["status"] == "fail"
-    assert payload["first_divergence"] == 1
 
 
 def test_scan_builtin_emits_mod5_claim(capsys):

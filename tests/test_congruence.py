@@ -80,6 +80,8 @@ def test_verify_validates_inputs():
     pytest.param(lambda s: product_from_spec(parse_product_spec("-,1,0,1"), 5, ModRing(5.5)),
                  TypeError, id="mod-ring-fraction"),
     pytest.param(lambda s: ModRing(5.0), TypeError, id="mod-ring-float"),
+    # a series kept its order as given: a float failed on a slice
+    pytest.param(lambda s: TruncSeries(ZZ, [1, 2], 1.0), TypeError, id="series-order"),
     # route 2's kernel keyed a row 0.5, wrote floats, or failed deep inside
     pytest.param(lambda s: BivarSeries.from_terms(3, -1, 1, [(0.5, 0, 1)]), TypeError,
                  id="from-terms-z"),
@@ -97,6 +99,12 @@ def test_verify_validates_inputs():
 def test_entry_points_refuse_malformed_numbers(call, error):
     with pytest.raises(error):
         call(phi2m1_product(60))
+
+
+def test_a_bool_order_is_read_as_the_int_one():
+    # the series kept N=True
+    series = product_from_spec(parse_product_spec("-,1,0,-1"), True)
+    assert type(series.order) is int and series.order == 1
 
 
 @pytest.mark.parametrize("order", [0, 3])

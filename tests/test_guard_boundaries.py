@@ -4,6 +4,7 @@ The rows themselves run only in that script: together they take a minute."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -40,3 +41,19 @@ def test_no_row_is_dropped():
     # 33 rows: a row removed from the table on purpose is counted out here
     assert len(_rows()) == 33
 
+
+
+def test_every_guard_message_names_its_limit():
+    # each `raise ValueError(f"... guard ...")` says which constant refused,
+    # as NAME=value, and every MAX_* constant has such a message in its module
+    named = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ValueError"):
+                text = ast.unparse(node.exc.args[0])
+                if " guard" in text:
+                    limit = re.search(r"(MAX_\w+)=\{\1\}", text)
+                    assert limit, f"{path.name}:{node.lineno}: {text}"
+                    named.add(f"{path.stem}.{limit[1]}")
+    assert named == _guard_limits()

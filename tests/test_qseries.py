@@ -43,6 +43,7 @@ from frobq.theorems import (
     mod5_numerator_signed,
     mod5_numerator_theta,
 )
+from test_teeth import REVERSED_SWEEP, edited
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,13 @@ def test_ring_mismatch_rejected():
     b = TruncSeries(ModRing(5), [1, 2])
     with pytest.raises(RingMismatchError):
         a * b
+
+
+def test_first_divergence_refuses_series_over_different_rings():
+    # the two expansions agree mod 5, yet q^4 was reported, where 5 != 0
+    spec = parse_product_spec("-,1,0,-1")
+    with pytest.raises(RingMismatchError):
+        first_divergence(product_from_spec(spec, 10, ModRing(5)), product_from_spec(spec, 10))
 
 
 def test_constructor_reduces_through_the_ring():
@@ -805,7 +813,7 @@ def test_apply_factor_property_rejects_wrong_sweep(case):
     reference = _factor_reference(series, [(dz, dq, c)])
     right, wrong = _copy(series), _copy(series)
     right._sweep([(dz, dq, c)], descending=dz > 0)
-    wrong._sweep([(dz, dq, c)], descending=dz < 0)
+    edited(*REVERSED_SWEEP)(wrong, [(dz, dq, c)], descending=dz > 0)
     assert right == reference
     assert wrong != reference
 
