@@ -27,7 +27,7 @@ from frobq.frobenius import (
 )
 from frobq.qseries import BivarSeries
 from frobq.theorems import cphi_theta_series
-from test_teeth import plant
+from test_teeth import ROWS, plant
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +479,23 @@ def test_route_two_reads_no_row_bound_of_route_one(monkeypatch):
         assert [m for m in _oracle_mismatches(variant, 2) if m[0] == "count"]
 
 
+def _plant_row(monkeypatch, name):
+    # the edit of the planted-bug table's row `name`, for a test that checks
+    # it case by case
+    row, = [row for row in ROWS if row.name == name]
+    plant(monkeypatch, row.target, row.old, row.new)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_oracle_catches_colored_rows_missing_a_run(monkeypatch, k):
+    # only enumeration builds colored rows: the oracle sees the run go
+    # missing, and the counts do not move
+    _plant_row(monkeypatch, "colored rows miss the lone zero of color 1")
+    mismatches = _oracle_mismatches("colored", k)
+    assert ("enumerate", -1, 0) in mismatches
+    assert not [m for m in mismatches if m[0] == "count"]
+
+
 def _uncut_product(variant, k, order):
     # the whole product, no row ever cut: a top row fits at most `order`
     # entries and a bottom row at most order + k (k zero entries cost
@@ -507,6 +524,19 @@ def test_cut_expansion_matches_uncut_product(variant, k):
             expected = list(reference.rows.get(alpha, [0] * (top + 1))[:order + 1])
             series = bivar_coefficient_series(variant, k, alpha, order)
             assert list(series.coeffs) == expected, (variant, k, alpha, order)
+
+
+@pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
+def test_cut_bound_has_teeth(monkeypatch, variant, count):
+    # charging one more unit of q per unit of z (cost lam + 3, not lam + 2)
+    # cuts coefficients that do reach z^alpha, and the series stops
+    # matching the counts
+    order = 10
+    counts = [count(2, -1, n) for n in range(order + 1)]
+    assert list(bivar_coefficient_series(variant, 2, -1, order).coeffs) == counts
+    _plant_row(monkeypatch, "route 2 cuts at lam + 3")
+    # the planted function replaces the one in frobq, not this file's import
+    assert list(frobenius.bivar_coefficient_series(variant, 2, -1, order).coeffs) != counts
 
 
 def _assert_bivar_small_order_is_quick(variant, count, k):
