@@ -239,15 +239,16 @@ def _run(check, order):
 # name (None where it has none) and the check, order -> its comparisons,
 # each (ok, detail), which `_run` reads in turn.  `identities` runs the
 # named ones in this order.  Each check imports `theorems` and looks its
-# series functions up when it runs, so a patched module attribute is seen.
+# series functions up when it runs, and each entry looks its check up, so a
+# patched module attribute is seen.
 CHECKS = (
     ("thm3", None, lambda order: [_congruence_report(
         "phi_{2,-1}", _theorems().phi2m1_product(order), 5, 4, 5)]),
     ("thm4", None, lambda order: [_congruence_report(
         "cphi_{2,-1}", _theorems().cphi2m1_product(order), 5, 4, 5)]),
-    (None, "euler_cube", _euler_cube),
-    ("jtp", "jacobi_triple", _jacobi_triple),
-    ("thm3numerator", "mod5_numerator", _mod5_numerator),
+    (None, "euler_cube", lambda order: _euler_cube(order)),
+    ("jtp", "jacobi_triple", lambda order: _jacobi_triple(order)),
+    ("thm3numerator", "mod5_numerator", lambda order: _mod5_numerator(order)),
     ("psi2", "psi2", lambda order: [_compare(
         "psi2_product", _theorems().psi2_product(order), _theorems().phi2m1_product(order))]),
     # keyword arguments run as written: the guarded product side first, so

@@ -152,10 +152,13 @@ def _colored_count(rows, k: int) -> int:
     return sum(prod(comb(k, len(list(g))) for _, g in itertools.groupby(row)) for row in rows)
 
 
-def _check_enum_args(variant: str, k: int, alpha: int, n: int) -> None:
-    # route 1's argument checks, run by `_list_size`
+def _check_enum_args(variant: str, k: int, alpha: int, n: int) -> tuple[int, int, int]:
+    # route 1's argument checks, run by `_list_size` and `enumerate_arrays`,
+    # which go on with the (k, alpha, n) returned as ints; a number that is
+    # not an int raises TypeError
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    k, alpha, n = index(k), index(alpha), index(n)
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0:
@@ -168,6 +171,7 @@ def _check_enum_args(variant: str, k: int, alpha: int, n: int) -> None:
     if row > MAX_ENUM_ROW:
         raise ValueError(f"enumeration guard: rows of up to {row} entries exceed "
                          f"MAX_ENUM_ROW={MAX_ENUM_ROW}")
+    return k, alpha, n
 
 
 def _row_pairs(rows_fn, k: int, alpha: int, n: int):
@@ -217,7 +221,8 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[Frobenius
     raised exception's traceback, is collected by the first collection
     after the call.
 
-    Guarded: refuses weights above MAX_ENUM_WEIGHT, rows longer than
+    A k, alpha or n that is not an int raises TypeError.  Guarded:
+    refuses weights above MAX_ENUM_WEIGHT, rows longer than
     MAX_ENUM_ROW, and more than MAX_ENUM_ARRAYS arrays, counted by
     `_list_size` before it builds any row.  The count only decides whether
     to refuse; the arrays come from the search alone.
@@ -225,6 +230,7 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[Frobenius
     collecting = gc.isenabled()
     gc.disable()
     try:
+        k, alpha, n = _check_enum_args(variant, k, alpha, n)
         total = _list_size(variant, k, alpha, n)[0]
         if total > MAX_ENUM_ARRAYS:
             raise ValueError(f"enumeration guard: {total} arrays exceed "
@@ -273,7 +279,7 @@ def _list_size(variant: str, k: int, alpha: int, n: int) -> tuple[int, int]:
     repetition rows alone.  Every top row of one split has m1 entries and
     every bottom m1 - alpha, so each split adds its count times
     2*m1 - alpha entries."""
-    _check_enum_args(variant, k, alpha, n)
+    k, alpha, n = _check_enum_args(variant, k, alpha, n)
     arrays = entries = 0
     for tops, bottoms in _row_pairs(_bounded_rows, k, alpha, n):
         if variant == "repetition":

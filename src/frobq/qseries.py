@@ -621,7 +621,8 @@ class BivarSeries:
 
     def _sweep(self, factor, descending: bool) -> None:
         # apply_factor's row loop; `descending` must be the direction the
-        # invariant asks for (tests pass the other one to show it matters)
+        # invariant asks for (the planted-bug table's reversed-sweep row
+        # flips it to show that it matters)
         n, rows = self.order + 1, self.rows
         factor = [(dz, dq, c) for dz, dq, c in factor if dq < n and c]
         for z in sorted(rows, reverse=descending):

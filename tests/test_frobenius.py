@@ -26,7 +26,7 @@ from frobq.frobenius import (
     enumerate_arrays,
 )
 from frobq.qseries import BivarSeries
-from frobq.theorems import cphi_theta_series
+from test_routes import disagreements
 from test_teeth import ROWS, plant
 
 
@@ -338,30 +338,6 @@ def test_colored_rows_share_their_pairs():
 # counts
 # ---------------------------------------------------------------------------
 
-def _grid():
-    for variant in ("repetition", "colored"):
-        for k in range(1, 5):
-            top = 8 if variant == "colored" and k >= 3 else 10
-            for alpha in range(-4, 5):
-                for n in range(top + 1):
-                    yield variant, k, alpha, n
-
-
-@pytest.fixture(scope="module")
-def enumerated_lengths():
-    return {case: len(enumerate_arrays(*case)) for case in _grid()}
-
-
-def _count_mismatches(lengths):
-    counts = {"repetition": count_phi, "colored": count_cphi}
-    return [(variant, k, alpha, n) for (variant, k, alpha, n), length in lengths.items()
-            if counts[variant](k, alpha, n) != length]
-
-
-def test_counts_equal_enumeration_lengths(enumerated_lengths):
-    assert _count_mismatches(enumerated_lengths) == []
-
-
 @pytest.mark.parametrize("variant", ["repetition", "colored"])
 def test_list_size_counts_the_entries_enumeration_builds(variant):
     # every row of a split has one length, so the entries follow from the counts
@@ -372,14 +348,6 @@ def test_list_size_counts_the_entries_enumeration_builds(variant):
                 entries = sum(len(a.top) + len(a.bottom) for a in arrays)
                 assert frobenius._list_size(variant, k, alpha, n) == (len(arrays), entries), \
                     (k, alpha, n)
-
-
-def test_colored_counts_match_theta_route_at_k6():
-    # far too many arrays, and colored rows, to build at k=6; the counts
-    # weight the repetition rows
-    for alpha, top in ((-2, 12), (0, 20)):
-        counts = [count_cphi(6, alpha, n) for n in range(top + 1)]
-        assert counts == list(cphi_theta_series(6, alpha, top).coeffs), alpha
 
 
 def test_count_cphi_builds_no_colored_row(monkeypatch):
@@ -444,27 +412,6 @@ def test_bivar_window_edges():
             assert not any(bivar_coefficient_series(variant, 2, alpha, order).coeffs)
 
 
-def _oracle_mismatches(variant, k):
-    # route 2 against the counts to weight 12, and against the number of
-    # arrays route 1 builds to weight 6
-    count = count_phi if variant == "repetition" else count_cphi
-    mismatches = []
-    for alpha in range(-2, 3):
-        series = bivar_coefficient_series(variant, k, alpha, 12)
-        for n in range(13):
-            if series.coeffs[n] != count(k, alpha, n):
-                mismatches.append(("count", alpha, n))
-            if n <= 6 and series.coeffs[n] != len(enumerate_arrays(variant, k, alpha, n)):
-                mismatches.append(("enumerate", alpha, n))
-    return mismatches
-
-
-@pytest.mark.parametrize("variant", ["repetition", "colored"])
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_oracle_agrees_with_bivariate(variant, k):
-    assert _oracle_mismatches(variant, k) == []
-
-
 def test_route_two_reads_no_row_bound_of_route_one(monkeypatch):
     # route 1 overstating the least entry sum of a row longer than 2 skips
     # splits that do hold arrays; the route that checks it must not move
@@ -476,7 +423,8 @@ def test_route_two_reads_no_row_bound_of_route_one(monkeypatch):
     plant(monkeypatch, "frobenius._min_row_sum", "+ rem * full", "+ rem * full + (length > 2)")
     assert route_two() == expected
     for variant in VARIANTS:
-        assert [m for m in _oracle_mismatches(variant, 2) if m[0] == "count"]
+        assert any(disagreements(variant, 2, alpha, {"count": 12, "bivar": 12})
+                   for alpha in range(-2, 3))
 
 
 def _plant_row(monkeypatch, name):
@@ -491,9 +439,9 @@ def test_oracle_catches_colored_rows_missing_a_run(monkeypatch, k):
     # only enumeration builds colored rows: the oracle sees the run go
     # missing, and the counts do not move
     _plant_row(monkeypatch, "colored rows miss the lone zero of color 1")
-    mismatches = _oracle_mismatches("colored", k)
-    assert ("enumerate", -1, 0) in mismatches
-    assert not [m for m in mismatches if m[0] == "count"]
+    assert ("enum", "bivar", 0) in disagreements("colored", k, -1, {"enum": 6, "bivar": 6})
+    assert not any(disagreements("colored", k, alpha, {"count": 12, "bivar": 12})
+                   for alpha in range(-2, 3))
 
 
 def _uncut_product(variant, k, order):

@@ -16,7 +16,8 @@ A row is (name, target, old, new, check, caught):
     (`cli.main` exits `code`, and JSON line i of stdout holds the fields of
     lines[i]) or `raises(type, **attributes)`.
 
-A check over several cases uses `any` when every case must catch the bug.
+A check that two routes agree calls `test_routes.disagreements`.  A check
+over several cases uses `any` when every case must catch the bug.
 A row that stops catching its bug fails: never delete or relax one to make
 it pass.  A new fast path adds its row here.  Other tests plant a bug with
 `plant` when they assert more than that it is caught.
@@ -37,6 +38,7 @@ import pytest
 
 from frobq import VARIANTS, cli, frobenius, qseries, theorems
 from frobq.exactring import CycInt
+from test_routes import crossings, disagreements
 from test_theorems import _box_histogram, _walk_histogram
 
 
@@ -111,28 +113,15 @@ def _all_ones(order):
     return qseries.TruncSeries(qseries.ZZ, [1] * (order + 1))
 
 
-def _counts(variant, k, alpha, order):
-    count = frobenius.count_phi if variant == "repetition" else frobenius.count_cphi
-    return tuple(count(k, alpha, n) for n in range(order + 1))
-
-
 def _route_two(order):
     # route 2 against route 1's counts, k 1-3, alpha -4..2, both variants
-    return all(frobenius.bivar_coefficient_series(variant, k, alpha, order).coeffs
-               == _counts(variant, k, alpha, order)
-               for variant in VARIANTS for k in (1, 2, 3) for alpha in range(-4, 3))
+    return not any(disagreements(variant, k, alpha, {"bivar": order, "count": order})
+                   for variant in VARIANTS for k in (1, 2, 3) for alpha in range(-4, 3))
 
 
 def _psi2_equals_phi2m1():
     # the one check that divides by (1 + q^e), at a size that packs
-    return theorems.psi2_product(1200) == theorems.phi2m1_product(1200)
-
-
-def _theta_equals_route_two(k, alpha):
-    def check():
-        return (theorems.phi_theta_series(k, alpha, 20)
-                == frobenius.bivar_coefficient_series("repetition", k, alpha, 20))
-    return check
+    return not disagreements("repetition", 2, -1, {"psi2": 1200, "phi2m1": 1200})
 
 
 ZETA_PLUS_ONE = ("theorems._lattice_table", "e = k * alpha + shift", "e = k * alpha + shift + 1")
@@ -166,31 +155,37 @@ ROWS = [
         ["identities", "--N", "30"],
         exits(1, *[{"status": "pass"}] * 3, {"status": "fail", "name": "psi2"},
               *[{"status": "pass"}] * 2, {"failures": 1})),
+    Row("identities sees a wrong euler cube", "cli._euler_cube", '"-,1,0,3"', '"-,1,0,2"',
+        ["identities", "--N", "30"],
+        exits(1, {"status": "fail", "name": "euler_cube"}, *[{"status": "pass"}] * 5,
+              {"failures": 1})),
     Row("cor1 sees a wrong product side", "theorems.phi2m1_product", None, _all_ones,
         ["verify", "--target", "cor1", "--N", "10"],
         exits(1, {"status": "fail", "first_divergence": 1})),
 
+    # the routes share no code
+    Row("route 3 names the product DSL", "theorems.cphi_theta_series",
+        "_divide_by_euler(coeffs, k)", "_divide_by_euler(coeffs, k); product_from_spec",
+        lambda: not crossings(), False),
+
     # route 1, against route 3 or the arrays it builds
     Row("counts skip the split with an empty bottom sum", "frobenius._row_pairs",
         "if bottoms:", "if bottoms and n2:",
-        lambda: (frobenius.count_phi(2, -1, 0) == theorems.phi_theta_series(2, -1, 0).coeffs[0]
-                 or frobenius.count_cphi(3, 1, 5)
-                 == theorems.cphi_theta_series(3, 1, 5).coeffs[5]), False),
+        lambda: (not disagreements("repetition", 2, -1, {"count": 0, "theta": 0})
+                 or not disagreements("colored", 3, 1, {"count": 5, "theta": 5})), False),
     Row("colored counts weigh every coloring one", "frobenius._colored_count",
         "prod(comb(k, len(list(g))) for _, g in itertools.groupby(row))", "1",
-        lambda: (frobenius.count_cphi(2, -1, 0)
-                 == len(frobenius.enumerate_arrays("colored", 2, -1, 0))), False),
+        lambda: not disagreements("colored", 2, -1, {"count": 0, "enum": 0}), False),
     Row("colored rows miss the lone zero of color 1", "frobenius._colored_rows",
         "choices.append(runs[key])", "choices.append([c for c in runs[key] if c != ((0, 1),)])",
-        lambda: any(len(frobenius.enumerate_arrays("colored", k, -1, 0))
-                    == frobenius.bivar_coefficient_series("colored", k, -1, 0).coeffs[0]
+        lambda: any(not disagreements("colored", k, -1, {"enum": 0, "bivar": 0})
                     for k in (1, 3)), False),
 
     # route 2, against route 1's counts
     Row("route 2 cuts at lam + 3", "frobenius.bivar_coefficient_series",
         "acc.truncate(alpha, lam + 2)", "acc.truncate(alpha, lam + 3)",
-        lambda: any(frobenius.bivar_coefficient_series(variant, 2, -1, 10).coeffs
-                    == _counts(variant, 2, -1, 10) for variant in VARIANTS), False),
+        lambda: any(not disagreements(variant, 2, -1, {"bivar": 10, "count": 10})
+                    for variant in VARIANTS), False),
     Row("route 2 starts one row short at the top", "frobenius.bivar_coefficient_series",
         "min(k, order - alpha)", "min(k, order - alpha) - 1", lambda: _route_two(12), False),
     Row("route 2 starts one row short at the bottom", "frobenius.bivar_coefficient_series",
@@ -217,21 +212,22 @@ ROWS = [
         lambda: any(_walk_histogram(*case) == _box_histogram(*case)
                     for case in ((2, -1, 7), (3, 0, 7), (4, 2, 20))), False),
     Row("zeta + 1 at k=2, alpha=-1 shows at q^0", *ZETA_PLUS_ONE,
-        lambda: theorems.phi_theta_series(2, -1, 10) == theorems.phi2m1_product(10),
+        lambda: not disagreements("repetition", 2, -1, {"theta": 10, "phi2m1": 10}),
         raises(theorems.NonIntegralCoefficientError, index=0, value=CycInt(3, [0, 1]))),
     *(Row(f"zeta + 1 at k={k}, alpha={alpha} shows at q^{index}", *ZETA_PLUS_ONE,
-          _theta_equals_route_two(k, alpha),
+          lambda k=k, alpha=alpha: not disagreements("repetition", k, alpha,
+                                                      {"theta": 20, "bivar": 20}),
           raises(theorems.NonIntegralCoefficientError, index=index, value=value))
       for k, alpha, index, value in ((2, 5, 9, CycInt(3, [0, 1])),
                                      (4, 5, 6, CycInt(5, [0, 1, 0, 0])),
                                      (3, -6, 3, CycInt(4, [0, 1])))),
     Row("width-1 walk writes at q * (k + 1)", "theorems._lattice_table",
         "table[q * width + (e - m) % width]", "table[q * (k + 1) + (e - m) % width]",
-        lambda: theorems.cphi_theta_series(3, 0, 20).coeffs == _counts("colored", 3, 0, 20),
+        lambda: not disagreements("colored", 3, 0, {"theta": 20, "count": 20}),
         raises(IndexError)),
     Row("pentagonal division with a wrong sign", "theorems._divide_by_euler",
         "acc -= coeffs[n - g]", "acc += coeffs[n - g]",
-        lambda: theorems.cphi_theta_series(2, -1, 50) == theorems.cphi2m1_product(50), False),
+        lambda: not disagreements("colored", 2, -1, {"theta": 50, "cphi2m1": 50}), False),
 
     # route 4, the product DSL
     # (1 + q^e) and (1 - q^e) netted together, under the first sign seen
@@ -239,13 +235,13 @@ ROWS = [
         "net[f.sign, e] = net.get((f.sign, e), 0) + f.exponent",
         "sign = -f.sign if (-f.sign, e) in net else f.sign; "
         "net[sign, e] = net.get((sign, e), 0) + f.exponent",
-        lambda: theorems.cphi2m1_product(100) == theorems.cphi_theta_series(2, -1, 100), False),
+        lambda: not disagreements("colored", 2, -1, {"cphi2m1": 100, "theta": 100}), False),
     Row("block division reads its source one slot late", "qseries._apply_binomial",
         "coeffs[i - e:i]", "coeffs[i - e + 1:i + 1]",
-        lambda: theorems.phi2m1_product(100) == theorems.phi_theta_series(2, -1, 100), False),
+        lambda: not disagreements("repetition", 2, -1, {"phi2m1": 100, "theta": 100}), False),
     Row("packed digits not written back", "qseries._expand_run",
         "digits = packed.digits()", "packed.digits()",
-        lambda: theorems.cphi2m1_product(1200) == theorems.cphi_theta_series(2, -1, 1200), False),
+        lambda: not disagreements("colored", 2, -1, {"cphi2m1": 1200, "theta": 1200}), False),
     Row("deferred list passes dropped", "qseries._expand_run",
         "rest.append((sign, s, times))", "pass", _psi2_equals_phi2m1, False),
     Row("packed slots widen by zero bytes", "_packed.Packed._step",
