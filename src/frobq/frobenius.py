@@ -27,11 +27,11 @@ import gc
 import itertools
 from collections import deque
 from math import comb, prod
-from operator import index, itemgetter
+from operator import index, itemgetter, or_
 
 from . import VARIANTS
 from ._value import FrozenValue
-from .qseries import ZZ, BivarSeries, TruncSeries
+from .qseries import ZZ, TruncSeries
 
 # Exhaustive enumeration is the oracle, not a production path; keep it honest.
 MAX_ENUM_WEIGHT = 30
@@ -46,14 +46,14 @@ MAX_ENUM_ARRAYS = 10_000_000
 # k=1000, n=30, a longest row of 60/100/200/400/500 entries peaked at
 # 86/152/314/637/798 MiB (0.2-2.0 s): the limit is about the 650 MiB above.
 MAX_ENUM_ROW = 400
-# The most slice entries route 2 makes, counted by `bivar_work` and, when
-# colored, weighted by the machine words of the largest starting weight
-# C(k, j).  On the same guest a counted entry took 22-65 ns with k <= 100,
-# and the largest accepted orders took 3.6-7.9 s: repetition k=2, N=2169 in
-# 3.6 s, colored k=2, N=2169 in 6.4 s, colored k=4, N=1613 in 7.9 s and
-# colored k=100 (two-word weights), alpha=-50, N=362 in 5.0 s.  C(k, j)
+# The most slots route 2's term updates cover, counted by `bivar_work` and,
+# when colored, weighted by the machine words of the largest starting weight
+# C(k, j).  On the same guest a counted slot took 13-28 ns with k <= 100,
+# and the largest accepted orders took 1.9-4.2 s: repetition k=2, N=2169 in
+# 1.9 s, colored k=2, N=2169 in 2.4 s, colored k=4, N=1613 in 2.4 s and
+# colored k=100 (two-word weights), alpha=-50, N=362 in 4.2 s.  C(k, j)
 # itself costs about w^2 word steps for w words: C(10^5, 50000), 1563
-# words, took 0.15 s.  Colored k=10^5, alpha=-50000 takes 0.18 s at N=10
+# words, took 0.15 s.  Colored k=10^5, alpha=-50000 takes 0.22 s at N=10
 # (accepted), one such `comb` and running products from it; N=30 is refused.
 MAX_BIVAR_WORK = 150_000_000
 
@@ -292,15 +292,18 @@ def _list_size(variant: str, k: int, alpha: int, n: int) -> tuple[int, int]:
 
 
 def bivar_work(k: int, order: int) -> int:
-    """Slice entries `bivar_coefficient_series` makes, at most.
+    """Slots the term updates of `bivar_coefficient_series` cover, at most:
+    an update of a target row of live length m by a term q^dq covers its
+    last m - dq slots.
 
     Step L reads rows cut by cost_(L-1), so rows with |z - alpha| <= D =
     order // (L+1), which hold at most (2D+1)(order+1) - (L+1)D(D+1)
     coefficients, and each of its two factors has min(k, D) terms.  The
-    starting rows and the rows a sweep creates are uncut, but on every
-    input tried the count was 1.6-3.6 times the most entries an alpha made.
-    The sum stops once it passes MAX_BIVAR_WORK, so a huge order is refused
-    at once.  It counts entries, not words: see `_weight_words`.
+    starting rows and the rows a sweep creates are uncut, but on the grid
+    of the tests (k up to 30, orders up to 24) the count was 1.6-3.1 times
+    the most slots the updates of one alpha covered.  The sum stops once it
+    passes MAX_BIVAR_WORK, so a huge order is refused at once.  It counts
+    slots, not words: see `_weight_words`.
     """
     total = 0
     for lam in range(order + 1):
@@ -325,14 +328,135 @@ def _binomials(k: int, first: int, last: int, start: int) -> list:
                                      lambda c, j: c * (k - j + 1) // j, initial=start))
 
 
+class _PackedRows:
+    """Route 2's working series in z and q, truncated at q^order, its
+    z-exponents clipped to the window [zmin, zmax].
+
+    Row z is one nonnegative int of slots of B = 8 * nbytes bits, slot e
+    holding the coefficient of z^z q^e (Kronecker substitution: q becomes
+    2^B), and `lengths[z]` is its live length, the slots it keeps.  Every
+    entry is a count, so no slot needs a sign, and while no entry reaches
+    2^B a sum of rows or a row times a count is exact slot by slot: a term
+    of a factor is one multiply, shift, mask and add of a whole row.  `fit`
+    keeps that true, and missing rows are zero.
+    """
+
+    __slots__ = ("order", "zmin", "zmax", "rows", "lengths", "nbytes")
+
+    def __init__(self, order: int, zmin: int, zmax: int, starts):
+        # starts: (z, w) pairs, the rows w z^z q^0; those outside the window are dropped
+        self.order, self.zmin, self.zmax = order, zmin, zmax
+        self.rows = {z: w for z, w in starts if zmin <= z <= zmax}
+        self.lengths = dict.fromkeys(self.rows, order + 1)
+        self.nbytes = max(1, (max(self.rows.values(), default=0).bit_length() + 7) // 8)
+
+    def fit(self, weight: int) -> None:
+        """Make room for one step: two factors 1 + sum w z^dz q^dq whose
+        weights w sum to `weight` each.
+
+        A factor multiplies the largest entry by at most 1 + weight, so the
+        step by at most (1 + weight)^2 < 2^h, h = 2 * bit_length(1 + weight).
+        The entries are nonnegative, so one OR of the rows shows whether any
+        sets a bit among its slot's top h bits.  If none does, every entry
+        is below 2^(B - h) and stays below 2^B through the step.  If one
+        does, every entry is still below 2^B, so slots at least h bits wider
+        pass the test.  There are no floats and no rule for the width.
+        """
+        h = 2 * (1 + weight).bit_length()
+        bits = 8 * self.nbytes
+        # a slot of h bits or fewer has room only for zeros: every set bit counts
+        head = -1
+        if bits > h:
+            ones = int.from_bytes((b"\1" + bytes(self.nbytes - 1)) * (self.order + 1), "little")
+            head = (ones << (bits - h)) * ((1 << h) - 1)
+        if functools.reduce(or_, self.rows.values(), 0) & head:
+            self._widen(self.nbytes + (h + 7) // 8 + self.nbytes // 4)
+
+    def _widen(self, nbytes: int) -> None:
+        # move each row's bytes into slots of `nbytes`, whose new high bytes
+        # stay zero: column by column, or slot by slot if the slots are fewer
+        nb = self.nbytes
+        for z, y in self.rows.items():
+            n = self.lengths[z]
+            old, data = y.to_bytes(n * nb, "little"), bytearray(n * nbytes)
+            if n < nb:
+                for i in range(n):
+                    data[i * nbytes:i * nbytes + nb] = old[i * nb:i * nb + nb]
+            else:
+                for j in range(nb):
+                    data[j::nbytes] = old[j::nb]
+            self.rows[z] = int.from_bytes(data, "little")
+        self.nbytes = nbytes
+
+    def sweep(self, factor, descending: bool) -> None:
+        """Multiply in place by 1 + sum c z^dz q^dq over (dz, dq, c) in
+        `factor`, every dz > 0 when `descending` and < 0 otherwise.
+
+        The sources are visited by z descending when dz > 0 and ascending
+        when dz < 0, so each row is read before anything is added into it:
+        its targets z + dz come before it.  A term adds source * c,
+        shifted dq slots, into the target's live slots: the mask cuts only a
+        source that reaches past them.  A row keeps its length, and a row
+        the sweep creates has order + 1 slots.
+        """
+        rows, lengths, n, bits = self.rows, self.lengths, self.order + 1, 8 * self.nbytes
+        zmin, zmax = self.zmin, self.zmax
+        for z in sorted(rows, reverse=descending):
+            source = rows[z]
+            if not source:
+                continue
+            reach = lengths[z]
+            for dz, dq, c in factor:
+                target = z + dz
+                if not zmin <= target <= zmax:
+                    continue
+                live = lengths.get(target, n)
+                if dq >= live:
+                    continue
+                y = (source * c) << dq * bits
+                if reach + dq > live:
+                    y &= (1 << live * bits) - 1
+                if target in rows:
+                    rows[target] += y
+                else:
+                    rows[target], lengths[target] = y, n
+
+    def cut(self, center: int, cost: int) -> None:
+        """Cut every row z to its first order + 1 - |z - center| * cost
+        slots and drop the rows that keep none; shrink the window to
+        [center - order // cost, center + order // cost] within it, unless
+        the two do not meet."""
+        rows, lengths, bits = self.rows, self.lengths, 8 * self.nbytes
+        for z in list(rows):
+            keep = self.order + 1 - abs(z - center) * cost
+            if keep <= 0:
+                del rows[z], lengths[z]
+            elif keep < lengths[z]:
+                rows[z] &= (1 << keep * bits) - 1
+                lengths[z] = keep
+        reach = self.order // cost
+        zmin, zmax = max(self.zmin, center - reach), min(self.zmax, center + reach)
+        if zmin <= zmax:
+            self.zmin, self.zmax = zmin, zmax
+
+    def coefficients(self, z: int) -> list:
+        """Row z's order + 1 slots as ints."""
+        nb = self.nbytes
+        data = self.rows.get(z, 0).to_bytes((self.order + 1) * nb, "little")
+        return [int.from_bytes(data[i:i + nb], "little") for i in range(0, len(data), nb)]
+
+
 def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> TruncSeries:
     """Coefficient of z^alpha in the variant's two-variable product, as a q-series.
 
     The lam = 0 bottom factor sum_j w_j z^-j (w_j = 1, or C(k, j) when
     colored) costs nothing in q, so it is applied first, as the starting
     rows.  Step lam then applies the top factor of lam and the bottom factor
-    of lam + 1, whose terms are z^(+-j) q^(j(lam+1)), one `apply_factor`
-    each; a term with j(lam+1) > order passes q^order and is left out.
+    of lam + 1, whose terms are z^(+-j) q^(j(lam+1)), one
+    `_PackedRows.sweep` each; a term with j(lam+1) > order passes q^order
+    and is left out.  The rows are packed ints, every entry a count, and
+    `_PackedRows.fit` widens their slots before a step that could fill
+    one, so each term is a shift and an add of a row.
     Every factor after the first costs at least 1 a unit of z, so only rows
     in [alpha - order, alpha + order] can reach z^alpha: that is the
     window, and only the starting rows z^-j in it are built, at most
@@ -342,8 +466,8 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     after step L costs at least L + 2 a unit of z, so a term at (z, w) can
     end in z^alpha q^(<= order) only if w + cost_L(z) <= order, where
     cost_L(z) = |z - alpha| (L + 2).  After each step
-    `BivarSeries.truncate(alpha, L + 2)` cuts row z to its first
-    order + 1 - cost_L(z) coefficients, dropping it when none are left, and
+    `_PackedRows.cut(alpha, L + 2)` masks row z to its first
+    order + 1 - cost_L(z) slots, dropping it when none are left, and
     shrinks the window to the rows left.  Row alpha is never cut.
 
     The cut is exact: every kept coefficient is the true one.  cost_L is
@@ -388,11 +512,12 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     else:
         starts = _binomials(k, first, last, comb(k, first))
         weights = _binomials(k, 0, min(k, order), 1)[1:]
-    acc = BivarSeries.from_terms(order, alpha - order, alpha + order,
-                                 ((-j, 0, w) for j, w in enumerate(starts, first)))
+    acc = _PackedRows(order, alpha - order, alpha + order,
+                      ((-j, w) for j, w in enumerate(starts, first)))
     for lam in range(order + 1):
         reach = list(enumerate(weights[:order // (lam + 1)], 1))
+        acc.fit(sum(w for _, w in reach))
         for sign in (1, -1):
-            acc.apply_factor([(sign * j, j * (lam + 1), w) for j, w in reach])
-        acc.truncate(alpha, lam + 2)
-    return acc.z_slice(alpha)
+            acc.sweep([(sign * j, j * (lam + 1), w) for j, w in reach], sign > 0)
+        acc.cut(alpha, lam + 2)
+    return TruncSeries(ZZ, acc.coefficients(alpha), order)

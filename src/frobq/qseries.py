@@ -20,8 +20,9 @@ their own coefficient lists; this module provides:
     by pass on a coefficient list or on one packed int, and the Euler
     product (q;q) = prod (1 - q^n) as one such spec,
   * BivarSeries, a two-variable series over ZZ truncated in q and confined to
-    a window of z-exponents, expanded in place factor by factor and used to
-    slice out fixed-row-difference coefficients.
+    a window of z-exponents, expanded in place factor by factor: the
+    identity battery's Jacobi triple product, whose Euler-product row has
+    negative entries, and the tests' dense reference for route 2.
 
 Everything is pure and exact; there are no floats anywhere.
 """
@@ -523,19 +524,17 @@ class BivarSeries:
     whose z-exponent leaves [zmin, zmax].  Unlike TruncSeries this is a
     mutable working object: `apply_factor` multiplies it in place by a
     sparse factor whose terms all move z the same way, reading each source
-    row once, which is how the products in this package are expanded; `*`
+    row once, which is how `theorems.jacobi_triple` expands its product; `*`
     is the general product.  No q exponent is negative: `from_terms` and
     `apply_factor` refuse one.  Every exponent, coefficient, order and
-    window bound is an int: the constructor, `from_terms`, `apply_factor`
-    and `truncate` refuse anything else with TypeError.
+    window bound is an int: the constructor, `from_terms` and
+    `apply_factor` refuse anything else with TypeError.
 
-    A row may be shorter than order + 1: `truncate` cuts row z by
-    |z - center| * cost, for a caller that reads only some coefficients and
-    has shown that the ones cut cannot reach them.  `apply_factor` keeps
+    A row may be shorter than order + 1, for a caller that reads only some
+    coefficients and has cut the others off itself: `apply_factor` keeps
     every row's length, so a cut row holds only its live prefix.
     `theorems.jacobi_triple` never cuts: its window holds every term of every
-    partial product.  `bivar_coefficient_series` cuts after each pair of
-    factors, and its docstring proves that the prefixes it keeps are exact.
+    partial product.
     """
 
     __slots__ = ("order", "zmin", "zmax", "rows")
@@ -606,7 +605,7 @@ class BivarSeries:
         starting where the source row's first nonzero coefficient lands and
         ending at the end of the target or of the source, whichever comes
         first.  A row keeps its length; a row created by the sweep has
-        length order + 1.  So on cut rows (see `truncate`) the result's
+        length order + 1.  So on cut rows the result's
         row z is exact on its first min(len(row z), len(source) + dq)
         coefficients, the minimum over the terms (dz, dq, c) and their
         source rows z - dz.
@@ -621,8 +620,8 @@ class BivarSeries:
 
     def _sweep(self, factor, descending: bool) -> None:
         # apply_factor's row loop; `descending` must be the direction the
-        # invariant asks for (the planted-bug table's reversed-sweep row
-        # flips it to show that it matters)
+        # invariant asks for (the planted-bug table's "jtp sees a reversed
+        # BivarSeries sweep" row flips it to show that it matters)
         n, rows = self.order + 1, self.rows
         factor = [(dz, dq, c) for dz, dq, c in factor if dq < n and c]
         for z in sorted(rows, reverse=descending):
@@ -645,30 +644,6 @@ class BivarSeries:
                 if c != 1:
                     part = map(mul, part, repeat(c))
                 row[a:b] = map(add, row[a:b], part)
-
-    def truncate(self, center: int, cost: int) -> None:
-        """Cut every row z to its first order + 1 - |z - center| * cost
-        coefficients in place, cost >= 1, and drop the rows left empty.
-
-        The window shrinks to the rows that keep a coefficient, [center -
-        order // cost, center + order // cost] within it, so a sweep never
-        recreates a dropped row outside it; when the two do not meet, no row
-        is left and the window stays as it is.  A row already shorter than
-        its cut is left as it is.
-        """
-        center, cost = index(center), index(cost)
-        if cost < 1:
-            raise ValueError("cost must be >= 1")
-        for z in list(self.rows):
-            keep = self.order + 1 - abs(z - center) * cost
-            if keep > 0:
-                del self.rows[z][keep:]
-            else:
-                del self.rows[z]
-        reach = self.order // cost
-        zmin, zmax = max(self.zmin, center - reach), min(self.zmax, center + reach)
-        if zmin <= zmax:
-            self.zmin, self.zmax = zmin, zmax
 
     def z_slice(self, z: int) -> TruncSeries:
         """The coefficient of z^z as a plain series in q."""

@@ -74,7 +74,7 @@ def closed_form(E: int) -> Callable[[str], bool]:
 
 
 CPHI2M1 = "--spec=-,2,0,1; +,2,0,1; +,2,2,1; -,1,0,-2"
-BIVAR = "from frobq.frobenius import bivar_coefficient_series as f; f('colored', 4, -2, {})"
+BIVAR = "from frobq.frobenius import bivar_coefficient_series as f; f('colored', {}, {}, {})"
 ENUM = "from frobq.frobenius import enumerate_arrays as f; print(len(f('colored', 6, -3, {})))"
 
 ROWS = (
@@ -117,9 +117,14 @@ ROWS = (
         "lattice guard: box of 6436343 points"),
     Row("theorems.MAX_LATTICE_BOX", theorem(1, 6, 0, 73), 5, GIB, 2,
         "lattice guard: box of 6436343 points"),
-    Row("frobenius.MAX_BIVAR_WORK", call(BIVAR.format(1613)), 30, GIB, 0),
-    Row("frobenius.MAX_BIVAR_WORK", call(BIVAR.format(1614)), 5, GIB, 1,
+    Row("frobenius.MAX_BIVAR_WORK", call(BIVAR.format(4, -2, 1613)), 30, GIB, 0),
+    Row("frobenius.MAX_BIVAR_WORK", call(BIVAR.format(4, -2, 1614)), 5, GIB, 1,
         "ValueError: bivariate guard"),
+    # two-word starting weights C(100, j): 149,231,082 weighted slots; N =
+    # 363 counts 150,124,194
+    Row("frobenius.MAX_BIVAR_WORK", call(BIVAR.format(100, -50, 362)), 30, GIB, 0),
+    Row("frobenius.MAX_BIVAR_WORK", call(BIVAR.format(100, -50, 363)), 5, GIB, 1,
+        "ValueError: bivariate guard: 150124194 slice entries counted"),
     # 1,499,046 triples; N = maxA = 1732 makes 1,500,778
     Row("congruence.MAX_SCAN_TRIPLES", scan(1731), 30, GIB, 0),
     Row("congruence.MAX_SCAN_TRIPLES", scan(1732), 5, GIB, 2,

@@ -69,9 +69,6 @@ def test_verify_validates_inputs():
     pytest.param(lambda s: scan_congruences(s, 2.0, 3), TypeError, id="scan-max-step"),
     pytest.param(lambda s: scan_congruences(s, 2, 3, min_witnesses=1.5), TypeError,
                  id="scan-min-witnesses"),
-    pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0, 1.0), TypeError, id="truncate-cost"),
-    pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0.5, 1), TypeError,
-                 id="truncate-center"),
     # a float step passed the exponent check, a float coefficient the residue one
     pytest.param(lambda s: progression_exponent_check(5.0, 4, 5), TypeError,
                  id="exponent-check-step"),
@@ -96,10 +93,6 @@ def test_verify_validates_inputs():
                  id="enumerate-alpha"),
     pytest.param(lambda s: count_cphi(2, 0.0, 0), TypeError, id="count-cphi-alpha"),
     pytest.param(lambda s: count_phi(1, 100.0, 0), TypeError, id="count-phi-alpha"),
-    # cost 0 divided by zero, and a negative cost cut nothing
-    pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0, 0), ValueError, id="truncate-zero"),
-    pytest.param(lambda s: BivarSeries(4, -1, 1).truncate(0, -1), ValueError,
-                 id="truncate-negative"),
 ])
 def test_entry_points_refuse_malformed_numbers(call, error):
     with pytest.raises(error):

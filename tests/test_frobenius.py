@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from frobq import VARIANTS, frobenius, qseries
+from frobq import VARIANTS, frobenius
 from frobq.frobenius import (
     MAX_BIVAR_WORK,
     MAX_ENUM_ARRAYS,
@@ -474,6 +474,26 @@ def test_cut_expansion_matches_uncut_product(variant, k):
             assert list(series.coeffs) == expected, (variant, k, alpha, order)
 
 
+def test_packed_cut_matches_its_rule_row_by_row():
+    # row z keeps its first order + 1 - |z - center| cost slots, and the
+    # window becomes the span of the rows that keep one, or stays as it is
+    # when none does; a second cut with a smaller cost leaves the rows kept
+    # and their window as they are
+    for order, zmin, zmax, center, cost in itertools.product(
+            (0, 3, 8), (-6, -2, 0), (0, 3, 6), range(-12, 13, 3), range(1, 6)):
+        zs = range(zmin, zmax + 1)
+        acc = frobenius._PackedRows(order, zmin, zmax, ((z, 1) for z in zs))
+        assert acc.nbytes == 1
+        acc.rows.update(dict.fromkeys(zs, int.from_bytes(b"\1" * (order + 1), "little")))
+        live = {z: order + 1 - abs(z - center) * cost for z in zs}
+        alive = [z for z in zs if live[z] > 0]
+        for step in (cost, max(1, cost - 1))[:1 + bool(alive)]:
+            acc.cut(center, step)
+            assert acc.lengths == {z: live[z] for z in alive}
+            assert acc.rows == {z: int.from_bytes(b"\1" * live[z], "little") for z in alive}
+            assert (acc.zmin, acc.zmax) == ((alive[0], alive[-1]) if alive else (zmin, zmax))
+
+
 @pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
 def test_cut_bound_has_teeth(monkeypatch, variant, count):
     # charging one more unit of q per unit of z (cost lam + 3, not lam + 2)
@@ -593,14 +613,20 @@ def test_bivar_weights_are_running_products(monkeypatch):
 
 
 def test_bivar_work_bounds_the_entries_made(monkeypatch):
-    # every slice entry a sweep makes is one call of qseries.add
+    # a term (dz, dq, c) of a sweep updates the last len(target) - dq slots
+    # of its target row z + dz, from every nonzero source row z; a missing
+    # target is created with order + 1 slots
     made = [0]
+    sweep = frobenius._PackedRows.sweep
 
-    def counted(a, b):
-        made[0] += 1
-        return a + b
+    def counting_sweep(self, factor, descending):
+        n = self.order + 1
+        made[0] += sum(max(0, self.lengths.get(z + dz, n) - dq)
+                       for z, source in self.rows.items() if source
+                       for dz, dq, _ in factor if self.zmin <= z + dz <= self.zmax)
+        sweep(self, factor, descending)
 
-    monkeypatch.setattr(qseries, "add", counted)
+    monkeypatch.setattr(frobenius._PackedRows, "sweep", counting_sweep)
     for variant, k, order in itertools.product(VARIANTS, (1, 2, 3, 7, 30), (0, 1, 4, 13, 24)):
         most = 0
         for alpha in range(-k - order - 1, order + 2):

@@ -756,41 +756,6 @@ def test_short_source_keeps_the_target_length():
     assert series.rows == {0: [1] * 6, 1: [5, 7]}
 
 
-def test_truncate_cuts_drops_and_shrinks_the_window():
-    # row z keeps 5 - 2|z - 1| coefficients: rows -1..3 live, the window's
-    # other end stays at 3
-    series = _with_rows(4, -3, 3, {z: [1] * 5 for z in range(-3, 4)})
-    series.truncate(1, 2)
-    assert (series.zmin, series.zmax) == (-1, 3)
-    assert series.rows == {-1: [1], 0: [1] * 3, 1: [1] * 5, 2: [1] * 3, 3: [1]}
-    # a row already shorter than its cut is left as it is
-    series.truncate(1, 1)
-    assert series.rows == {-1: [1], 0: [1] * 3, 1: [1] * 5, 2: [1] * 3, 3: [1]}
-    # a center past the window: rows 1, 2 and 3 keep 1, 2 and 3 of theirs
-    # (row 3 has only 1), rows -1 and 0 none; the window is [1, 9] within
-    # [-1, 3]
-    series.truncate(5, 1)
-    assert (series.zmin, series.zmax) == (1, 3)
-    assert series.rows == {1: [1], 2: [1] * 2, 3: [1]}
-    # a center too far for any row: the rows go and the window stays
-    series.truncate(9, 2)
-    assert series.rows == {} and (series.zmin, series.zmax) == (1, 3)
-
-
-@settings(max_examples=200)
-@given(st.integers(0, 8), st.integers(-6, 0), st.integers(0, 6), st.integers(-12, 12),
-       st.integers(1, 5))
-def test_truncate_matches_its_rule_row_by_row(order, zmin, zmax, center, cost):
-    # the closed-form window is the span of the window's rows that keep a
-    # coefficient, or the old window when none does
-    series = _with_rows(order, zmin, zmax, {z: [1] * (order + 1) for z in range(zmin, zmax + 1)})
-    live = {z: order + 1 - abs(z - center) * cost for z in range(zmin, zmax + 1)}
-    alive = [z for z, keep in live.items() if keep > 0]
-    series.truncate(center, cost)
-    assert series.rows == {z: [1] * live[z] for z in alive}
-    assert (series.zmin, series.zmax) == ((alive[0], alive[-1]) if alive else (zmin, zmax))
-
-
 @st.composite
 def _chained_rows(draw):
     # rows 0 and dz, both with their first nonzero coefficient at index

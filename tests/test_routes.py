@@ -98,7 +98,7 @@ ROUTE_CODE = {
              "frobenius._row_pairs", "frobenius.enumerate_arrays", "frobenius.count_phi",
              "frobenius.count_cphi", "frobenius._list_size"),
     "bivar": ("frobenius.bivar_work", "frobenius._weight_words", "frobenius._binomials",
-              "frobenius.bivar_coefficient_series", "qseries.BivarSeries"),
+              "frobenius._PackedRows", "frobenius.bivar_coefficient_series"),
     "theta": ("theorems.quad_exponent", "theorems._choose2", "theorems._interval",
               "theorems._lattice_guard", "theorems._lattice_table",
               "theorems._pentagonal_exponents", "theorems._divide_by_euler",
@@ -117,7 +117,7 @@ CORE = ("_value.FrozenValue", "qseries.NotUnitError", "qseries.IntegerRing", "qs
 BATTERY = ("theorems.mod5_numerator_product", "theorems.mod5_numerator_theta",
            "theorems.mod5_numerator_signed", "theorems._triangular_root", "theorems._sparse_sum",
            "theorems.euler_cube", "theorems.jacobi_work", "theorems.jacobi_guard",
-           "theorems.jacobi_triple")
+           "theorems.jacobi_triple", "qseries.BivarSeries")
 
 
 def _look_up(name):

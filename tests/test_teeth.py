@@ -139,6 +139,9 @@ ROWS = [
         _JTP, exits(1, {"status": "fail", "z": 1, "first_divergence": 5})),
     # a wrong sign at q^5 first shows in the lowest row it reaches, z^-7
     # (reached at q^21 from z^0), at q^26
+    # a reversed sweep first shows in row z^-8, at q^29
+    Row("jtp sees a reversed BivarSeries sweep", *REVERSED_SWEEP, _JTP,
+        exits(1, {"status": "fail", "z": -8, "first_divergence": 29})),
     Row("jtp sees a flipped pentagonal sign", "theorems.jacobi_triple",
         "euler = euler_product(order).coeffs",
         "euler = [-c if e == 5 else c for e, c in enumerate(euler_product(order).coeffs)]",
@@ -167,6 +170,10 @@ ROWS = [
     Row("route 3 names the product DSL", "theorems.cphi_theta_series",
         "_divide_by_euler(coeffs, k)", "_divide_by_euler(coeffs, k); product_from_spec",
         lambda: not crossings(), False),
+    # route 2 packs its rows with its own kernel, not route 4's nor the battery's
+    *(Row(f"route 2 names {name}", "frobenius._PackedRows.sweep", "source = rows[z]",
+          f"source = rows[z]; from .{module} import {name}", lambda: not crossings(), False)
+      for module, name in (("_packed", "Packed"), ("qseries", "BivarSeries"))),
 
     # route 1, against route 3 or the arrays it builds
     Row("counts skip the split with an empty bottom sum", "frobenius._row_pairs",
@@ -183,7 +190,7 @@ ROWS = [
 
     # route 2, against route 1's counts
     Row("route 2 cuts at lam + 3", "frobenius.bivar_coefficient_series",
-        "acc.truncate(alpha, lam + 2)", "acc.truncate(alpha, lam + 3)",
+        "acc.cut(alpha, lam + 2)", "acc.cut(alpha, lam + 3)",
         lambda: any(not disagreements(variant, 2, -1, {"bivar": 10, "count": 10})
                     for variant in VARIANTS), False),
     Row("route 2 starts one row short at the top", "frobenius.bivar_coefficient_series",
@@ -200,7 +207,17 @@ ROWS = [
     Row("route 2 window's lower end one high", "frobenius.bivar_coefficient_series",
         "alpha - order, alpha + order,", "alpha - order + 1, alpha + order,",
         lambda: _route_two(2), False),
-    Row("route 2 sweeps the wrong way", *REVERSED_SWEEP, lambda: _route_two(2), False),
+    Row("route 2 sweeps the wrong way", "frobenius._PackedRows.sweep", "reverse=descending",
+        "reverse=not descending", lambda: _route_two(2), False),
+    Row("route 2 term mask one slot short", "frobenius._PackedRows.sweep",
+        "y &= (1 << live * bits) - 1", "y &= (1 << (live - 1) * bits) - 1",
+        lambda: _route_two(12), False),
+    # the largest entries sit in the top slots, so an overflow first carries
+    # past the end of row alpha
+    Row("route 2 range check never widens", "frobenius._PackedRows.fit",
+        "functools.reduce(or_, self.rows.values(), 0) & head",
+        "functools.reduce(or_, self.rows.values(), 0) & 0",
+        lambda: _route_two(12), raises(OverflowError)),
     Row("bivar_work one term short", "frobenius.bivar_work",
         "for lam in range(order + 1):", "for lam in range(1, order + 1):",
         lambda: frobenius.bivar_work(2, 2169) <= frobenius.MAX_BIVAR_WORK
