@@ -13,6 +13,7 @@ coefficient rings of the series layer (ZZ, ModRing) live in `qseries`.
 from __future__ import annotations
 
 import functools
+from operator import index
 
 from ._value import FrozenValue
 
@@ -42,7 +43,8 @@ def _poly_div_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ..
     return tuple(quot)
 
 
-@functools.lru_cache(maxsize=None)
+# typed, so that 3.0 misses the entry for 3 and is refused
+@functools.lru_cache(maxsize=None, typed=True)
 def cyclotomic_poly(order: int) -> tuple[int, ...]:
     """Dense coefficients, constant term first, of the cyclotomic polynomial.
 
@@ -54,6 +56,7 @@ def cyclotomic_poly(order: int) -> tuple[int, ...]:
     >>> cyclotomic_poly(3), cyclotomic_poly(4), cyclotomic_poly(6)
     ((1, 1, 1), (1, 0, 1), (1, -1, 1))
     """
+    order = index(order)
     if order < 1:
         raise ValueError("order must be >= 1")
     poly = (-1,) + (0,) * (order - 1) + (1,)
@@ -97,10 +100,11 @@ class CycInt(FrozenValue):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
+        order = index(order)
         if order < 1:
             raise ValueError("order must be >= 1")
         deg = len(cyclotomic_poly(order)) - 1
-        coeffs = tuple(coeffs)
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) > deg:
             raise ValueError(f"at most {deg} coordinates for order {order}")
         super().__init__(order, coeffs + (0,) * (deg - len(coeffs)))
@@ -158,6 +162,7 @@ def zeta_pow(order: int, e: int) -> CycInt:
     >>> zeta_pow(4, 2).as_int()
     -1
     """
+    order, e = index(order), index(e)
     if order < 1:
         raise ValueError("order must be >= 1")
     return CycInt(order, _power_basis_rows(order)[e % order])

@@ -20,9 +20,10 @@ their own coefficient lists; this module provides:
     by pass on a coefficient list or on one packed int, and the Euler
     product (q;q) = prod (1 - q^n) as one such spec,
   * BivarSeries, a two-variable series over ZZ truncated in q and confined to
-    a window of z-exponents, expanded in place factor by factor: the
-    identity battery's Jacobi triple product, whose Euler-product row has
-    negative entries, and the tests' dense reference for route 2.
+    a window of z-exponents, expanded in place by one factor 1 + z^dz q^dq
+    at a time for the identity battery's Jacobi triple product, whose
+    Euler-product row has negative entries; its general product `*` is
+    the tests' dense reference for route 2.
 
 Everything is pure and exact; there are no floats anywhere.
 """
@@ -519,22 +520,17 @@ class BivarSeries:
     """A series in z and q over ZZ, truncated at q^order, z-exponents clipped to a window.
 
     Rows are stored sparsely: `rows[z]` is the dense q-coefficient list for
-    z-exponent z; missing rows are zero, and multiplication creates a row only
-    when a nonzero term lands in it.  Multiplication drops any product term
-    whose z-exponent leaves [zmin, zmax].  Unlike TruncSeries this is a
-    mutable working object: `apply_factor` multiplies it in place by a
-    sparse factor whose terms all move z the same way, reading each source
-    row once, which is how `theorems.jacobi_triple` expands its product; `*`
-    is the general product.  No q exponent is negative: `from_terms` and
-    `apply_factor` refuse one.  Every exponent, coefficient, order and
-    window bound is an int: the constructor, `from_terms` and
-    `apply_factor` refuse anything else with TypeError.
-
-    A row may be shorter than order + 1, for a caller that reads only some
-    coefficients and has cut the others off itself: `apply_factor` keeps
-    every row's length, so a cut row holds only its live prefix.
-    `theorems.jacobi_triple` never cuts: its window holds every term of every
-    partial product.
+    z-exponent z, of length order + 1; missing rows are zero, and
+    multiplication creates a row only when a nonzero term lands in it.
+    Multiplication drops any product term whose z-exponent leaves
+    [zmin, zmax].  Unlike TruncSeries this is a mutable working object:
+    `apply_factor` multiplies it in place by one term's factor
+    1 + z^dz q^dq, reading each source row once, which is how
+    `theorems.jacobi_triple` expands its product; `*` is the general
+    product.  No q exponent is negative: `from_terms` and `apply_factor`
+    refuse one.  Every exponent, coefficient, order and window bound is an
+    int: the constructor, `from_terms` and `apply_factor` refuse anything
+    else with TypeError.
     """
 
     __slots__ = ("order", "zmin", "zmax", "rows")
@@ -587,63 +583,42 @@ class BivarSeries:
                         target[e1 + e2] += c1 * c2
         return out
 
-    def apply_factor(self, terms) -> None:
-        """Multiply in place by 1 + sum c * z^dz * q^dq over (dz, dq, c) in `terms`.
+    def apply_factor(self, dz: int, dq: int) -> None:
+        """Multiply in place by 1 + z^dz * q^dq.
 
-        Every dz, dq and c is an int, and every dq is >= 0.  Every dz must
-        be nonzero and all of one sign, so a term that is not three ints
-        raises TypeError, and a dz = 0 term, a mix of positive and negative
-        dz or a negative dq ValueError, before any row changes.
-        The result equals `self * factor` under the same window and
-        truncation rules, without allocating a series for the factor.
+        dz and dq are ints (TypeError otherwise); dz = 0 or dq < 0 raises
+        ValueError before any row changes.  The result equals `self * factor`
+        under the same window and truncation rules, without allocating a
+        series for the factor.
 
         Sweep-order invariant: every row is read as a source before it is
         written.  The sources are visited by z descending when dz > 0 and
-        ascending when dz < 0, and each adds into the rows z + dz, which
-        come before it in that order, so each row is read before anything
-        is added into it.  Each term is one slice update of the target row,
-        starting where the source row's first nonzero coefficient lands and
-        ending at the end of the target or of the source, whichever comes
-        first.  A row keeps its length; a row created by the sweep has
-        length order + 1.  So on cut rows the result's
-        row z is exact on its first min(len(row z), len(source) + dq)
-        coefficients, the minimum over the terms (dz, dq, c) and their
-        source rows z - dz.
+        ascending when dz < 0, and each adds into row z + dz, which comes
+        before it in that order, so each row is read before anything is
+        added into it.  Each source is one slice update of its target,
+        starting where the source's first nonzero coefficient lands.
         """
-        factor = [(index(dz), index(dq), index(c)) for dz, dq, c in terms]
-        signs = {(dz > 0) - (dz < 0) for dz, _, _ in factor}
-        if 0 in signs or len(signs) > 1:
-            raise ValueError("factor z-exponents must be nonzero and of one sign")
-        if any(dq < 0 for _, dq, _ in factor):
-            raise ValueError("factor q-exponents must be >= 0")
-        self._sweep(factor, descending=1 in signs)
+        dz, dq = index(dz), index(dq)
+        if dz == 0:
+            raise ValueError("factor z-exponent must be nonzero")
+        if dq < 0:
+            raise ValueError("factor q-exponent must be >= 0")
+        self._sweep(dz, dq)
 
-    def _sweep(self, factor, descending: bool) -> None:
-        # apply_factor's row loop; `descending` must be the direction the
-        # invariant asks for (the planted-bug table's "jtp sees a reversed
-        # BivarSeries sweep" row flips it to show that it matters)
+    def _sweep(self, dz: int, dq: int) -> None:
+        # apply_factor's row loop, in the order its invariant asks for
         n, rows = self.order + 1, self.rows
-        factor = [(dz, dq, c) for dz, dq, c in factor if dq < n and c]
-        for z in sorted(rows, reverse=descending):
-            source = rows[z]
-            lo = next(compress(count(), source), None)
-            if lo is None:
+        for z in sorted(rows, reverse=dz > 0):
+            if not self.zmin <= z + dz <= self.zmax:
                 continue
-            for dz, dq, c in factor:
-                if not self.zmin <= z + dz <= self.zmax:
-                    continue
-                row = rows.get(z + dz)
-                end = (n if row is None else len(row)) - dq
-                if lo >= end:
-                    continue
-                if row is None:
-                    row = rows[z + dz] = [0] * n
-                part = source[lo:end]
-                a = lo + dq
-                b = a + len(part)
-                if c != 1:
-                    part = map(mul, part, repeat(c))
-                row[a:b] = map(add, row[a:b], part)
+            source = rows[z]
+            lo = next(compress(count(), source), n)
+            if lo + dq >= n:
+                continue
+            row = rows.get(z + dz)
+            if row is None:
+                row = rows[z + dz] = [0] * n
+            row[lo + dq:] = map(add, row[lo + dq:], source[lo:n - dq])
 
     def z_slice(self, z: int) -> TruncSeries:
         """The coefficient of z^z as a plain series in q."""

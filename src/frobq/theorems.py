@@ -110,9 +110,7 @@ def _lattice_guard(k: int, alpha: int, order: int) -> bool:
     # on, 2^(k-1) alone exceeds the limit, and the box is named, not built.
     if k < 1:
         raise ValueError("k must be >= 1")
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    work = division_work(k, order)
+    work = division_work(k, order)  # refuses a negative order
     if work > MAX_DIVISION_WORK:
         raise ValueError(f"division guard: {work} coefficient updates exceed "
                          f"MAX_DIVISION_WORK={MAX_DIVISION_WORK}")
@@ -195,6 +193,8 @@ def division_work(k: int, order: int) -> int:
     g <= order; they sum to a^2(a+1)/2 and b(b+1)^2/2, so the count takes
     no time at any order.
     """
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     s = isqrt(24 * order + 1)
     a, b = (s + 1) // 6, (s - 1) // 6
     return k * ((a + b) * (order + 1) - a * a * (a + 1) // 2 - b * (b + 1) ** 2 // 2)
@@ -382,9 +382,9 @@ def jacobi_triple(order: int):
     euler = euler_product(order).coeffs
     product = BivarSeries.from_terms(order, zmin, zmax, ((0, e, c) for e, c in enumerate(euler)))
     for n in range(1, order + 2):
-        product.apply_factor([(-1, n - 1, 1)])
+        product.apply_factor(-1, n - 1)
         if n <= order:
-            product.apply_factor([(1, n, 1)])
+            product.apply_factor(1, n)
     theta = BivarSeries.from_terms(order, zmin, zmax,
                                    ((m, m * (m + 1) // 2, 1) for m in range(zmin, zmax + 1)))
     return product, theta

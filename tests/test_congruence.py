@@ -12,6 +12,7 @@ from frobq.congruence import (
     scan_congruences,
     verify_congruence,
 )
+from frobq.exactring import CycInt, cyclotomic_poly, zeta_pow
 from frobq.frobenius import bivar_coefficient_series, count_cphi, count_phi, enumerate_arrays
 from frobq.qseries import (
     ZZ,
@@ -82,8 +83,8 @@ def test_verify_validates_inputs():
     # route 2's kernel keyed a row 0.5, wrote floats, or failed deep inside
     pytest.param(lambda s: BivarSeries.from_terms(3, -1, 1, [(0.5, 0, 1)]), TypeError,
                  id="from-terms-z"),
-    pytest.param(lambda s: BivarSeries(3, -1, 1).apply_factor([(1, 1, 1.5)]), TypeError,
-                 id="apply-factor-coefficient"),
+    pytest.param(lambda s: BivarSeries(3, -1, 1).apply_factor(1, 1.5), TypeError,
+                 id="apply-factor-q-exponent"),
     pytest.param(lambda s: BivarSeries(3.0, -1, 1), TypeError, id="bivar-order"),
     pytest.param(lambda s: bivar_coefficient_series("colored", 2.5, -1, 5), TypeError,
                  id="bivar-k"),
@@ -93,6 +94,13 @@ def test_verify_validates_inputs():
                  id="enumerate-alpha"),
     pytest.param(lambda s: count_cphi(2, 0.0, 0), TypeError, id="count-cphi-alpha"),
     pytest.param(lambda s: count_phi(1, 100.0, 0), TypeError, id="count-phi-alpha"),
+    # a coordinate 1.5 came back from as_int; a float order or exponent
+    # failed on a sequence repeat
+    pytest.param(lambda s: CycInt(3, [1.5]), TypeError, id="cycint-coordinate"),
+    pytest.param(lambda s: CycInt(3.0, [1]), TypeError, id="cycint-order"),
+    pytest.param(lambda s: zeta_pow(3.0, 1), TypeError, id="zeta-pow-order"),
+    pytest.param(lambda s: zeta_pow(3, 1.0), TypeError, id="zeta-pow-exponent"),
+    pytest.param(lambda s: cyclotomic_poly(3.0), TypeError, id="cyclotomic-order"),
 ])
 def test_entry_points_refuse_malformed_numbers(call, error):
     with pytest.raises(error):
@@ -103,6 +111,8 @@ def test_a_bool_order_is_read_as_the_int_one():
     # the series kept N=True
     series = product_from_spec(parse_product_spec("-,1,0,-1"), True)
     assert type(series.order) is int and series.order == 1
+    # a cyclotomic integer kept order=True
+    assert type(CycInt(True, [1]).order) is int and CycInt(True, [1]).order == 1
 
 
 @pytest.mark.parametrize("order", [0, 3])

@@ -447,13 +447,15 @@ def test_oracle_catches_colored_rows_missing_a_run(monkeypatch, k):
 def _uncut_product(variant, k, order):
     # the whole product, no row ever cut: a top row fits at most `order`
     # entries and a bottom row at most order + k (k zero entries cost
-    # nothing), so the window [-order - k, order] clips nothing
+    # nothing), so the window [-order - k, order] clips nothing; each factor
+    # is a series of its own, whose window [-k, k] holds its terms
     acc = BivarSeries.from_terms(order, -order - k, order, [(0, 0, 1)])
     for lam in range(order + 1):
         for sign, shift in ((1, 1), (-1, 0)):
-            acc.apply_factor([(sign * j, j * (lam + shift),
-                               1 if variant == "repetition" else math.comb(k, j))
-                              for j in range(1, k + 1)])
+            terms = [(sign * j, j * (lam + shift),
+                      1 if variant == "repetition" else math.comb(k, j))
+                     for j in range(1, k + 1)]
+            acc *= BivarSeries.from_terms(order, -k, k, [(0, 0, 1), *terms])
     return acc
 
 

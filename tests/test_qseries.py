@@ -36,6 +36,7 @@ from frobq.theorems import (
     MAX_JACOBI_WORK,
     PHI2M1_SPEC_TEXT,
     PSI2_SPEC_TEXT,
+    division_work,
     euler_cube,
     jacobi_guard,
     jacobi_triple,
@@ -685,36 +686,28 @@ def _rows(draw, order, zs, first=None):
 
 
 def _with_rows(order, zmin, zmax, rows):
-    # a series holding `rows` as given, cut rows included
+    # a series holding `rows` as given
     series = BivarSeries(order, zmin, zmax)
     series.rows.update(rows)
     return series
 
 
 @st.composite
-def _bivar_and_factor(draw):
-    # a series, a factor, and a live length per row: the full order + 1,
-    # or for about half the cases a drawn cut, so that sources shorter and
-    # longer than their targets both occur
+def _bivar_and_term(draw):
+    # a series and one factor term z^dz q^dq, dq past the truncation included
     order = draw(st.integers(0, 10))
     zmin, zmax = draw(st.integers(-4, 0)), draw(st.integers(0, 4))
     zs = draw(st.lists(st.integers(zmin, zmax), unique=True, max_size=zmax - zmin + 1))
     rows = _rows(draw, order, zs)
-    dz = draw(st.sampled_from([st.integers(1, 3), st.integers(-3, -1)]))
-    terms = []
-    for _ in range(draw(st.integers(1, 4))):
-        terms.append((draw(dz), draw(st.integers(0, max(order, 1))), draw(st.integers(-3, 3))))
-    cut = draw(st.booleans())
-    live = {z: draw(st.integers(1, order + 1)) if cut else order + 1 for z in rows}
-    return _with_rows(order, zmin, zmax, rows), terms, live
+    dz = draw(st.sampled_from([1, 2, 3, -1, -2, -3]))
+    return _with_rows(order, zmin, zmax, rows), (dz, draw(st.integers(0, max(order, 1))))
 
 
-def _factor_reference(series, terms):
+def _factor_reference(series, dz, dq):
     # the general product with the factor as a series; its own window holds
-    # every term, so only the product's window clips
-    lo = min(0, *(dz for dz, _, _ in terms))
-    hi = max(0, *(dz for dz, _, _ in terms))
-    factor = BivarSeries.from_terms(series.order, lo, hi, [(0, 0, 1), *terms])
+    # both terms, so only the product's window clips
+    factor = BivarSeries.from_terms(series.order, min(0, dz), max(0, dz),
+                                    [(0, 0, 1), (dz, dq, 1)])
     return series * factor
 
 
@@ -724,79 +717,56 @@ def _copy(series):
 
 
 @settings(max_examples=300)
-@given(_bivar_and_factor())
+@given(_bivar_and_term())
 def test_apply_factor_matches_general_product(case):
-    # on cut rows, row z of the result must keep its length and match the
-    # uncut product on the prefix that every source it reads covers
-    series, terms, live = case
-    reference = _factor_reference(series, terms)
-    n = series.order + 1
-    for z, length in live.items():
-        del series.rows[z][length:]
-    series.apply_factor(terms)
-    for z, row in series.rows.items():
-        exact = min([live.get(z, n)] + [live[z - dz] + dq for dz, dq, _ in terms
-                                        if z - dz in live])
-        assert len(row) == live.get(z, n)
-        assert row[:exact] == reference.rows.get(z, [0] * n)[:exact]
-    if all(length == n for length in live.values()):
-        assert series == reference
+    series, (dz, dq) = case
+    reference = _factor_reference(series, dz, dq)
+    series.apply_factor(dz, dq)
+    assert series == reference
     assert set(series.rows) <= set(range(series.zmin, series.zmax + 1))
-
-
-def test_short_source_keeps_the_target_length():
-    # row 0 is cut to 3 coefficients and feeds row 1 through z q: the
-    # update covers q^1..q^3 and leaves q^4, q^5 of row 1 as they were
-    series = _with_rows(5, 0, 1, {0: [1, 2, 3], 1: [1, 1, 1, 1, 1, 1]})
-    series.apply_factor([(1, 1, 1)])
-    assert series.rows == {0: [1, 2, 3], 1: [1, 2, 3, 4, 1, 1]}
-    # a short target takes only its own prefix of a long source
-    series = _with_rows(5, 0, 1, {0: [1, 1, 1, 1, 1, 1], 1: [5, 5]})
-    series.apply_factor([(1, 1, 2)])
-    assert series.rows == {0: [1] * 6, 1: [5, 7]}
+    assert all(len(row) == series.order + 1 for row in series.rows.values())
 
 
 @st.composite
 def _chained_rows(draw):
     # rows 0 and dz, both with their first nonzero coefficient at index
-    # `first`, and one term c z^dz q^dq whose square lands in the window:
-    # a sweep that updates row dz before reading it adds c^2 z^2dz q^2dq
-    # times row 0, nonzero at index first + 2dq
+    # `first`, and one term z^dz q^dq whose square lands in the window: a
+    # sweep that updates row dz before reading it adds z^2dz q^2dq times
+    # row 0, nonzero at index first + 2dq
     dz = draw(st.sampled_from([1, 2, -1, -2]))
     dq = draw(st.integers(0, 3))
     order = draw(st.integers(2 * dq, 10))
     first = draw(st.integers(0, order - 2 * dq))
     rows = _rows(draw, order, (0, dz), first)
-    c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
-    return _with_rows(order, -4, 4, rows), (dz, dq, c)
+    return _with_rows(order, -4, 4, rows), (dz, dq)
 
 
 @settings(max_examples=100)
 @given(_chained_rows())
 def test_apply_factor_property_rejects_wrong_sweep(case):
-    series, (dz, dq, c) = case
-    reference = _factor_reference(series, [(dz, dq, c)])
+    series, (dz, dq) = case
+    reference = _factor_reference(series, dz, dq)
     right, wrong = _copy(series), _copy(series)
-    right._sweep([(dz, dq, c)], descending=dz > 0)
-    edited(*REVERSED_SWEEP)(wrong, [(dz, dq, c)], descending=dz > 0)
+    right._sweep(dz, dq)
+    edited(*REVERSED_SWEEP)(wrong, dz, dq)
     assert right == reference
     assert wrong != reference
 
 
 @pytest.mark.parametrize("terms", [
-    [(1, 1, 1), (-1, 1, 1)],  # mixed z-exponent signs
-    [(2, 0, 1), (0, 3, 1), (-1, 2, 1)],
-    [(0, 0, 1)],  # would change the constant 1
-    [(1, 2, 1), (0, 0, -1)],
-    [(0, 3, 1)],  # no z-exponent
-    [(1, -1, 1)],  # a negative q-exponent would slice from index -1
-    [(1, 2, 1), (1, -1, 1)],
+    (0, -1),  # both refusals at once
+    (2, -3),
+    (0, 0),  # would change the constant 1
+    (-1, -1),
+    (0, 3),  # no z-exponent
+    (1, -1),  # a negative q-exponent would slice from index -1
+    (-2, -2),
 ])
 def test_apply_factor_refusals(terms):
     series = BivarSeries.from_terms(4, -2, 2, [(0, 0, 1), (1, 1, 2), (-1, 0, 3)])
     before = _copy(series)
     with pytest.raises(ValueError):
-        series.apply_factor(terms)
+        series.apply_factor(*terms)
     assert series == before
 
 
@@ -853,14 +823,13 @@ def test_jacobi_work_bounds_the_slice_updates(monkeypatch):
     done = []
     sweep = BivarSeries._sweep
 
-    def counting_sweep(self, factor, descending):
+    def counting_sweep(self, dz, dq):
         n = self.order + 1
         low = {z: next(i for i, c in enumerate(row) if c) for z, row in self.rows.items()
                if any(row)}
-        for dz, dq, _ in factor:
-            done.extend(n - low[z] - dq for z in low
-                        if self.zmin <= z + dz <= self.zmax and low[z] + dq < n)
-        sweep(self, factor, descending)
+        done.extend(n - low[z] - dq for z in low
+                    if self.zmin <= z + dz <= self.zmax and low[z] + dq < n)
+        sweep(self, dz, dq)
 
     monkeypatch.setattr(BivarSeries, "_sweep", counting_sweep)
     for order in (0, 1, 5, 20, 60):
@@ -886,10 +855,10 @@ def test_jacobi_guard_refuses_before_expanding(monkeypatch):
 
 def test_jacobi_work_refuses_a_negative_order():
     # the message jacobi_triple and the verify targets give; the closed-form
-    # sums bound their index the same way, and mod5_numerator_theta gave an
-    # isqrt error
+    # sums bound their index the same way, and mod5_numerator_theta and
+    # division_work gave an isqrt error
     for fn in (jacobi_work, jacobi_guard, jacobi_triple, euler_cube, mod5_numerator_theta,
-               mod5_numerator_signed):
+               mod5_numerator_signed, lambda order: division_work(2, order)):
         with pytest.raises(ValueError, match="^truncation order must be >= 0$"):
             fn(-1)
 

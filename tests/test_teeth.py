@@ -126,7 +126,7 @@ def _psi2_equals_phi2m1():
 
 ZETA_PLUS_ONE = ("theorems._lattice_table", "e = k * alpha + shift", "e = k * alpha + shift + 1")
 PSI2_MINUS_SIX = "-,2,0,1; -,6,0,1; +,2,0,-1; -,1,0,-2"  # (1 - q^6i) for (1 + q^6i)
-REVERSED_SWEEP = ("qseries.BivarSeries._sweep", "reverse=descending", "reverse=not descending")
+REVERSED_SWEEP = ("qseries.BivarSeries._sweep", "reverse=dz > 0", "reverse=dz < 0")
 _JTP = ["verify", "--target", "jtp", "--N", "30"]
 
 ROWS = [
@@ -142,6 +142,11 @@ ROWS = [
     # a reversed sweep first shows in row z^-8, at q^29
     Row("jtp sees a reversed BivarSeries sweep", *REVERSED_SWEEP, _JTP,
         exits(1, {"status": "fail", "z": -8, "first_divergence": 29})),
+    # a sweep that starts one slot late drops each source's first nonzero
+    # coefficient; row z^-8 starts at q^28
+    Row("jtp sees a BivarSeries sweep start one slot late", "qseries.BivarSeries._sweep",
+        "lo = next(compress(count(), source), n)", "lo = next(compress(count(), source), n) + 1",
+        _JTP, exits(1, {"status": "fail", "z": -8, "first_divergence": 28})),
     Row("jtp sees a flipped pentagonal sign", "theorems.jacobi_triple",
         "euler = euler_product(order).coeffs",
         "euler = [-c if e == 5 else c for e, c in enumerate(euler_product(order).coeffs)]",
