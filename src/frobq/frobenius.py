@@ -299,11 +299,11 @@ def bivar_work(k: int, order: int) -> int:
     Step L reads rows cut by cost_(L-1), so rows with |z - alpha| <= D =
     order // (L+1), which hold at most (2D+1)(order+1) - (L+1)D(D+1)
     coefficients, and each of its two factors has min(k, D) terms.  The
-    starting rows and the rows a sweep creates are uncut, but on the grid
-    of the tests (k up to 30, orders up to 24) the count was 1.6-3.1 times
-    the most slots the updates of one alpha covered.  The sum stops once it
-    passes MAX_BIVAR_WORK, so a huge order is refused at once.  It counts
-    slots, not words: see `_weight_words`.
+    rows a sweep creates are whole, but on the grid of the tests (k up to
+    30, orders up to 24) the count was 2.6-3.1 times the most slots the
+    updates of one alpha covered.  The sum stops once it passes
+    MAX_BIVAR_WORK, so a huge order is refused at once.  It counts slots,
+    not words: see `_weight_words`.
     """
     total = 0
     for lam in range(order + 1):
@@ -329,25 +329,24 @@ def _binomials(k: int, first: int, last: int, start: int) -> list:
 
 
 class _PackedRows:
-    """Route 2's working series in z and q, truncated at q^order, its
-    z-exponents clipped to the window [zmin, zmax].
+    """Route 2's working series in z and q, truncated at q^order.
 
     Row z is one nonnegative int of slots of B = 8 * nbytes bits, slot e
     holding the coefficient of z^z q^e (Kronecker substitution: q becomes
-    2^B), and `lengths[z]` is its live length, the slots it keeps.  Every
-    entry is a count, so no slot needs a sign, and while no entry reaches
-    2^B a sum of rows or a row times a count is exact slot by slot: a term
-    of a factor is one multiply, shift, mask and add of a whole row.  `fit`
+    2^B).  Its live length, the slots that can still reach z^alpha, is
+    order + 1 - |z - alpha| * cost: `cut` raises the cost.  Every entry is
+    a count, so no slot needs a sign, and while no entry reaches 2^B a sum
+    of rows or a row times a count is exact slot by slot: a term of a
+    factor is one multiply, shift, mask and add of a whole row.  `fit`
     keeps that true, and missing rows are zero.
     """
 
-    __slots__ = ("order", "zmin", "zmax", "rows", "lengths", "nbytes")
+    __slots__ = ("order", "alpha", "cost", "rows", "nbytes")
 
-    def __init__(self, order: int, zmin: int, zmax: int, starts):
-        # starts: (z, w) pairs, the rows w z^z q^0; those outside the window are dropped
-        self.order, self.zmin, self.zmax = order, zmin, zmax
-        self.rows = {z: w for z, w in starts if zmin <= z <= zmax}
-        self.lengths = dict.fromkeys(self.rows, order + 1)
+    def __init__(self, order: int, alpha: int, starts):
+        # starts: (z, w) pairs, the rows w z^z q^0, each live at cost 1
+        self.order, self.alpha, self.cost = order, alpha, 1
+        self.rows = dict(starts)
         self.nbytes = max(1, (max(self.rows.values(), default=0).bit_length() + 7) // 8)
 
     def fit(self, weight: int) -> None:
@@ -375,9 +374,8 @@ class _PackedRows:
     def _widen(self, nbytes: int) -> None:
         # move each row's bytes into slots of `nbytes`, whose new high bytes
         # stay zero: column by column, or slot by slot if the slots are fewer
-        nb = self.nbytes
+        nb, n = self.nbytes, self.order + 1
         for z, y in self.rows.items():
-            n = self.lengths[z]
             old, data = y.to_bytes(n * nb, "little"), bytearray(n * nbytes)
             if n < nb:
                 for i in range(n):
@@ -394,50 +392,39 @@ class _PackedRows:
 
         The sources are visited by z descending when dz > 0 and ascending
         when dz < 0, so each row is read before anything is added into it:
-        its targets z + dz come before it.  A term adds source * c,
-        shifted dq slots, into the target's live slots: the mask cuts only a
-        source that reaches past them.  A row keeps its length, and a row
-        the sweep creates has order + 1 slots.
+        its targets z + dz come before it.  A term adds source * c, shifted
+        dq slots, into the target's live slots, and skips a target with
+        none.  A missing target is created with the whole term, to q^order.
         """
-        rows, lengths, n, bits = self.rows, self.lengths, self.order + 1, 8 * self.nbytes
-        zmin, zmax = self.zmin, self.zmax
+        rows, n, alpha, cost = self.rows, self.order + 1, self.alpha, self.cost
+        bits = 8 * self.nbytes
         for z in sorted(rows, reverse=descending):
             source = rows[z]
             if not source:
                 continue
-            reach = lengths[z]
             for dz, dq, c in factor:
                 target = z + dz
-                if not zmin <= target <= zmax:
-                    continue
-                live = lengths.get(target, n)
-                if dq >= live:
-                    continue
-                y = (source * c) << dq * bits
-                if reach + dq > live:
-                    y &= (1 << live * bits) - 1
+                live = n - abs(target - alpha) * cost
                 if target in rows:
-                    rows[target] += y
-                else:
-                    rows[target], lengths[target] = y, n
+                    if dq < live:
+                        y = (source * c) << dq * bits
+                        if y.bit_length() > live * bits:
+                            y &= (1 << live * bits) - 1
+                        rows[target] += y
+                elif live > 0:
+                    rows[target] = ((source * c) << dq * bits) & (1 << n * bits) - 1
 
-    def cut(self, center: int, cost: int) -> None:
-        """Cut every row z to its first order + 1 - |z - center| * cost
-        slots and drop the rows that keep none; shrink the window to
-        [center - order // cost, center + order // cost] within it, unless
-        the two do not meet."""
-        rows, lengths, bits = self.rows, self.lengths, 8 * self.nbytes
+    def cut(self, cost: int) -> None:
+        """Raise the cost to `cost`: mask every row to its live length and
+        drop the rows that keep none.  Row alpha keeps all its slots, so a
+        carry out of q^order stays, and `coefficients` refuses it."""
+        self.cost, rows, bits = cost, self.rows, 8 * self.nbytes
         for z in list(rows):
-            keep = self.order + 1 - abs(z - center) * cost
+            keep = self.order + 1 - abs(z - self.alpha) * cost
             if keep <= 0:
-                del rows[z], lengths[z]
-            elif keep < lengths[z]:
+                del rows[z]
+            elif z != self.alpha and rows[z].bit_length() > keep * bits:
                 rows[z] &= (1 << keep * bits) - 1
-                lengths[z] = keep
-        reach = self.order // cost
-        zmin, zmax = max(self.zmin, center - reach), min(self.zmax, center + reach)
-        if zmin <= zmax:
-            self.zmin, self.zmax = zmin, zmax
 
     def coefficients(self, z: int) -> list:
         """Row z's order + 1 slots as ints."""
@@ -458,22 +445,23 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     `_PackedRows.fit` widens their slots before a step that could fill
     one, so each term is a shift and an add of a row.
     Every factor after the first costs at least 1 a unit of z, so only rows
-    in [alpha - order, alpha + order] can reach z^alpha: that is the
-    window, and only the starting rows z^-j in it are built, at most
-    2 order + 1 whatever k is.  With none the series is zero.
+    with |z - alpha| <= order can reach z^alpha, and only the starting rows
+    z^-j among them are built, at most 2 order + 1 whatever k is.  With
+    none the series is zero.
 
     Only what can still reach z^alpha is expanded.  A term of a factor
     after step L costs at least L + 2 a unit of z, so a term at (z, w) can
     end in z^alpha q^(<= order) only if w + cost_L(z) <= order, where
-    cost_L(z) = |z - alpha| (L + 2).  After each step
-    `_PackedRows.cut(alpha, L + 2)` masks row z to its first
-    order + 1 - cost_L(z) slots, dropping it when none are left, and
-    shrinks the window to the rows left.  Row alpha is never cut.
+    cost_L(z) = |z - alpha| (L + 2), and cost_(-1)(z) = |z - alpha|.  So
+    in step L row z has order + 1 - cost_(L-1)(z) live slots: a sweep skips
+    a target with none and masks a term into a row to them, and after the
+    step `_PackedRows.cut(L + 2)` masks row z to its first
+    order + 1 - cost_L(z) slots, dropping it when none are left.
 
     The cut is exact: every kept coefficient is the true one.  cost_L is
     nondecreasing in L and obeys the triangle inequality.  Step L reads
-    rows cut by cost_(L-1), or the uncut starting rows for L = 0; a row a
-    sweep creates is uncut.  A term (dz, dq) feeds (z, w) from (z - dz,
+    rows cut by cost_(L-1) (a starting row is one slot) and rows its
+    sweeps create whole.  A term (dz, dq) feeds (z, w) from (z - dz,
     w - dq), and under cost_(L-1) that move costs exactly dq = |dz|(L+1),
     so cost_(L-1)(z - dz) <= dq + cost_(L-1)(z).  Hence a coefficient in
     the cost_(L-1) prefix of its row reads only coefficients in the
@@ -512,12 +500,11 @@ def bivar_coefficient_series(variant: str, k: int, alpha: int, order: int) -> Tr
     else:
         starts = _binomials(k, first, last, comb(k, first))
         weights = _binomials(k, 0, min(k, order), 1)[1:]
-    acc = _PackedRows(order, alpha - order, alpha + order,
-                      ((-j, w) for j, w in enumerate(starts, first)))
+    acc = _PackedRows(order, alpha, ((-j, w) for j, w in enumerate(starts, first)))
     for lam in range(order + 1):
         reach = list(enumerate(weights[:order // (lam + 1)], 1))
         acc.fit(sum(w for _, w in reach))
         for sign in (1, -1):
             acc.sweep([(sign * j, j * (lam + 1), w) for j, w in reach], sign > 0)
-        acc.cut(alpha, lam + 2)
+        acc.cut(lam + 2)
     return TruncSeries(ZZ, acc.coefficients(alpha), order)

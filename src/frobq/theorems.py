@@ -108,6 +108,8 @@ def _lattice_guard(k: int, alpha: int, order: int) -> bool:
     # one means an empty lattice.  The walk recurses once a coordinate, so
     # each counts as at least 2 values; from k - 1 = the limit's bit length
     # on, 2^(k-1) alone exceeds the limit, and the box is named, not built.
+    # A number that is not an int raises TypeError, even on an empty lattice.
+    k, alpha, order = index(k), index(alpha), index(order)
     if k < 1:
         raise ValueError("k must be >= 1")
     work = division_work(k, order)  # refuses a negative order

@@ -50,6 +50,18 @@ def test_expand_mod_and_csv(capsys):
     assert rows[1:] == ["0,1", "1,1", "2,2", "3,3", "4,0", "5,2", "6,1"]
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("theorem", "--which", "2", "--k", "2", "--alpha", "-1", "--N", "5", "--csv"),
+     "n,coefficient\n0,2\n1,4\n2,12\n3,24\n4,50\n5,92\n"),
+    (("expand", "--spec=-,1,0,1", "--N", "5", "--mod", "5"),
+     '{"N": 5, "coefficients": ["1", "4", "4", "0", "0", "1"], "command": "expand", '
+     '"mod": 5, "spec": "-,1,0,1"}\n'),
+])
+def test_output_bytes(capsys, argv, expected):
+    # the CSV of a theorem and the JSON of a reduced expansion, byte for byte
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
 def test_expand_bad_spec_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "expand", "--spec=-,1,1,-1", "--N", "4")
     assert code == 2

@@ -1,6 +1,7 @@
 """Congruence verification, scanning, and the finite residue arguments."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -18,6 +19,8 @@ from frobq.qseries import (
     ZZ,
     BivarSeries,
     ModRing,
+    ProductFactor,
+    ProductSpecError,
     TruncSeries,
     parse_product_spec,
     product_from_spec,
@@ -25,6 +28,7 @@ from frobq.qseries import (
 from frobq.theorems import (
     PHI2M1_SPEC_TEXT,
     cphi2m1_product,
+    cphi_theta_series,
     phi2m1_product,
     phi_theta_series,
     quad_exponent,
@@ -101,10 +105,57 @@ def test_verify_validates_inputs():
     pytest.param(lambda s: zeta_pow(3.0, 1), TypeError, id="zeta-pow-order"),
     pytest.param(lambda s: zeta_pow(3, 1.0), TypeError, id="zeta-pow-exponent"),
     pytest.param(lambda s: cyclotomic_poly(3.0), TypeError, id="cyclotomic-order"),
+    # route 3 returned the zero series for a float k or alpha whose lattice
+    # is empty, before any integer operation ran
+    *(pytest.param(lambda s, f=f, args=args: f(*args), TypeError, id=f"{name}-{arg}")
+      for name, f in (("cphi-theta", cphi_theta_series), ("phi-theta", phi_theta_series))
+      for arg, args in (("k", (2.0, 1000, 10)), ("alpha", (2, 1000.5, 10)),
+                        ("order", (2, 1000, 10.0)))),
 ])
 def test_entry_points_refuse_malformed_numbers(call, error):
     with pytest.raises(error):
         call(phi2m1_product(60))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda s: scan_congruences(s, 0, 5), ValueError, "max_step must be >= 1",
+                 id="scan-max-step"),
+    pytest.param(lambda s: scan_congruences(s, 2, 1), ValueError, "max_modulus must be >= 2",
+                 id="scan-max-modulus"),
+    pytest.param(lambda s: scan_congruences(s, 2, 3, min_witnesses=0), ValueError,
+                 "min_witnesses must be >= 1", id="scan-min-witnesses"),
+    pytest.param(lambda s: progression_exponent_check(0, 4, 5), ValueError,
+                 "need step >= 1 and modulus >= 2", id="exponent-check-step"),
+    pytest.param(lambda s: residue_argument_check(1, 2, 1), ValueError,
+                 "modulus must be >= 2", id="residue-check-modulus"),
+    pytest.param(lambda s: zeta_pow(0, 1), ValueError, "order must be >= 1", id="zeta-pow-order"),
+    pytest.param(lambda s: bivar_coefficient_series("plain", 2, -1, 5), ValueError,
+                 "variant must be one of ('repetition', 'colored')", id="bivar-variant"),
+    pytest.param(lambda s: bivar_coefficient_series("colored", 0, -1, 5), ValueError,
+                 "k must be >= 1", id="bivar-k"),
+    pytest.param(lambda s: bivar_coefficient_series("colored", 2, -1, -1), ValueError,
+                 "truncation order must be >= 0", id="bivar-order"),
+    pytest.param(lambda s: cphi_theta_series(0, -1, 5), ValueError, "k must be >= 1",
+                 id="cphi-theta-k"),
+    pytest.param(lambda s: phi_theta_series(0, -1, 5), ValueError, "k must be >= 1",
+                 id="phi-theta-k"),
+    pytest.param(lambda s: BivarSeries(-1, 0, 1), ValueError, "truncation order must be >= 0",
+                 id="bivar-series-order"),
+    pytest.param(lambda s: BivarSeries(3, 1, 0), ValueError, "empty z window",
+                 id="bivar-series-window"),
+    pytest.param(lambda s: TruncSeries(ZZ, []), ValueError,
+                 "need coefficients or an explicit order", id="series-empty"),
+    pytest.param(lambda s: TruncSeries(ZZ, [1], -1), ValueError,
+                 "truncation order must be >= 0", id="series-order"),
+    pytest.param(lambda s: product_from_spec(parse_product_spec("-,1,0,1"), -1), ValueError,
+                 "truncation order must be >= 0", id="product-order"),
+    pytest.param(lambda s: ProductFactor(2, 1, 0, 1).validate(), ProductSpecError,
+                 "sign must be + or -", id="factor-sign"),
+])
+def test_entry_points_refuse_out_of_range_numbers(call, error, message):
+    # each refusal names what is wrong, word for word
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(phi2m1_product(20))
 
 
 def test_a_bool_order_is_read_as_the_int_one():

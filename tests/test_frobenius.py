@@ -477,23 +477,21 @@ def test_cut_expansion_matches_uncut_product(variant, k):
 
 
 def test_packed_cut_matches_its_rule_row_by_row():
-    # row z keeps its first order + 1 - |z - center| cost slots, and the
-    # window becomes the span of the rows that keep one, or stays as it is
-    # when none does; a second cut with a smaller cost leaves the rows kept
-    # and their window as they are
-    for order, zmin, zmax, center, cost in itertools.product(
+    # row z keeps its first order + 1 - |z - alpha| cost slots, and the rows
+    # that keep none are dropped; a second cut with a smaller cost leaves
+    # the rows kept as they are
+    for order, zmin, zmax, alpha, cost in itertools.product(
             (0, 3, 8), (-6, -2, 0), (0, 3, 6), range(-12, 13, 3), range(1, 6)):
         zs = range(zmin, zmax + 1)
-        acc = frobenius._PackedRows(order, zmin, zmax, ((z, 1) for z in zs))
-        assert acc.nbytes == 1
+        acc = frobenius._PackedRows(order, alpha, ((z, 1) for z in zs))
+        assert (acc.nbytes, acc.cost) == (1, 1)
         acc.rows.update(dict.fromkeys(zs, int.from_bytes(b"\1" * (order + 1), "little")))
-        live = {z: order + 1 - abs(z - center) * cost for z in zs}
-        alive = [z for z in zs if live[z] > 0]
-        for step in (cost, max(1, cost - 1))[:1 + bool(alive)]:
-            acc.cut(center, step)
-            assert acc.lengths == {z: live[z] for z in alive}
-            assert acc.rows == {z: int.from_bytes(b"\1" * live[z], "little") for z in alive}
-            assert (acc.zmin, acc.zmax) == ((alive[0], alive[-1]) if alive else (zmin, zmax))
+        live = {z: order + 1 - abs(z - alpha) * cost for z in zs}
+        for step in (cost, max(1, cost - 1)):
+            acc.cut(step)
+            assert acc.cost == step
+            assert acc.rows == {z: int.from_bytes(b"\1" * live[z], "little")
+                                for z in zs if live[z] > 0}
 
 
 @pytest.mark.parametrize("variant, count", [("repetition", count_phi), ("colored", count_cphi)])
@@ -615,17 +613,20 @@ def test_bivar_weights_are_running_products(monkeypatch):
 
 
 def test_bivar_work_bounds_the_entries_made(monkeypatch):
-    # a term (dz, dq, c) of a sweep updates the last len(target) - dq slots
-    # of its target row z + dz, from every nonzero source row z; a missing
-    # target is created with order + 1 slots
+    # a term (dz, dq, c) of a sweep updates the last live - dq slots of its
+    # target row z + dz, from every nonzero source row z, where live =
+    # order + 1 - |z + dz - alpha| cost; a missing target with live > 0 is
+    # created with order + 1 slots
     made = [0]
     sweep = frobenius._PackedRows.sweep
 
     def counting_sweep(self, factor, descending):
         n = self.order + 1
-        made[0] += sum(max(0, self.lengths.get(z + dz, n) - dq)
-                       for z, source in self.rows.items() if source
-                       for dz, dq, _ in factor if self.zmin <= z + dz <= self.zmax)
+        for z, source in self.rows.items():
+            for dz, dq, _ in factor if source else ():
+                live = n - abs(z + dz - self.alpha) * self.cost
+                if live > 0:
+                    made[0] += max(0, (live if z + dz in self.rows else n) - dq)
         sweep(self, factor, descending)
 
     monkeypatch.setattr(frobenius._PackedRows, "sweep", counting_sweep)

@@ -195,7 +195,7 @@ ROWS = [
 
     # route 2, against route 1's counts
     Row("route 2 cuts at lam + 3", "frobenius.bivar_coefficient_series",
-        "acc.cut(alpha, lam + 2)", "acc.cut(alpha, lam + 3)",
+        "acc.cut(lam + 2)", "acc.cut(lam + 3)",
         lambda: any(not disagreements(variant, 2, -1, {"bivar": 10, "count": 10})
                     for variant in VARIANTS), False),
     Row("route 2 starts one row short at the top", "frobenius.bivar_coefficient_series",
@@ -207,11 +207,9 @@ ROWS = [
         lambda: _route_two(12), False),
     Row("route 2 charges the bottom factor lam + 2", "frobenius.bivar_coefficient_series",
         "j * (lam + 1)", "j * (lam + 1 + (sign < 0))", lambda: _route_two(12), False),
-    # the window clips a starting row only where order - alpha <= k, so
-    # only at orders up to 3 here
-    Row("route 2 window's lower end one high", "frobenius.bivar_coefficient_series",
-        "alpha - order, alpha + order,", "alpha - order + 1, alpha + order,",
-        lambda: _route_two(2), False),
+    # a row that keeps one slot, q^0, still reaches q^order of row alpha
+    Row("route 2 cut drops the rows at the window's edge", "frobenius._PackedRows.cut",
+        "if keep <= 0:", "if keep <= 1:", lambda: _route_two(12), False),
     Row("route 2 sweeps the wrong way", "frobenius._PackedRows.sweep", "reverse=descending",
         "reverse=not descending", lambda: _route_two(2), False),
     Row("route 2 term mask one slot short", "frobenius._PackedRows.sweep",
@@ -236,6 +234,10 @@ ROWS = [
     Row("zeta + 1 at k=2, alpha=-1 shows at q^0", *ZETA_PLUS_ONE,
         lambda: not disagreements("repetition", 2, -1, {"theta": 10, "phi2m1": 10}),
         raises(theorems.NonIntegralCoefficientError, index=0, value=CycInt(3, [0, 1]))),
+    Row("theorem reports zeta + 1 as non-integral", *ZETA_PLUS_ONE,
+        ["theorem", "--which", "1", "--k", "2", "--alpha", "-1", "--N", "5"],
+        exits(1, {"status": "fail", "integral": False, "index": 0,
+                  "detail": "coefficient of q^0 is not a rational integer: CycInt(3, [0, 1])"})),
     *(Row(f"zeta + 1 at k={k}, alpha={alpha} shows at q^{index}", *ZETA_PLUS_ONE,
           lambda k=k, alpha=alpha: not disagreements("repetition", k, alpha,
                                                       {"theta": 20, "bivar": 20}),
