@@ -11,9 +11,14 @@ the colored counts have generating function  (sum_m q^Q) / (q;q)^k  and the
 repetition counts have the same shape with each lattice term weighted by
 (-1)^alpha zeta^(m_1(1-k) + m_2(2-k) + ... + m_(k-1)(-1) + k*alpha) for zeta
 a primitive (k+1)-th root of unity; all the root-of-unity contributions must
-cancel.  Both run one guard, one walk that counts by Q (colored) or by (Q,
-zeta exponent) (repetition), and one pass to the quotient, the repetition
-one checking the cancellation row by row.
+cancel.  Both run one guard, one table of the numerator and one pass to the
+quotient, the repetition one checking the cancellation row by row.  The
+table is a walk over the lattice that counts by Q (colored) or by (Q, zeta
+exponent) (repetition), except for colored from k = THETA_POWER_FROM_K on:
+there the numerator is [z^alpha] theta^k for theta = sum_m z^m q^(m(m+1)/2)
+(put m_k = alpha - S), built by k multiplications by theta.  The division
+by (q;q)^k makes one division by Jacobi's cube (q;q)^3 for each whole three
+in k and divides by the pentagonal series for the rest.
 
 Note the cross terms m_i*m_j land OUTSIDE the /2 when Q is expanded:
 Q = sum m_i^2 + sum_{i<j} m_i m_j - alpha*S + (alpha^2 + alpha)/2.  The
@@ -30,7 +35,7 @@ and Jacobi's triple product.  Every closed-form sum is built by `_sparse_sum`.
 from __future__ import annotations
 
 from math import isqrt
-from operator import index
+from operator import add, index
 
 from .qseries import (ZZ, BivarSeries, TruncSeries, euler_product, parse_product_spec,
                       product_from_spec)
@@ -39,14 +44,28 @@ from .qseries import (ZZ, BivarSeries, TruncSeries, euler_product, parse_product
 # Refuse lattices too large to walk in seconds.  The estimate is the box
 # that contains every kept point, the walk's first interval to the power
 # k - 1, each side counted as at least 2; the walk itself visits only kept
-# points, but at k=9, N=60 even those are too many.
+# points, but at k=9, N=60 even those are too many.  The colored theta
+# power (from THETA_POWER_FROM_K on) costs far less than the walk at the
+# same box; the box still bounds it, to be replaced by its own cost.
 MAX_LATTICE_BOX = 5_000_000
 
-# Refuse divisions by (q;q)^k above this many coefficient updates.  The
-# largest accepted ones take 8-10 s on a 2-CPU x86 guest, 140-160 ns an
-# update as the coefficients grow past a thousand bits: k=1, N=145055 in
-# 9.5 s; k=2, N=91417 in 8.3 s; k=3, N=69784 in 9.4 s.
+# Refuse divisions by (q;q)^k above this many coefficient updates, counted
+# as k pentagonal divisions.  The largest accepted ones take 8-10 s on a
+# 2-CPU x86 guest, 140-160 ns an update as the coefficients grow past a
+# thousand bits: k=1, N=145055 in 9.5 s; k=2, N=91417 in 8.3 s; k=3,
+# N=69784 in 9.4 s.  From k = 3 on, a cube division makes fewer updates
+# than the three counted for it: re-timed in turns, best of 3, k=3,
+# N=69784 took 5.5 s as three pentagonal divisions and 4.1 s as one cube.
 MAX_DIVISION_WORK = 60_000_000
+
+# The colored numerator is the theta power from this k on, and the walk
+# below it.  Best of 7 on a 2-CPU x86 guest, walk against power: k=4,
+# alpha=-1, N=40 0.61 ms against 1.41 ms; k=4, alpha=0, N=600 28.9 ms
+# against 110 ms; k=5, alpha=-2, N=24 2.6 ms against 1.2 ms; k=5, alpha=0,
+# N=100 31 ms against 7.4 ms.  Over the accepted region of k = 5..12 the
+# walk still wins only at N <= 8, where both take under 0.35 ms, by at
+# most 0.08 ms.
+THETA_POWER_FROM_K = 5
 
 
 class NonIntegralCoefficientError(ArithmeticError):
@@ -109,6 +128,8 @@ def _lattice_guard(k: int, alpha: int, order: int) -> bool:
     # each counts as at least 2 values; from k - 1 = the limit's bit length
     # on, 2^(k-1) alone exceeds the limit, and the box is named, not built.
     # A number that is not an int raises TypeError, even on an empty lattice.
+    # At k = 1 there is no coordinate: the one point m = alpha is kept by the
+    # walk's own test.
     k, alpha, order = index(k), index(alpha), index(order)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -116,6 +137,8 @@ def _lattice_guard(k: int, alpha: int, order: int) -> bool:
     if work > MAX_DIVISION_WORK:
         raise ValueError(f"division guard: {work} coefficient updates exceed "
                          f"MAX_DIVISION_WORK={MAX_DIVISION_WORK}")
+    if k == 1:
+        return alpha * alpha <= 2 * order - alpha
     lo, hi = _interval(k - 1, 2 * order - alpha, -alpha)
     if lo > hi:
         return False
@@ -155,6 +178,49 @@ def _lattice_table(k: int, alpha: int, order: int, width: int, shift: int = 0) -
     return table
 
 
+def _split_cost(r: int, t: int) -> int:
+    # The least sum of m(m+1)/2 over r >= 1 integers that sum to t.  The cost
+    # is convex, so the balanced split wins: b of them a + 1 and r - b of
+    # them a, for t = r*a + b with 0 <= b < r.
+    a, b = divmod(t, r)
+    return (b * (a + 1) * (a + 2) + (r - b) * a * (a + 1)) // 2
+
+
+def _theta_power(k: int, alpha: int, order: int) -> list[int]:
+    # The colored numerator [z^alpha] theta^k, theta = sum_m z^m q^(m(m+1)/2),
+    # the same table as _lattice_table(k, alpha, order, 1).  Row s of the
+    # product so far is a q-count list; each factor adds every row, shifted
+    # by m(m+1)/2, into row s + m.  After factor i, row s can still reach
+    # z^alpha only through k - i factors that sum to alpha - s, so it keeps
+    # q <= order - _split_cost(k - i, alpha - s) and, after the last one,
+    # row alpha alone keeps q <= order.  Before factor i, row s is zero
+    # below _split_cost(i - 1, s), and that prefix is not added.
+    t = (isqrt(8 * order + 1) - 1) // 2  # the largest m >= 0 with m(m+1)/2 <= order
+    terms = [(m * (m + 1) // 2, m) for m in range(-t - 1, t + 1)]
+    rows = {0: [1]}
+    for i in range(1, k + 1):
+        left, new = k - i, {}
+        for s, row in rows.items():
+            start = _split_cost(i - 1, s) if i > 1 else 0
+            for cost, m in terms:
+                z = s + m
+                target = new.get(z)
+                if target is None:
+                    if left:
+                        keep = order + 1 - _split_cost(left, alpha - z)
+                    else:
+                        keep = order + 1 if z == alpha else 0
+                    if keep <= cost + start:
+                        continue
+                    target = new[z] = [0] * keep
+                n = min(len(row), len(target) - cost)
+                if n > start:
+                    target[cost + start:cost + n] = map(add, target[cost + start:cost + n],
+                                                        row[start:n])
+        rows = new
+    return rows.get(alpha, [0] * (order + 1))
+
+
 def _pentagonal_exponents(order: int) -> tuple[list[int], list[int]]:
     # The generalized pentagonal numbers g = j(3j-1)/2, j(3j+1)/2 in 1..order,
     # split by sign: (q;q) = 1 - sum_(j odd) q^g + sum_(j even) q^g.
@@ -169,10 +235,25 @@ def _pentagonal_exponents(order: int) -> tuple[list[int], list[int]]:
 
 def _divide_by_euler(coeffs: list[int], times: int) -> None:
     # coeffs /= (q;q)^times in place over ZZ.  Each division walks up, so
-    # c[n] += sum_odd c[n-g] - sum_even c[n-g] reads only quotient
-    # coefficients; about sqrt(N) terms each, O(N^1.5) a division.
-    odd, even = _pentagonal_exponents(len(coeffs) - 1)
-    for _ in range(times):
+    # every update reads only quotient coefficients; O(N^1.5) a division.
+    # Each whole three in `times` is one division by Jacobi's cube (q;q)^3 =
+    # sum_j (-1)^j (2j+1) q^(j(j+1)/2), c[n] -= sum_(j>=1) (-1)^j (2j+1)
+    # c[n - j(j+1)/2], about sqrt(2N) terms; each of the rest divides by the
+    # pentagonal series, c[n] += sum_odd c[n-g] - sum_even c[n-g], about
+    # 1.63 sqrt(N) terms.
+    order = len(coeffs) - 1
+    t = (isqrt(8 * order + 1) - 1) // 2  # the largest j with j(j+1)/2 <= order
+    cube = [(j * (j + 1) // 2, 2 * j + 1 if j % 2 else -2 * j - 1) for j in range(1, t + 1)]
+    for _ in range(times // 3):
+        for n in range(1, len(coeffs)):
+            acc = coeffs[n]
+            for g, w in cube:
+                if g > n:
+                    break
+                acc += w * coeffs[n - g]
+            coeffs[n] = acc
+    odd, even = _pentagonal_exponents(order)
+    for _ in range(times % 3):
         for n in range(1, len(coeffs)):
             acc = coeffs[n]
             for g in odd:
@@ -187,9 +268,12 @@ def _divide_by_euler(coeffs: list[int], times: int) -> None:
 
 
 def division_work(k: int, order: int) -> int:
-    """Coefficient updates `_divide_by_euler` makes dividing by (q;q)^k.
+    """Coefficient updates of k pentagonal divisions, dividing by (q;q)^k.
 
-    Each generalized pentagonal g <= order updates the order + 1 - g
+    This bounds what `_divide_by_euler` makes: it divides by Jacobi's cube
+    once for each whole three in k, whose about sqrt(2N) terms a
+    coefficient are fewer than the three pentagonal divisions counted for
+    it.  Each generalized pentagonal g <= order updates the order + 1 - g
     coefficients from q^g up, once a division.  The g are j(3j-1)/2 for
     j = 1..a and j(3j+1)/2 for j = 1..b, a and b the largest j that keep
     g <= order; they sum to a^2(a+1)/2 and b(b+1)^2/2, so the count takes
@@ -203,10 +287,16 @@ def division_work(k: int, order: int) -> int:
 
 
 def cphi_theta_series(k: int, alpha: int, order: int) -> TruncSeries:
-    """Colored-count generating function: (sum over the lattice of q^Q) / (q;q)^k."""
+    """Colored-count generating function: (sum over the lattice of q^Q) / (q;q)^k.
+
+    The numerator is the walk's table below k = THETA_POWER_FROM_K and the
+    theta power [z^alpha] theta^k from there on."""
     if not _lattice_guard(k, alpha, order):
         return TruncSeries.zero(ZZ, order)
-    coeffs = _lattice_table(k, alpha, order, 1)
+    if k >= THETA_POWER_FROM_K:
+        coeffs = _theta_power(k, alpha, order)
+    else:
+        coeffs = _lattice_table(k, alpha, order, 1)
     _divide_by_euler(coeffs, k)
     return TruncSeries(ZZ, coeffs, order)
 

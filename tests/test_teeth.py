@@ -119,6 +119,11 @@ def _route_two(order):
                    for variant in VARIANTS for k in (1, 2, 3) for alpha in range(-4, 3))
 
 
+def _colored_five():
+    # route 3 against route 2 at colored k=5, where the theta power runs
+    return not disagreements("colored", 5, -2, {"theta": 20, "bivar": 20})
+
+
 def _psi2_equals_phi2m1():
     # the one check that divides by (1 + q^e), at a size that packs
     return not disagreements("repetition", 2, -1, {"psi2": 1200, "phi2m1": 1200})
@@ -175,6 +180,9 @@ ROWS = [
     Row("route 3 names the product DSL", "theorems.cphi_theta_series",
         "_divide_by_euler(coeffs, k)", "_divide_by_euler(coeffs, k); product_from_spec",
         lambda: not crossings(), False),
+    Row("route 3 names the battery's euler_cube", "theorems._divide_by_euler",
+        "odd, even = _pentagonal_exponents(order)",
+        "odd, even = _pentagonal_exponents(order); euler_cube", lambda: not crossings(), False),
     # route 2 packs its rows with its own kernel, not route 4's nor the battery's
     *(Row(f"route 2 names {name}", "frobenius._PackedRows.sweep", "source = rows[z]",
           f"source = rows[z]; from .{module} import {name}", lambda: not crossings(), False)
@@ -252,6 +260,14 @@ ROWS = [
     Row("pentagonal division with a wrong sign", "theorems._divide_by_euler",
         "acc -= coeffs[n - g]", "acc += coeffs[n - g]",
         lambda: not disagreements("colored", 2, -1, {"theta": 50, "cphi2m1": 50}), False),
+    # colored k=5 runs the theta power and one cube division
+    Row("cube division with a wrong sign on even j", "theorems._divide_by_euler",
+        "2 * j + 1 if j % 2 else -2 * j - 1", "2 * j + 1", _colored_five, False),
+    Row("theta power cut keeps one coefficient fewer", "theorems._theta_power",
+        "keep = order + 1 - _split_cost(left, alpha - z)",
+        "keep = order - _split_cost(left, alpha - z)", _colored_five, False),
+    Row("balanced split costed with a + 1 for a", "theorems._split_cost",
+        "(r - b) * a * (a + 1)", "(r - b) * (a + 1) * (a + 2)", _colored_five, False),
 
     # route 4, the product DSL
     # (1 + q^e) and (1 - q^e) netted together, under the first sign seen

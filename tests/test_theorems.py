@@ -127,13 +127,50 @@ def _dense_inverse_of_euler_power(order, k):
 
 
 @settings(max_examples=100)
-@given(values=st.lists(st.integers(-50, 50), min_size=1, max_size=45), times=st.integers(0, 4))
+@given(values=st.lists(st.integers(-50, 50), min_size=1, max_size=45), times=st.integers(0, 7))
 def test_pentagonal_division_matches_dense_inverse(values, times):
+    # times 3..7 divide by Jacobi's cube once or twice, with 0, 1 or 2
+    # pentagonal divisions after
     order = len(values) - 1
     coeffs = list(values)
     _divide_by_euler(coeffs, times)
     expected = TruncSeries(ZZ, values) * _dense_inverse_of_euler_power(order, times)
     assert tuple(coeffs) == expected.coeffs
+
+
+def test_split_cost_is_the_least_cost_of_r_integers():
+    # every r-tuple from a window wide enough to hold the balanced split
+    for r in range(1, 5):
+        best = {}
+        for m in itertools.product(range(-6, 6), repeat=r):
+            cost = sum(mi * (mi + 1) // 2 for mi in m)
+            best[sum(m)] = min(best.get(sum(m), cost), cost)
+        for t in range(-3 * r, 3 * r):
+            assert theorems._split_cost(r, t) == best[t], (r, t)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_theta_power_matches_the_walk(k):
+    cases = [(alpha, order) for alpha in range(-k - 2, 3) for order in (0, 1, 2, 7, 12)]
+    if k == 6:
+        cases.append((0, 72))  # the largest box the guard accepts at k=6
+    for alpha, order in cases:
+        assert theorems._theta_power(k, alpha, order) == _lattice_table(k, alpha, order, 1), \
+            (k, alpha, order)
+
+
+@pytest.mark.parametrize("k, order", [(7, 24), (8, 10)])
+def test_colored_theta_reflects_and_shifts(k, order):
+    # X_{k,alpha} = X_{k,-k-alpha}, and X_{k,alpha+k} = q^(alpha+k) X_{k,alpha}:
+    # m_i -> -1 - m_i and m_i -> m_i + 1 map the lattice onto itself.  Routes
+    # 1 and 2 stop at k=6; these orders are the largest the guard accepts at
+    # every alpha of the shift
+    series = {alpha: cphi_theta_series(k, alpha, order).coeffs for alpha in range(-k - 6, k + 5)}
+    for alpha in range(-k - 6, 5):
+        assert series[alpha] == series[-k - alpha], alpha
+        d = alpha + k
+        shifted, base = (alpha + k, alpha) if d >= 0 else (alpha, alpha + k)
+        assert series[shifted] == ((0,) * abs(d) + series[base])[:order + 1], alpha
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +240,8 @@ def test_lattice_guard_refuses_oversized_box():
     for fn in (phi_theta_series, cphi_theta_series):
         with pytest.raises(ValueError, match="lattice guard"):
             fn(9, 0, 60)
-    # the largest box the benchmark walks, k=6 at N=14, is 11^5 points
+    # the largest box the benchmark accepts, k=6 at N=14, is 11^5 points;
+    # colored k=6 runs the theta power, which the box still bounds
     assert 11 ** 5 <= MAX_LATTICE_BOX
     series = cphi_theta_series(6, -2, 14)
     assert series.coeffs[:4] == tuple(count_cphi(6, -2, n) for n in range(4))
@@ -228,14 +266,17 @@ def test_lattice_guard_names_a_huge_box_without_building_it():
 
 
 @pytest.mark.parametrize("k, alpha, order", [
-    (3, 10**8, 10), (5, 600, 10), (5, -605, 10), (10**9, 1, 0), (10**7, 10**9, 1)])
+    (3, 10**8, 10), (5, 600, 10), (5, -605, 10), (10**9, 1, 0), (10**7, 10**9, 1),
+    (1, 1000, 20000), (1, -1000, 20000)])
 def test_empty_lattice_is_zero_before_any_table(monkeypatch, k, alpha, order):
     # the walk's first interval is empty, so no point has Q <= order; the
-    # old box, 2*isqrt(2N+|alpha|)+1 a side, refused each of these
+    # old box, 2*isqrt(2N+|alpha|)+1 a side, refused each of the first five.
+    # At k=1 the one point m = alpha has Q = alpha(alpha+1)/2 > order
     def built(*args):
         raise AssertionError("built a table for an empty lattice")
 
     monkeypatch.setattr(theorems, "_lattice_table", built)
+    monkeypatch.setattr(theorems, "_theta_power", built)
     monkeypatch.setattr(exactring, "_power_basis_rows", built)
     for fn in (phi_theta_series, cphi_theta_series):
         started = time.perf_counter()
@@ -261,6 +302,11 @@ def test_division_work_closed_form_matches_literal_sum():
     # the updates the division loops make, counted at one order
     odd, even = _pentagonal_exponents(60)
     assert division_work(1, 60) == sum(1 for n in range(1, 61) for g in odd + even if g <= n)
+    # one division by Jacobi's cube, j(j+1)/2 for j >= 1, makes fewer than
+    # the three pentagonal ones counted for it
+    for order in range(400):
+        cube = [j * (j + 1) // 2 for j in range(1, order + 1) if j * (j + 1) // 2 <= order]
+        assert sum(order + 1 - g for g in cube) <= division_work(3, order)
 
 
 def test_division_guard_limit_is_inclusive(monkeypatch):
