@@ -31,28 +31,39 @@ from .qseries import (
 )
 
 # The most arrays `enumerate --list` prints.  The line is written a few
-# thousand arrays at a time, so memory holds the arrays, not their JSON.
-# The limit was set when every array was encoded on its own, at 6.5-6.9 us
-# an array (about 7 times what building it costs), for 8-10 s and 90 MiB
-# on a 2-CPU x86 guest with CPython 3.11.7.  With each row encoded once
-# (`_ROW_MEMO`), colored k=3, alpha=-2, n=17 (800,934 arrays) takes 0.9 s
-# and peaks at 68 MiB, and k=4, alpha=-3, n=12 (680,108) 0.9-1.0 s and
-# 63 MiB, in a subprocess writing to a pipe.
+# thousand arrays at a time from route 1's sorted rows, each top once with
+# its bottoms, so memory holds the rows, not arrays nor their JSON.  The
+# limit was set when every array was built and encoded on its own, at
+# 6.5-6.9 us an array, for 8-10 s and 90 MiB on a 2-CPU x86 guest with
+# CPython 3.11.7.  With each row encoded once (`_ROW_MEMO`) and no array
+# built, colored k=3, alpha=-2, n=17 (800,934 arrays) takes 0.7-0.8 s and
+# peaks at 25 MiB, and k=4, alpha=-3, n=12 (680,108) 0.7-0.8 s and 26 MiB,
+# in a subprocess writing to a pipe.
 MAX_LIST_ARRAYS = 1_200_000
 # The most row entries `enumerate --list` prints: long rows that are nearly
 # all distinct are each encoded, at 0.6-1.1 us an entry on the same guest.
-# Colored k=6, alpha=-19, n=28 (7,331,136 entries) took 4.6-5.4 s and
-# 140 MiB, k=8, alpha=-18, n=17 (9,834,880) 10.3 s and 182 MiB, and k=6,
+# Colored k=6, alpha=-19, n=28 (7,331,136 entries) takes 4.6-5.9 s and
+# 123 MiB (140 MiB when the arrays were built).  When they were, k=8,
+# alpha=-18, n=17 (9,834,880) took 10.3 s and 182 MiB, and k=6,
 # alpha=-19, n=29 (20,177,454 in 1,048,230 arrays) 13.6 s and 303 MiB.
 MAX_LIST_ENTRIES = 8_000_000
-# The most rows whose JSON `enumerate --list` keeps.  A top row repeats once
-# for each of its bottoms and a bottom once for each top of its split, so
-# a row is encoded once, not once an array: colored k=3, alpha=-2, n=17 has
+# The most rows whose JSON `enumerate --list` keeps.  A top row comes once,
+# with its bottoms, and a bottom once for each top of its split, so a row
+# is encoded once, not once an array: colored k=3, alpha=-2, n=17 has
 # 40,429 distinct rows in 800,934 arrays.  The limit bounds the memo where
 # nearly every row is distinct: colored k=6, alpha=-19, n=29 (939,711 rows
 # in 1,048,230 arrays) peaked at 303 MiB with no memo, 565 MiB with every
 # row kept, and 318 MiB with this limit.
 _ROW_MEMO = 65_536
+# The most work `expand` and `theorem` may spend printing their
+# coefficients, counted as the sum of each one's bit length squared, since
+# the int-to-decimal conversion is quadratic: on a 2-CPU x86 guest with
+# CPython 3.11.7, str(2**E) took 0.35-0.40 s at E = 5*10^5, 1.4-1.6 s at
+# 10^6 and 5.7-6.7 s at 2*10^6, which is this limit.  The largest accepted
+# results of the other guards count far less: theorem --which 2 --k 2
+# --alpha -1 --N 91417 1.11*10^11, and expand --spec=-,2000,1999,-62500
+# --N 2000 1.28*10^11.
+MAX_PRINT_WORK = 4 * 10**12
 # how many pieces `_write` joins into one write: a write a piece made a
 # small `enumerate --list` call about a third slower through a pipe
 _WRITE_CHUNK = 4096
@@ -78,6 +89,21 @@ def _emit_csv(header: str, rows) -> None:
     _write(itertools.chain([header + "\n"], (",".join(map(str, row)) + "\n" for row in rows)))
 
 
+def _emit_series(out: dict, coeffs, csv: bool) -> None:
+    # the coefficients of `expand` and `theorem`, as CSV or under
+    # out["coefficients"], refused before any is converted to decimal when
+    # that would cost more than MAX_PRINT_WORK
+    work = sum(c.bit_length() ** 2 for c in coeffs)
+    if work > MAX_PRINT_WORK:
+        raise ValueError(f"print guard: {work} squared coefficient bits exceed "
+                         f"MAX_PRINT_WORK={MAX_PRINT_WORK}")
+    coeffs = list(map(str, coeffs))
+    if csv:
+        _emit_csv("n,coefficient", enumerate(coeffs))
+    else:
+        _emit(dict(out, coefficients=coeffs))
+
+
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -91,14 +117,11 @@ def _fail_usage(message: str) -> int:
 def cmd_expand(args) -> int:
     spec = parse_product_spec(args.spec)
     ring = ModRing(args.mod) if args.mod is not None else ZZ
-    coeffs = list(map(str, product_from_spec(spec, args.N, ring).coeffs))
-    if args.csv:
-        _emit_csv("n,coefficient", enumerate(coeffs))
-    else:
-        out = {"command": "expand", "N": args.N, "spec": spec.render(), "coefficients": coeffs}
-        if args.mod is not None:
-            out["mod"] = args.mod
-        _emit(out)
+    series = product_from_spec(spec, args.N, ring)
+    out = {"command": "expand", "N": args.N, "spec": spec.render()}
+    if args.mod is not None:
+        out["mod"] = args.mod
+    _emit_series(out, series.coeffs, args.csv)
     return 0
 
 
@@ -125,11 +148,12 @@ def cmd_enumerate(args) -> int:
     if entries > MAX_LIST_ENTRIES:
         raise ValueError(f"enumeration guard: {entries} row entries exceed "
                          f"MAX_LIST_ENTRIES={MAX_LIST_ENTRIES}")
-    arrays = frobenius.enumerate_arrays(args.variant, args.k, args.alpha, args.n)
+    by_top = frobenius._sorted_rows(args.variant, args.k, args.alpha, args.n)
     # the line `_emit` would print with out["arrays"], each array encoded
     # only when it is written: the envelope's one "[]" is where they go.
-    # The arrays share their row tuples, and hold them for the whole call,
-    # so a row's JSON is kept under its id, for the first _ROW_MEMO rows
+    # A top row comes once, with its bottoms, and a split's tops share its
+    # bottom rows, all held for the whole call, so a row's JSON is kept
+    # under its id, for the first _ROW_MEMO rows
     head, tail = _encode(dict(out, arrays=[])).split("[]")
     rows = {}
 
@@ -141,10 +165,14 @@ def cmd_enumerate(args) -> int:
                 rows[id(row)] = text
         return text
 
+    def encoded():
+        for top, bottoms in by_top:
+            end = ', "top": %s}' % encode_row(top)
+            for bottom in bottoms:
+                yield '{"bottom": ' + encode_row(bottom) + end
+
     separators = itertools.chain([""], itertools.repeat(", "))
-    encoded = ('{"bottom": %s, "top": %s}' % (encode_row(a.bottom), encode_row(a.top))
-               for a in arrays)
-    pieces = itertools.chain.from_iterable(zip(separators, encoded))
+    pieces = itertools.chain.from_iterable(zip(separators, encoded()))
     _write(itertools.chain([head + "["], pieces, ["]" + tail + "\n"]))
     return 0
 
@@ -164,12 +192,8 @@ def cmd_theorem(args) -> int:
         out["integral"] = True
     else:
         series = theorems.cphi_theta_series(args.k, args.alpha, args.N)
-    out["coefficients"] = list(map(str, series.coeffs))
     out["status"] = "pass"
-    if args.csv:
-        _emit_csv("n,coefficient", enumerate(out["coefficients"]))
-    else:
-        _emit(out)
+    _emit_series(out, series.coeffs, args.csv)
     return 0
 
 

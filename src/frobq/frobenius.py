@@ -201,10 +201,10 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[Frobenius
     """Every array of the given variant, weight n, row difference alpha.
 
     Exhaustive and deterministic: the arrays come out sorted by (top,
-    bottom).  No list of arrays is sorted; each split's bottom rows are
-    sorted once and the distinct top rows once, and since a top row pairs
-    with exactly the bottoms of its own split, concatenating gives the
-    canonical order.
+    bottom), in the order of `_sorted_rows`.  No list of arrays is sorted;
+    each split's bottom rows are sorted once and the distinct top rows
+    once, and since a top row pairs with exactly the bottoms of its own
+    split, concatenating gives the canonical order.
 
     The arrays are built in C, with no Python frame an array: the whole
     list is allocated blank with `FrobeniusArray.__new__`, and the slot
@@ -235,12 +235,7 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[Frobenius
         if total > MAX_ENUM_ARRAYS:
             raise ValueError(f"enumeration guard: {total} arrays exceed "
                              f"MAX_ENUM_ARRAYS={MAX_ENUM_ARRAYS}")
-        rows_fn = _bounded_rows if variant == "repetition" else _colored_rows
-        by_top = []
-        for tops, bottoms in _row_pairs(rows_fn, k, alpha, n):
-            bottoms = sorted(bottoms)
-            by_top.extend((top, bottoms) for top in tops)
-        by_top.sort(key=itemgetter(0))
+        by_top = _sorted_rows(variant, k, alpha, n)
         lengths = [len(bottoms) for _, bottoms in by_top]
         arrays = list(map(_new_array, itertools.repeat(FrobeniusArray, sum(lengths))))
         tops = map(itertools.repeat, map(itemgetter(0), by_top), lengths)
@@ -251,6 +246,21 @@ def enumerate_arrays(variant: str, k: int, alpha: int, n: int) -> list[Frobenius
     finally:
         if collecting:
             gc.enable()
+
+
+def _sorted_rows(variant: str, k: int, alpha: int, n: int) -> list[tuple]:
+    """(top, bottoms) for every top row of weight n and row difference
+    alpha, sorted by top, with the bottoms it pairs with sorted: the arrays
+    in the canonical order, each top once.  The tops of one split share
+    its list of bottoms, and every row is the tuple its row cache holds.
+    Takes the (k, alpha, n) that `_check_enum_args` returns."""
+    rows_fn = _bounded_rows if variant == "repetition" else _colored_rows
+    by_top = []
+    for tops, bottoms in _row_pairs(rows_fn, k, alpha, n):
+        bottoms = sorted(bottoms)
+        by_top.extend((top, bottoms) for top in tops)
+    by_top.sort(key=itemgetter(0))
+    return by_top
 
 
 def count_phi(k: int, alpha: int, n: int) -> int:

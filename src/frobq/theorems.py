@@ -13,12 +13,13 @@ repetition counts have the same shape with each lattice term weighted by
 a primitive (k+1)-th root of unity; all the root-of-unity contributions must
 cancel.  Both run one guard, one table of the numerator and one pass to the
 quotient, the repetition one checking the cancellation row by row.  The
-table is a walk over the lattice that counts by Q (colored) or by (Q, zeta
-exponent) (repetition), except for colored from k = THETA_POWER_FROM_K on:
-there the numerator is [z^alpha] theta^k for theta = sum_m z^m q^(m(m+1)/2)
-(put m_k = alpha - S), built by k multiplications by theta.  The division
-by (q;q)^k makes one division by Jacobi's cube (q;q)^3 for each whole three
-in k and divides by the pentagonal series for the rest.
+table is a walk over the lattice that counts by (Q, zeta exponent mod k+1):
+repetition reduces each Q row to Z[zeta], and colored sums it, except from
+k = THETA_POWER_FROM_K on: there the colored numerator is [z^alpha] theta^k
+for theta = sum_m z^m q^(m(m+1)/2) (put m_k = alpha - S), built by k
+multiplications by theta.  The division by (q;q)^k makes one division by
+Jacobi's cube (q;q)^3 for each whole three in k and divides by the
+pentagonal series for the rest.
 
 Note the cross terms m_i*m_j land OUTSIDE the /2 when Q is expanded:
 Q = sum m_i^2 + sum_{i<j} m_i m_j - alpha*S + (alpha^2 + alpha)/2.  The
@@ -58,13 +59,14 @@ MAX_LATTICE_BOX = 5_000_000
 # N=69784 took 5.5 s as three pentagonal divisions and 4.1 s as one cube.
 MAX_DIVISION_WORK = 60_000_000
 
-# The colored numerator is the theta power from this k on, and the walk
-# below it.  Best of 7 on a 2-CPU x86 guest, walk against power: k=4,
-# alpha=-1, N=40 0.61 ms against 1.41 ms; k=4, alpha=0, N=600 28.9 ms
-# against 110 ms; k=5, alpha=-2, N=24 2.6 ms against 1.2 ms; k=5, alpha=0,
-# N=100 31 ms against 7.4 ms.  Over the accepted region of k = 5..12 the
-# walk still wins only at N <= 8, where both take under 0.35 ms, by at
-# most 0.08 ms.
+# The colored numerator is the theta power from this k on, and the walk's
+# table folded over its exponents below it.  Best of 7 on a 2-CPU x86
+# guest, walk and fold against power: k=4, alpha=-1, N=40 0.65 ms against
+# 1.41 ms; k=4, alpha=0, N=600 19.7 ms against 87 ms; k=5, alpha=-2, N=24
+# 2.6 ms against 1.2 ms; k=5, alpha=0, N=100 19 ms against 5.6 ms.  Over
+# the accepted region of k = 5..12 with N <= 16 (best of 5, twice) the
+# walk still won only at N <= 12, and above N = 6 only at k = 5, where both
+# take under 0.5 ms, by at most 0.13 ms.
 THETA_POWER_FROM_K = 5
 
 
@@ -151,12 +153,14 @@ def _lattice_guard(k: int, alpha: int, order: int) -> bool:
     return True
 
 
-def _lattice_table(k: int, alpha: int, order: int, width: int, shift: int = 0) -> list[int]:
+def _lattice_table(k: int, alpha: int, order: int) -> list[int]:
     # Counts of the lattice points with Q <= order, flat by (Q, zeta exponent
-    # mod width): entry Q*width + e; width 1 gives the colored numerator, k+1
-    # the repetition one.  Q <= order is sum m_i^2 + (S - alpha)^2 <= 2*order
-    # - alpha; the walk keeps the square sum P, c = S - alpha and the
-    # exponent, in which coordinate i weighs i+1-k, minus its count of free ones.
+    # mod k+1): entry Q*(k+1) + e.  Repetition reduces each Q row to the
+    # power basis; colored, which has no root of unity, sums it.  Q <= order
+    # is sum m_i^2 + (S - alpha)^2 <= 2*order - alpha; the walk keeps the
+    # square sum P, c = S - alpha and the exponent, which starts at k*alpha
+    # and in which coordinate i weighs i+1-k, minus its count of free ones.
+    width = k + 1
     table = [0] * ((order + 1) * width)
     limit = 2 * order - alpha
 
@@ -170,7 +174,7 @@ def _lattice_table(k: int, alpha: int, order: int, width: int, shift: int = 0) -
             q = (p + m * m + (c + m) ** 2 + alpha) // 2
             table[q * width + (e - m) % width] += 1
 
-    e = k * alpha + shift
+    e = k * alpha
     if k > 1:
         walk(k - 1, 0, -alpha, e)
     elif alpha * alpha <= limit:
@@ -188,7 +192,7 @@ def _split_cost(r: int, t: int) -> int:
 
 def _theta_power(k: int, alpha: int, order: int) -> list[int]:
     # The colored numerator [z^alpha] theta^k, theta = sum_m z^m q^(m(m+1)/2),
-    # the same table as _lattice_table(k, alpha, order, 1).  Row s of the
+    # which the walk's table, folded over its exponents, is too.  Row s of the
     # product so far is a q-count list; each factor adds every row, shifted
     # by m(m+1)/2, into row s + m.  After factor i, row s can still reach
     # z^alpha only through k - i factors that sum to alpha - s, so it keeps
@@ -296,7 +300,9 @@ def cphi_theta_series(k: int, alpha: int, order: int) -> TruncSeries:
     if k >= THETA_POWER_FROM_K:
         coeffs = _theta_power(k, alpha, order)
     else:
-        coeffs = _lattice_table(k, alpha, order, 1)
+        # each Q's count summed over its k + 1 exponent columns
+        table, width = _lattice_table(k, alpha, order), k + 1
+        coeffs = list(map(sum, zip(*(table[e::width] for e in range(width)))))
     _divide_by_euler(coeffs, k)
     return TruncSeries(ZZ, coeffs, order)
 
@@ -311,16 +317,19 @@ def phi_theta_series(k: int, alpha: int, order: int, *,
     every other coordinate of the quotient first turns nonzero where the
     numerator's does, with the same value: the pass stops at the first such
     index and raises NonIntegralCoefficientError.  `zeta_exponent_shift`
-    perturbs every root-of-unity exponent and exists so tests can prove the
-    detector actually fires; leave it at 0.
+    perturbs every root-of-unity exponent as the table is reduced, and
+    exists so the benchmark's self-check can prove the detector actually
+    fires; leave it at 0.
     """
     from .exactring import CycInt, _power_basis_rows
 
     if not _lattice_guard(k, alpha, order):
         return TruncSeries.zero(ZZ, order)
     width = k + 1
-    table = _lattice_table(k, alpha, order, width, zeta_exponent_shift)
-    basis = _power_basis_rows(width)
+    table = _lattice_table(k, alpha, order)
+    # exponent e reduces by basis row e + zeta_exponent_shift
+    rows = _power_basis_rows(width)
+    basis = [rows[(e + zeta_exponent_shift) % width] for e in range(width)]
     sign = -1 if alpha % 2 else 1
     constant = []
     for q in range(order + 1):

@@ -100,6 +100,12 @@ ROWS = (
         None, 2, "product guard"),
     Row("qseries.MAX_PRODUCT_WORK", cli("expand", "--spec=+,6250000,0,1", "--N", 6249999), 30,
         GIB, 0),
+    # one 2,000,000-bit constant, 2^1999999, printed in decimal: exactly
+    # 4*10^12 squared bits, about 6 s of conversion
+    Row("cli.MAX_PRINT_WORK", cli("expand", "--spec=+,1,1,1999999", "--N", 0), 30, None, 0,
+        lambda out: int(json.loads(out)["coefficients"][0][-20:]) == pow(2, 1999999, 10**20)),
+    Row("cli.MAX_PRINT_WORK", cli("expand", "--spec=+,1,1,2000000", "--N", 0), 5, None, 2,
+        "print guard: 4000004000001 squared coefficient bits exceed MAX_PRINT_WORK"),
     Row("theorems.MAX_JACOBI_WORK", cli("verify", "--target", "jtp", "--N", 961), 20, None, 0),
     Row("theorems.MAX_JACOBI_WORK", cli("verify", "--target", "jtp", "--N", 962), 20, None, 2,
         "triple product guard"),

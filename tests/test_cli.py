@@ -68,6 +68,48 @@ def test_expand_bad_spec_is_usage_error(capsys):
     assert "bad product spec" in err
 
 
+@pytest.mark.parametrize("mod, expected", [
+    (None, (2, "", "error: non-invertible constant term: 2 is not a unit in ZZ\n")),
+    ("4", (2, "", "error: non-invertible constant term: 2 is not a unit mod 4\n")),
+    # 2^-1 = 3 mod 5, times 1/prod (1 + q^n) = 1 - q + 0 q^2 - q^3 + ...
+    ("5", (0, '{"N": 3, "coefficients": ["3", "2", "0", "2"], "command": "expand", "mod": 5, '
+              '"spec": "+,1,1,-1"}\n', "")),
+])
+def test_expand_inverts_the_constant_factor_or_exits_two(capsys, mod, expected):
+    # 1/prod (1 + q^(n-1)) has the constant factor 1/(1 + q^0) = 1/2
+    argv = ("expand", "--spec=+,1,1,-1", "--N", "3", *(("--mod", mod) if mod else ()))
+    assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--spec=+,1,1,2000000", "--N", "0"),
+    ("expand", "--spec=+,1,1,2000000", "--N", "0", "--csv"),
+    ("theorem", "--which", "2", "--k", "2", "--alpha", "-1", "--N", "5"),
+])
+def test_print_guard_refuses_before_printing(capsys, monkeypatch, argv):
+    # 2^2000000 has 2,000,001 bits: its decimal would take seconds
+    if argv[0] == "theorem":
+        work = sum(c.bit_length() ** 2 for c in theorems.cphi_theta_series(2, -1, 5).coeffs)
+        monkeypatch.setattr(cli, "MAX_PRINT_WORK", work - 1)
+    else:
+        work = 2_000_001 ** 2
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (2, "")
+    assert err == (f"error: print guard: {work} squared coefficient bits exceed "
+                   f"MAX_PRINT_WORK={cli.MAX_PRINT_WORK}\n")
+
+
+def test_print_guard_limit_is_inclusive(capsys, monkeypatch):
+    argv = ("theorem", "--which", "1", "--k", "2", "--alpha", "-1", "--N", "6")
+    work = sum(c.bit_length() ** 2 for c in theorems.phi_theta_series(2, -1, 6).coeffs)
+    monkeypatch.setattr(cli, "MAX_PRINT_WORK", work)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json_lines(out)[0]["coefficients"] == ["1", "2", "3", "6", "10", "16", "26"]
+
+
 def test_enumerate_count(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--variant", "colored",
                            "--k", "2", "--alpha", "-1", "--n", "2")
@@ -105,10 +147,19 @@ def test_enumerate_list_shape(capsys):
     ("repetition", 3, 2, 8),
     ("colored", 3, -2, 6),
 ])
-def test_enumerate_list_streams_the_line_it_used_to_build(capsys, variant, k, alpha, n):
+def test_enumerate_list_streams_the_line_it_used_to_build(capsys, monkeypatch,
+                                                          variant, k, alpha, n):
+    # the line the arrays make, printed from route 1's sorted rows with no
+    # array built
     arrays = frobenius.enumerate_arrays(variant, k, alpha, n)
     old = {"command": "enumerate", "variant": variant, "k": k, "alpha": alpha, "n": n,
            "count": str(len(arrays)), "arrays": [a.to_json_dict() for a in arrays]}
+
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("built the arrays")
+
+    monkeypatch.setattr(frobenius, "enumerate_arrays", no_arrays)
+    monkeypatch.setattr(frobenius, "_new_array", no_arrays)
     code, out, _ = run_cli(capsys, "enumerate", "--variant", variant, "--k", str(k),
                            "--alpha", str(alpha), "--n", str(n), "--list")
     assert code == 0
@@ -128,7 +179,8 @@ def test_enumerate_list_streams_the_line_it_used_to_build(capsys, variant, k, al
 def test_enumerate_list_encodes_each_row_once_as_the_array_would(capsys, monkeypatch, memo,
                                                                 variant, k, alpha, n):
     # each array is written from its rows' JSON, encoded once a row while the
-    # memo has room; the line is the one each array's own encoding makes
+    # memo has room, and each top row at most once; the line is the one each
+    # array's own encoding makes
     if memo is not None:
         monkeypatch.setattr(cli, "_ROW_MEMO", memo)
     encoded = []
@@ -152,7 +204,9 @@ def test_enumerate_list_encodes_each_row_once_as_the_array_would(capsys, monkeyp
         # the envelope, then each distinct row once
         assert len(encoded) == 1 + len(rows)
     elif memo == 0:
-        assert len(encoded) == 1 + 2 * len(arrays)
+        # the envelope, each top row once with its bottoms, and each bottom
+        # once an array
+        assert len(encoded) == 1 + len({a.top for a in arrays}) + len(arrays)
 
 
 @pytest.mark.parametrize("obj", [
@@ -238,6 +292,7 @@ def test_enumerate_list_refuses_long_rows_before_building_them(capsys, monkeypat
         raise AssertionError("built rows before refusing")
 
     monkeypatch.setattr(frobenius, "enumerate_arrays", no_build)
+    monkeypatch.setattr(frobenius, "_sorted_rows", no_build)
     started = time.perf_counter()
     code, out, err = run_cli(capsys, "enumerate", "--variant", "colored", "--k", "6",
                              "--alpha", "-19", "--n", "29", "--list")

@@ -408,6 +408,18 @@ def test_progression_exponent_check_instances():
     assert not progression_exponent_check(5, 3, 5)
 
 
+def test_progression_exponent_check_needs_each_hit_to_kill_its_coefficient():
+    # mod 15 the first progression hit, (j, k) = (2, 2) with exponent 3 + 6,
+    # is a zero of the quadratic, 25 + 2 * 25 = 75, so the first test holds
+    # there and at every earlier pair; but 2j+1 = 5 is not 0 mod 15, so the
+    # coefficient 2j+1 is not killed
+    assert (3 + 6) % 5 == 4 and (5 ** 2 + 2 * 5 ** 2) % 15 == 0 and 5 % 15
+    earlier = [(j, k) for j in range(2) for k in range(30)] + [(2, 0), (2, 1)]
+    assert all((j * (j + 1) // 2 + k * k + k) % 5 != 4
+               and ((2 * j + 1) ** 2 + 2 * (2 * k + 1) ** 2) % 15 for j, k in earlier)
+    assert not progression_exponent_check(5, 4, 15)
+
+
 def test_ring_guard_survives_an_attempted_relabel():
     # a series keeps the ring it was reduced in: relabelling ModRing(5) as
     # ModRing(7) would let residues mod 5 pass the guard as residues mod 7

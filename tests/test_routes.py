@@ -95,8 +95,8 @@ MODULES = ("frobenius", "qseries", "theorems", "exactring", "_packed")
 ROUTE_CODE = {
     "enum": ("frobenius.FrobeniusArray", "frobenius._min_row_sum", "frobenius._bounded_rows",
              "frobenius._colored_rows", "frobenius._colored_count", "frobenius._check_enum_args",
-             "frobenius._row_pairs", "frobenius.enumerate_arrays", "frobenius.count_phi",
-             "frobenius.count_cphi", "frobenius._list_size"),
+             "frobenius._row_pairs", "frobenius._sorted_rows", "frobenius.enumerate_arrays",
+             "frobenius.count_phi", "frobenius.count_cphi", "frobenius._list_size"),
     "bivar": ("frobenius.bivar_work", "frobenius._weight_words", "frobenius._binomials",
               "frobenius._PackedRows", "frobenius.bivar_coefficient_series"),
     "theta": ("theorems.quad_exponent", "theorems._choose2", "theorems._interval",

@@ -129,7 +129,7 @@ def _psi2_equals_phi2m1():
     return not disagreements("repetition", 2, -1, {"psi2": 1200, "phi2m1": 1200})
 
 
-ZETA_PLUS_ONE = ("theorems._lattice_table", "e = k * alpha + shift", "e = k * alpha + shift + 1")
+ZETA_PLUS_ONE = ("theorems._lattice_table", "e = k * alpha", "e = k * alpha + 1")
 PSI2_MINUS_SIX = "-,2,0,1; -,6,0,1; +,2,0,-1; -,1,0,-2"  # (1 - q^6i) for (1 + q^6i)
 REVERSED_SWEEP = ("qseries.BivarSeries._sweep", "reverse=dz > 0", "reverse=dz < 0")
 _JTP = ["verify", "--target", "jtp", "--N", "30"]
@@ -253,10 +253,10 @@ ROWS = [
       for k, alpha, index, value in ((2, 5, 9, CycInt(3, [0, 1])),
                                      (4, 5, 6, CycInt(5, [0, 1, 0, 0])),
                                      (3, -6, 3, CycInt(4, [0, 1])))),
-    Row("width-1 walk writes at q * (k + 1)", "theorems._lattice_table",
-        "table[q * width + (e - m) % width]", "table[q * (k + 1) + (e - m) % width]",
-        lambda: not disagreements("colored", 3, 0, {"theta": 20, "count": 20}),
-        raises(IndexError)),
+    # colored k <= 4 sums the walk's k + 1 exponent columns of each Q
+    Row("colored fold drops the last exponent column", "theorems.cphi_theta_series",
+        "for e in range(width)", "for e in range(k)",
+        lambda: not disagreements("colored", 3, 0, {"theta": 20, "count": 20}), False),
     Row("pentagonal division with a wrong sign", "theorems._divide_by_euler",
         "acc -= coeffs[n - g]", "acc += coeffs[n - g]",
         lambda: not disagreements("colored", 2, -1, {"theta": 50, "cphi2m1": 50}), False),

@@ -81,8 +81,18 @@ def _box_histogram(k, alpha, order):
 
 
 def _walk_histogram(k, alpha, order):
-    table = _lattice_table(k, alpha, order, k + 1)
+    table = _lattice_table(k, alpha, order)
     return Counter({divmod(i, k + 1): c for i, c in enumerate(table) if c})
+
+
+def _colored_numerator(monkeypatch, k, alpha, order):
+    # what cphi_theta_series divides by (q;q)^k: the walk's table folded
+    # over its exponents below THETA_POWER_FROM_K, the theta power from there
+    numerators = []
+    monkeypatch.setattr(theorems, "_divide_by_euler",
+                        lambda coeffs, times: numerators.append(list(coeffs)))
+    series = cphi_theta_series(k, alpha, order)
+    return numerators[0] if numerators else list(series.coeffs)
 
 
 def _box_by_q(hist, order):
@@ -94,14 +104,14 @@ def _box_by_q(hist, order):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_lattice_walk_matches_box(k):
-    # the walk computes Q in closed form, [sum m_i^2 + (S - alpha)^2 + alpha] / 2;
-    # width k+1 keeps the zeta exponent, width 1 (the colored numerator) sums it away
+def test_lattice_walk_matches_box(k, monkeypatch):
+    # the walk computes Q in closed form, [sum m_i^2 + (S - alpha)^2 + alpha] / 2,
+    # and counts by (Q, zeta exponent); the colored numerator sums the exponent away
     for alpha in range(-6, 7):
         for order in (0, 1, 7, 20):
             box = _box_histogram(k, alpha, order)
             assert _walk_histogram(k, alpha, order) == box, (k, alpha, order)
-            assert _lattice_table(k, alpha, order, 1) == _box_by_q(box, order), \
+            assert _colored_numerator(monkeypatch, k, alpha, order) == _box_by_q(box, order), \
                 (k, alpha, order)
 
 
@@ -155,8 +165,9 @@ def test_theta_power_matches_the_walk(k):
     if k == 6:
         cases.append((0, 72))  # the largest box the guard accepts at k=6
     for alpha, order in cases:
-        assert theorems._theta_power(k, alpha, order) == _lattice_table(k, alpha, order, 1), \
-            (k, alpha, order)
+        table = _lattice_table(k, alpha, order)
+        walked = [sum(table[q * (k + 1):(q + 1) * (k + 1)]) for q in range(order + 1)]
+        assert theorems._theta_power(k, alpha, order) == walked, (k, alpha, order)
 
 
 @pytest.mark.parametrize("k, order", [(7, 24), (8, 10)])
@@ -224,7 +235,7 @@ def test_phi_theta_detector_matches_dense_quotient(monkeypatch, k, alpha, bump):
     # coordinate of the reported value must come from the quotient, not the
     # numerator, and the non-constant ones from the numerator
     order = 12
-    table = _lattice_table(k, alpha, order, k + 1)
+    table = _lattice_table(k, alpha, order)
     table[bump * (k + 1) + 1] += 1
     monkeypatch.setattr(theorems, "_lattice_table", lambda *args: table)
     with pytest.raises(NonIntegralCoefficientError) as info:
