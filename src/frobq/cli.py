@@ -32,29 +32,22 @@ from .qseries import (
 
 # The most arrays `enumerate --list` prints.  The line is written a few
 # thousand arrays at a time from route 1's sorted rows, each top once with
-# its bottoms, so memory holds the rows, not arrays nor their JSON.  The
-# limit was set when every array was built and encoded on its own, at
-# 6.5-6.9 us an array, for 8-10 s and 90 MiB on a 2-CPU x86 guest with
-# CPython 3.11.7.  With each row encoded once (`_ROW_MEMO`) and no array
-# built, colored k=3, alpha=-2, n=17 (800,934 arrays) takes 0.7-0.8 s and
-# peaks at 25 MiB, and k=4, alpha=-3, n=12 (680,108) 0.7-0.8 s and 26 MiB,
-# in a subprocess writing to a pipe.
+# its bottoms, so memory holds the rows and one JSON text a bottom row, not
+# arrays.  The limit was set when every array was built and encoded on its
+# own, at 6.5-6.9 us an array, for 8-10 s and 90 MiB on a 2-CPU x86 guest
+# with CPython 3.11.7.  With each top encoded once, each split's bottoms
+# once and no array built, colored k=3, alpha=-2, n=17 (800,934 arrays)
+# takes 0.8-1.0 s and peaks at 23 MiB, and k=4, alpha=-3, n=12 (680,108)
+# 0.7-0.9 s and 24 MiB, in a subprocess writing to a pipe.
 MAX_LIST_ARRAYS = 1_200_000
 # The most row entries `enumerate --list` prints: long rows that are nearly
 # all distinct are each encoded, at 0.6-1.1 us an entry on the same guest.
-# Colored k=6, alpha=-19, n=28 (7,331,136 entries) takes 4.6-5.9 s and
-# 123 MiB (140 MiB when the arrays were built).  When they were, k=8,
-# alpha=-18, n=17 (9,834,880) took 10.3 s and 182 MiB, and k=6,
-# alpha=-19, n=29 (20,177,454 in 1,048,230 arrays) 13.6 s and 303 MiB.
+# Colored k=6, alpha=-19, n=28 (7,331,136 entries) takes 4.8-7.9 s on a
+# loaded guest and 178 MiB with every bottom's JSON kept (123 MiB when a
+# bounded memo kept 65,536 rows, 140 MiB when the arrays were built).  When
+# they were, k=8, alpha=-18, n=17 (9,834,880) took 10.3 s and 182 MiB, and
+# k=6, alpha=-19, n=29 (20,177,454 in 1,048,230 arrays) 13.6 s and 303 MiB.
 MAX_LIST_ENTRIES = 8_000_000
-# The most rows whose JSON `enumerate --list` keeps.  A top row comes once,
-# with its bottoms, and a bottom once for each top of its split, so a row
-# is encoded once, not once an array: colored k=3, alpha=-2, n=17 has
-# 40,429 distinct rows in 800,934 arrays.  The limit bounds the memo where
-# nearly every row is distinct: colored k=6, alpha=-19, n=29 (939,711 rows
-# in 1,048,230 arrays) peaked at 303 MiB with no memo, 565 MiB with every
-# row kept, and 318 MiB with this limit.
-_ROW_MEMO = 65_536
 # The most work `expand` and `theorem` may spend printing their
 # coefficients, counted as the sum of each one's bit length squared, since
 # the int-to-decimal conversion is quadratic: on a 2-CPU x86 guest with
@@ -151,25 +144,21 @@ def cmd_enumerate(args) -> int:
     by_top = frobenius._sorted_rows(args.variant, args.k, args.alpha, args.n)
     # the line `_emit` would print with out["arrays"], each array encoded
     # only when it is written: the envelope's one "[]" is where they go.
-    # A top row comes once, with its bottoms, and a split's tops share its
-    # bottom rows, all held for the whole call, so a row's JSON is kept
-    # under its id, for the first _ROW_MEMO rows
+    # The tops of one split share its list of bottoms, held for the whole
+    # call, so the bottoms' JSON is kept under that list's id from the
+    # split's first top on; each top is encoded once, as it is written
     head, tail = _encode(dict(out, arrays=[])).split("[]")
-    rows = {}
-
-    def encode_row(row):
-        text = rows.get(id(row))
-        if text is None:
-            text = _encode(frobenius.FrobeniusArray.json_row(row))
-            if len(rows) < _ROW_MEMO:
-                rows[id(row)] = text
-        return text
+    json_row = frobenius.FrobeniusArray.json_row
+    splits = {}
 
     def encoded():
         for top, bottoms in by_top:
-            end = ', "top": %s}' % encode_row(top)
-            for bottom in bottoms:
-                yield '{"bottom": ' + encode_row(bottom) + end
+            texts = splits.get(id(bottoms))
+            if texts is None:
+                texts = splits[id(bottoms)] = [_encode(json_row(bottom)) for bottom in bottoms]
+            end = ', "top": %s}' % _encode(json_row(top))
+            for text in texts:
+                yield '{"bottom": ' + text + end
 
     separators = itertools.chain([""], itertools.repeat(", "))
     pieces = itertools.chain.from_iterable(zip(separators, encoded()))

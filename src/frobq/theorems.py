@@ -11,11 +11,11 @@ the colored counts have generating function  (sum_m q^Q) / (q;q)^k  and the
 repetition counts have the same shape with each lattice term weighted by
 (-1)^alpha zeta^(m_1(1-k) + m_2(2-k) + ... + m_(k-1)(-1) + k*alpha) for zeta
 a primitive (k+1)-th root of unity; all the root-of-unity contributions must
-cancel.  Both run one guard, one table of the numerator and one pass to the
-quotient, the repetition one checking the cancellation row by row.  The
-table is a walk over the lattice that counts by (Q, zeta exponent mod k+1):
-repetition reduces each Q row to Z[zeta], and colored sums it, except from
-k = THETA_POWER_FROM_K on: there the colored numerator is [z^alpha] theta^k
+cancel.  Both fold one table of the numerator, which a walk over the lattice
+counts by (Q, zeta exponent mod k+1), by whole exponent columns: colored
+adds them all, and repetition folds each coordinate of the power basis of
+Z[zeta], divides the constant one once and scans the others for the
+cancellation.  From k = THETA_POWER_FROM_K on, colored uses [z^alpha] theta^k
 for theta = sum_m z^m q^(m(m+1)/2) (put m_k = alpha - S), built by k
 multiplications by theta.  The division by (q;q)^k makes one division by
 Jacobi's cube (q;q)^3 for each whole three in k and divides by the
@@ -36,7 +36,7 @@ and Jacobi's triple product.  Every closed-form sum is built by `_sparse_sum`.
 from __future__ import annotations
 
 from math import isqrt
-from operator import add, index
+from operator import add, index, sub
 
 from .qseries import (ZZ, BivarSeries, TruncSeries, euler_product, parse_product_spec,
                       product_from_spec)
@@ -155,8 +155,8 @@ def _lattice_guard(k: int, alpha: int, order: int) -> bool:
 
 def _lattice_table(k: int, alpha: int, order: int) -> list[int]:
     # Counts of the lattice points with Q <= order, flat by (Q, zeta exponent
-    # mod k+1): entry Q*(k+1) + e.  Repetition reduces each Q row to the
-    # power basis; colored, which has no root of unity, sums it.  Q <= order
+    # mod k+1): entry Q*(k+1) + e, so table[e::k+1] is exponent column e.
+    # Both variants reduce it by `_fold`, colored with every weight 1.  Q <= order
     # is sum m_i^2 + (S - alpha)^2 <= 2*order - alpha; the walk keeps the
     # square sum P, c = S - alpha and the exponent, which starts at k*alpha
     # and in which coordinate i weighs i+1-k, minus its count of free ones.
@@ -180,6 +180,18 @@ def _lattice_table(k: int, alpha: int, order: int) -> list[int]:
     elif alpha * alpha <= limit:
         table[(alpha * alpha + alpha) // 2 * width + e % width] += 1
     return table
+
+
+def _fold(table: list[int], weights: list[int]) -> list[int]:
+    # sum_e weights[e] * table[e::k+1], for k + 1 = len(weights).  Every
+    # weight is -1, 0 or 1: x^e for e <= k has such power basis coordinates
+    # in Z[zeta_(k+1)] for every k + 1 < 105, and the box guard refuses k >= 24.
+    width = len(weights)
+    out = [0] * (len(table) // width)
+    for e, w in enumerate(weights):
+        if w:
+            out = list(map(sub if w < 0 else add, out, table[e::width]))
+    return out
 
 
 def _split_cost(r: int, t: int) -> int:
@@ -297,12 +309,8 @@ def cphi_theta_series(k: int, alpha: int, order: int) -> TruncSeries:
     theta power [z^alpha] theta^k from there on."""
     if not _lattice_guard(k, alpha, order):
         return TruncSeries.zero(ZZ, order)
-    if k >= THETA_POWER_FROM_K:
-        coeffs = _theta_power(k, alpha, order)
-    else:
-        # each Q's count summed over its k + 1 exponent columns
-        table, width = _lattice_table(k, alpha, order), k + 1
-        coeffs = list(map(sum, zip(*(table[e::width] for e in range(width)))))
+    coeffs = (_theta_power(k, alpha, order) if k >= THETA_POWER_FROM_K
+              else _fold(_lattice_table(k, alpha, order), [1] * (k + 1)))
     _divide_by_euler(coeffs, k)
     return TruncSeries(ZZ, coeffs, order)
 
@@ -311,38 +319,30 @@ def phi_theta_series(k: int, alpha: int, order: int, *,
                      zeta_exponent_shift: int = 0) -> TruncSeries:
     """Repetition-count generating function via the root-of-unity lattice sum.
 
-    The lattice sum is counted by (Q, zeta exponent), each Q row is reduced
-    to the power basis of Z[zeta_(k+1)] in one pass, and only the constant
-    coordinate is divided by (q;q)^k.  That series is 1 + O(q) over ZZ, so
-    every other coordinate of the quotient first turns nonzero where the
-    numerator's does, with the same value: the pass stops at the first such
-    index and raises NonIntegralCoefficientError.  `zeta_exponent_shift`
-    perturbs every root-of-unity exponent as the table is reduced, and
-    exists so the benchmark's self-check can prove the detector actually
-    fires; leave it at 0.
+    The lattice sum is counted by (Q, zeta exponent) and folded, whole
+    exponent columns at a time, into each coordinate of the power basis of
+    Z[zeta_(k+1)]; only the constant one is divided by (q;q)^k.  That series
+    is 1 + O(q) over ZZ, so every other coordinate of the quotient first
+    turns nonzero where the numerator's does, with the same value: after the
+    one division, the scan of the folded coordinates stops at the first such
+    index and raises NonIntegralCoefficientError.  `zeta_exponent_shift` adds
+    to every root-of-unity exponent as the table is folded, and exists so
+    the benchmark's self-check can prove the detector actually fires; leave
+    it at 0.
     """
     from .exactring import CycInt, _power_basis_rows
 
     if not _lattice_guard(k, alpha, order):
         return TruncSeries.zero(ZZ, order)
-    width = k + 1
-    table = _lattice_table(k, alpha, order)
-    # exponent e reduces by basis row e + zeta_exponent_shift
+    width, table = k + 1, _lattice_table(k, alpha, order)
     rows = _power_basis_rows(width)
-    basis = [rows[(e + zeta_exponent_shift) % width] for e in range(width)]
     sign = -1 if alpha % 2 else 1
-    constant = []
-    for q in range(order + 1):
-        coords = [0] * len(basis[0])
-        for e, count in enumerate(table[q * width:(q + 1) * width]):
-            if count:
-                for i, b in enumerate(basis[e]):
-                    coords[i] += sign * count * b
-        constant.append(coords[0])
-        if any(coords[1:]):
-            _divide_by_euler(constant, k)
-            raise NonIntegralCoefficientError(q, CycInt(width, [constant[q], *coords[1:]]))
+    constant, *others = (_fold(table, [sign * rows[(e + zeta_exponent_shift) % width][i]
+                                       for e in range(width)]) for i in range(len(rows[0])))
     _divide_by_euler(constant, k)
+    for q, coords in enumerate(zip(*others)):
+        if any(coords):
+            raise NonIntegralCoefficientError(q, CycInt(width, [constant[q], *coords]))
     return TruncSeries(ZZ, constant, order)
 
 

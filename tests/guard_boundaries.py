@@ -17,6 +17,7 @@ limit, each with an accepted row and a refusal.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -73,6 +74,11 @@ def closed_form(E: int) -> Callable[[str], bool]:
     return lambda out: json.loads(out)["coefficients"] == want
 
 
+def sha256(digest: str) -> Callable[[str], bool]:
+    # stdout byte for byte, for a row whose output a rewrite must not change
+    return lambda out: hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 CPHI2M1 = "--spec=-,2,0,1; +,2,0,1; +,2,2,1; -,1,0,-2"
 BIVAR = "from frobq.frobenius import bivar_coefficient_series as f; f('colored', {}, {}, {})"
 ENUM = "from frobq.frobenius import enumerate_arrays as f; print(len(f('colored', 6, -3, {})))"
@@ -118,7 +124,8 @@ ROWS = (
     Row("theorems.MAX_DIVISION_WORK", theorem(2, 2, -1, 91417), 30, None, 0),
     Row("theorems.MAX_DIVISION_WORK", theorem(2, 2, -1, 91418), 30, None, 2, "division guard"),
     Row("theorems.MAX_LATTICE_BOX", theorem(2, 6, 0, 72), 30, GIB, 0),
-    Row("theorems.MAX_LATTICE_BOX", theorem(1, 6, 0, 72), 30, GIB, 0),
+    Row("theorems.MAX_LATTICE_BOX", theorem(1, 6, 0, 72), 30, GIB, 0,
+        sha256("9e129ccb2d789d8adba5a1480a4f27240eb1a883bc5de16077b1bcaa99e31993")),
     Row("theorems.MAX_LATTICE_BOX", theorem(2, 6, 0, 73), 5, GIB, 2,
         "lattice guard: box of 6436343 points"),
     Row("theorems.MAX_LATTICE_BOX", theorem(1, 6, 0, 73), 5, GIB, 2,
@@ -136,11 +143,13 @@ ROWS = (
     Row("congruence.MAX_SCAN_TRIPLES", scan(1732), 5, GIB, 2,
         "scan guard: 1500778 (M, A, B) triples"),
     # 7,331,136 row entries in long, nearly all distinct rows
-    Row("cli.MAX_LIST_ENTRIES", enum("colored", 6, -19, 28, "--list"), 30, GIB, 0),
+    Row("cli.MAX_LIST_ENTRIES", enum("colored", 6, -19, 28, "--list"), 30, GIB, 0,
+        sha256("ba59848105211e98b0f661143134b4254871dc56ac7d48f82da45be506ea65c1")),
     Row("cli.MAX_LIST_ENTRIES", enum("colored", 6, -19, 29, "--list"), 5, GIB, 2,
         "enumeration guard: 20177454 row entries exceed MAX_LIST_ENTRIES"),
     # 800,934 arrays; n = 18 has 1,285,563
-    Row("cli.MAX_LIST_ARRAYS", enum("colored", 3, -2, 17, "--list"), 30, GIB, 0),
+    Row("cli.MAX_LIST_ARRAYS", enum("colored", 3, -2, 17, "--list"), 30, GIB, 0,
+        sha256("7b92e5796137533033c677bab6d4e6a7f322c94e52879e0d5d16ca64d07a5600")),
     Row("cli.MAX_LIST_ARRAYS", enum("colored", 3, -2, 18, "--list"), 5, GIB, 2,
         "enumeration guard: 1285563 arrays exceed MAX_LIST_ARRAYS=1200000"),
     Row("frobenius.MAX_ENUM_WEIGHT", enum("colored", 6, 0, 30), 30, GIB, 0),

@@ -166,7 +166,10 @@ def test_enumerate_list_streams_the_line_it_used_to_build(capsys, monkeypatch,
     assert out == json.dumps(old, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("memo", [None, 0, 3], ids=["every-row", "no-row", "three-rows"])
+# how many top rows keep the bottoms list of their split, which the tops of
+# a split share, and do not get a copy of their own: every top (None), none
+# or the first three
+@pytest.mark.parametrize("shared", [None, 0, 3], ids=["every-row", "no-row", "three-rows"])
 @pytest.mark.parametrize("variant, k, alpha, n", [
     ("repetition", 2, 0, 0),  # one array, both rows empty
     ("colored", 3, 0, 0),
@@ -176,13 +179,11 @@ def test_enumerate_list_streams_the_line_it_used_to_build(capsys, monkeypatch,
     ("colored", 3, -1, 8),
     ("repetition", 3, -2, 9),
 ])
-def test_enumerate_list_encodes_each_row_once_as_the_array_would(capsys, monkeypatch, memo,
+def test_enumerate_list_encodes_each_row_once_as_the_array_would(capsys, monkeypatch, shared,
                                                                 variant, k, alpha, n):
-    # each array is written from its rows' JSON, encoded once a row while the
-    # memo has room, and each top row at most once; the line is the one each
-    # array's own encoding makes
-    if memo is not None:
-        monkeypatch.setattr(cli, "_ROW_MEMO", memo)
+    # each array is written from its rows' JSON: each top row encoded once,
+    # and each list of bottoms once, under that list, whichever tops share
+    # it; the line is the one each array's own encoding makes
     encoded = []
     real = cli._encode
 
@@ -194,19 +195,19 @@ def test_enumerate_list_encodes_each_row_once_as_the_array_would(capsys, monkeyp
     head = real({"command": "enumerate", "variant": variant, "k": k, "alpha": alpha,
                  "n": n, "count": str(len(arrays)), "arrays": []}).split("[]")
     want = head[0] + "[" + ", ".join(real(a.to_json_dict()) for a in arrays) + "]" + head[1]
+    by_top = frobenius._sorted_rows(variant, k, alpha, n)
+    if shared is not None:
+        by_top = [(top, bottoms if i < shared else list(bottoms))
+                  for i, (top, bottoms) in enumerate(by_top)]
+    monkeypatch.setattr(frobenius, "_sorted_rows", lambda *args: by_top)
     monkeypatch.setattr(cli, "_encode", counted)
     code, out, _ = run_cli(capsys, "enumerate", "--variant", variant, "--k", str(k),
                            "--alpha", str(alpha), "--n", str(n), "--list")
     assert code == 0
     assert out == want + "\n"
-    rows = {id(row) for a in arrays for row in (a.top, a.bottom)}
-    if memo is None:
-        # the envelope, then each distinct row once
-        assert len(encoded) == 1 + len(rows)
-    elif memo == 0:
-        # the envelope, each top row once with its bottoms, and each bottom
-        # once an array
-        assert len(encoded) == 1 + len({a.top for a in arrays}) + len(arrays)
+    # the envelope, each top row, and the rows of each distinct bottoms list
+    lists = {id(bottoms): bottoms for _, bottoms in by_top}
+    assert len(encoded) == 1 + len(by_top) + sum(map(len, lists.values()))
 
 
 @pytest.mark.parametrize("obj", [

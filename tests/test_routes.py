@@ -100,9 +100,10 @@ ROUTE_CODE = {
     "bivar": ("frobenius.bivar_work", "frobenius._weight_words", "frobenius._binomials",
               "frobenius._PackedRows", "frobenius.bivar_coefficient_series"),
     "theta": ("theorems.quad_exponent", "theorems._choose2", "theorems._interval",
-              "theorems._lattice_guard", "theorems._lattice_table", "theorems._split_cost",
-              "theorems._theta_power", "theorems._pentagonal_exponents", "theorems._divide_by_euler",
-              "theorems.division_work", "theorems.cphi_theta_series", "theorems.phi_theta_series",
+              "theorems._lattice_guard", "theorems._lattice_table", "theorems._fold",
+              "theorems._split_cost", "theorems._theta_power", "theorems._pentagonal_exponents",
+              "theorems._divide_by_euler", "theorems.division_work", "theorems.cphi_theta_series",
+              "theorems.phi_theta_series",
               "exactring._poly_div_exact", "exactring.cyclotomic_poly",
               "exactring._power_basis_rows", "exactring.CycInt", "exactring.zeta_pow"),
     "product": ("qseries._apply_binomial", "qseries._constant_factor", "qseries.euler_product",

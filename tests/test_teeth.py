@@ -124,6 +124,16 @@ def _colored_five():
     return not disagreements("colored", 5, -2, {"theta": 20, "bivar": 20})
 
 
+def _shifted_exponent_refused():
+    # the detector the benchmark's self-check trips, at k=2: one
+    # non-constant coordinate
+    try:
+        theorems.phi_theta_series(2, -1, 10, zeta_exponent_shift=1)
+    except theorems.NonIntegralCoefficientError:
+        return True
+    return False
+
+
 def _psi2_equals_phi2m1():
     # the one check that divides by (1 + q^e), at a size that packs
     return not disagreements("repetition", 2, -1, {"psi2": 1200, "phi2m1": 1200})
@@ -253,10 +263,17 @@ ROWS = [
       for k, alpha, index, value in ((2, 5, 9, CycInt(3, [0, 1])),
                                      (4, 5, 6, CycInt(5, [0, 1, 0, 0])),
                                      (3, -6, 3, CycInt(4, [0, 1])))),
-    # colored k <= 4 sums the walk's k + 1 exponent columns of each Q
-    Row("colored fold drops the last exponent column", "theorems.cphi_theta_series",
-        "for e in range(width)", "for e in range(k)",
+    # colored k <= 4 folds the walk's k + 1 exponent columns, each weighed 1
+    Row("colored fold drops the last exponent column", "theorems._fold",
+        "enumerate(weights)", "enumerate(weights[:-1])",
         lambda: not disagreements("colored", 3, 0, {"theta": 20, "count": 20}), False),
+    # at k=2, alpha=-1 only the constant coordinate subtracts column 0, so
+    # the integrality scan cannot see it; route 1 does
+    Row("fold adds a column that it should subtract", "theorems._fold",
+        "sub if w < 0 else add", "sub if w < 0 < e else add",
+        lambda: not disagreements("repetition", 2, -1, {"theta": 20, "count": 20}), False),
+    Row("integrality scan skips the last coordinate", "theorems.phi_theta_series",
+        "zip(*others)", "zip(*others[:-1])", _shifted_exponent_refused, False),
     Row("pentagonal division with a wrong sign", "theorems._divide_by_euler",
         "acc -= coeffs[n - g]", "acc += coeffs[n - g]",
         lambda: not disagreements("colored", 2, -1, {"theta": 50, "cphi2m1": 50}), False),

@@ -229,7 +229,10 @@ def _first_non_integer_of_dense_quotient(k, alpha, order, table):
             return i, CycInt(width, coords)
 
 
-@pytest.mark.parametrize("k, alpha, bump", [(2, -1, 5), (3, 0, 4), (4, 1, 3)])
+# widths 3, 4, 5, 6 and 8: at 6, Phi_6 = x^2 - x + 1 mixes the signs of
+# the power basis weights that the fold applies
+@pytest.mark.parametrize("k, alpha, bump",
+                         [(2, -1, 5), (3, 0, 4), (4, 1, 3), (5, -2, 4), (7, -3, 3)])
 def test_phi_theta_detector_matches_dense_quotient(monkeypatch, k, alpha, bump):
     # one extra point at zeta^1, later than the first Q: the constant
     # coordinate of the reported value must come from the quotient, not the
